@@ -38,6 +38,7 @@ from .incentives import (
     FeasibilityBand,
     LifetimeValues,
     SustainabilityReport,
+    binding_lines,
     compliance_margins,
     constraint_coefficients,
     deviation_floor,
@@ -45,7 +46,6 @@ from .incentives import (
     feasibility_band,
     is_sustainable,
     lifetime_values,
-    lifetime_values_iterative,
     one_period_values,
     rating_gap,
 )
@@ -68,6 +68,7 @@ from .payoffs import (
     against_compliant,
     expected_payoff,
     payoff_line,
+    payoff_table,
     perfect_monitoring_matrix,
     rating_payoff,
     realized_mix,

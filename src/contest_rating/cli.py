@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from functools import cache
 
 from .designer import (
     OUTCOME_CSV_HEADER,
@@ -38,6 +39,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@cache  # built on the first main() call, not at import, then reused
 def _build_parser() -> _Parser:
     parser = _Parser(prog="contest-rating", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -184,9 +186,8 @@ def _cmd_simulate(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     handler = {

@@ -20,12 +20,12 @@ import numpy as np
 from .errors import DegenerateDenominator, Infeasible
 from .incentives import (
     SustainabilityReport,
+    binding_lines,
     compliance_margins,
     constraint_coefficients,
     deviation_floor,
     feasibility_band,
     is_sustainable,
-    lifetime_values,
 )
 from .params import DesignParams, IntrinsicParams, Strategy
 from .payoffs import payoff_line
@@ -94,13 +94,9 @@ class DesignOutcome:
             f"utility={fmt(self.utility)}",
         ]
         for case in self.cases:
-            n = len(case.feasible_gamma1)
-            span = (
-                f"{fmt(min(case.feasible_gamma1))}..{fmt(max(case.feasible_gamma1))}"
-                if n
-                else "none"
-            )
-            lines.append(f"feasible_gamma1[{case.case_id}]={span} ({n} grid points)")
+            grid = case.feasible_gamma1
+            span = f"{fmt(min(grid))}..{fmt(max(grid))}" if grid else "none"
+            lines.append(f"feasible_gamma1[{case.case_id}]={span} ({len(grid)} grid points)")
         if self.certificate is not None:
             lines.append(f"sustainable={fmt(self.certificate.sustainable)}")
             for w in self.certificate.workers:
@@ -134,24 +130,22 @@ def closed_form_case_utility(case_id: str, gamma1: float, params: IntrinsicParam
     compliant payoffs enter. The binding worker is the one with the
     smaller participation slope k3 (its boundary is hit first).
     """
-    coeffs = [constraint_coefficients(gamma1, params, w) for w in (1, 2)]
-    binding = min(coeffs, key=lambda c: c.k3)
+    binding = min((constraint_coefficients(gamma1, params, w) for w in (1, 2)), key=lambda c: c.k3)
     cn_slope, cn_icept = payoff_line(binding.worker, Strategy.CN, params)
     v0 = cn_icept
     v1 = cn_slope * gamma1 + cn_icept
-    z = params.error_free
-    delta = params.delta
+    z, delta = params.error_free, params.delta
     if case_id == CASE_BETA_ONE:
         denom = (1.0 - delta) * v0 + delta * params.error_any * (v0 - v1)
-        if abs(denom) < 1e-12:
-            raise DegenerateDenominator(f"case utility denominator vanished: {denom!r}")
-        return z - gamma1 * (1.0 - delta * z) * v0 / denom
-    if case_id == CASE_ALPHA_ONE:
+        numer = gamma1 * (1.0 - delta * z) * v0
+    elif case_id == CASE_ALPHA_ONE:
         denom = (delta - 1.0) * v0 + delta * z * (v0 - v1)
-        if abs(denom) < 1e-12:
-            raise DegenerateDenominator(f"case utility denominator vanished: {denom!r}")
-        return z - delta * gamma1 * z * v0 / denom
-    raise ValueError(f"unknown case id: {case_id!r}")
+        numer = delta * gamma1 * z * v0
+    else:
+        raise ValueError(f"unknown case id: {case_id!r}")
+    if abs(denom) < 1e-12:
+        raise DegenerateDenominator(f"case utility denominator vanished: {denom!r}")
+    return z - numer / denom
 
 
 def boundary_case_optimum(
@@ -162,52 +156,38 @@ def boundary_case_optimum(
     A grid point is feasible when the pinned-knob corner exists inside the
     unit square and the rating-1 deviation line does not cut it off; both
     predicates come straight from the combined band coefficients (largest
-    k2 lower line, smallest k3 upper line). Within the feasible set the
-    case utility is monotone in gamma1, so beta=1 wants the smallest
-    feasible prize and alpha=1 the largest.
+    k2 lower line, smallest k3 upper line), evaluated over the whole grid
+    as arrays. Points where a coefficient's denominator vanishes are
+    dropped. Within the feasible set the case utility is monotone in
+    gamma1, so beta=1 wants the smallest feasible prize and alpha=1 the
+    largest.
     """
-    config = config or DesignerConfig()
-    m = config.gamma_grid_m
-    feasible: list[tuple[float, float, float]] = []  # (gamma1, alpha, beta)
-    for k in range(1, m + 1):
-        gamma1 = k / m
-        try:
-            coeffs = [constraint_coefficients(gamma1, params, w) for w in (1, 2)]
-        except DegenerateDenominator:
-            continue
-        low = max(coeffs, key=lambda c: c.k2)
-        up = min(coeffs, key=lambda c: c.k3)
+    if case_id not in (CASE_BETA_ONE, CASE_ALPHA_ONE):
+        raise ValueError(f"unknown case id: {case_id!r}")
+    m = (config or DesignerConfig()).gamma_grid_m
+    gamma1 = np.arange(1, m + 1) / m
+    k2, b2, k3, b3, live = binding_lines(gamma1, params)
+    with np.errstate(divide="ignore", invalid="ignore"):  # entries the masks drop
         if case_id == CASE_BETA_ONE:
-            if up.k3 <= 0.0:
-                continue
-            alpha = (1.0 - up.b3) / up.k3
-            if not 0.0 < alpha < 1.0:
-                continue
-            if low.k2 > 0.0 and (1.0 - low.b2) / low.k2 <= alpha:
-                continue
-            feasible.append((gamma1, alpha, 1.0))
-        elif case_id == CASE_ALPHA_ONE:
-            beta = up.k3 + up.b3
-            if not 0.0 < beta <= 1.0:
-                continue
-            if low.k2 > 0.0 and low.k2 + low.b2 > beta:
-                continue
-            feasible.append((gamma1, 1.0, beta))
+            alpha, beta = (1.0 - b3) / k3, np.ones(m)
+            corner = (k3 > 0.0) & (0.0 < alpha) & (alpha < 1.0)
+            cut = (k2 > 0.0) & ((1.0 - b2) / k2 <= alpha)
         else:
-            raise ValueError(f"unknown case id: {case_id!r}")
-    if not feasible:
+            alpha, beta = np.ones(m), k3 + b3
+            corner = (0.0 < beta) & (beta <= 1.0)
+            cut = (k2 > 0.0) & (k2 + b2 > beta)
+    feasible = np.flatnonzero(live & corner & ~cut)
+    if not feasible.size:
         return CaseResult(case_id=case_id, feasible=False)
     pick = feasible[0] if case_id == CASE_BETA_ONE else feasible[-1]
-    gamma1, alpha, beta = pick
-    utility = closed_form_case_utility(case_id, gamma1, params)
     return CaseResult(
         case_id=case_id,
         feasible=True,
-        alpha=alpha,
-        beta=beta,
-        gamma1=gamma1,
-        utility=utility,
-        feasible_gamma1=tuple(g for g, _, _ in feasible),
+        alpha=float(alpha[pick]),
+        beta=float(beta[pick]),
+        gamma1=float(gamma1[pick]),
+        utility=closed_form_case_utility(case_id, float(gamma1[pick]), params),
+        feasible_gamma1=tuple(gamma1[feasible].tolist()),
     )
 
 
@@ -225,9 +205,7 @@ def optimize(params: IntrinsicParams, config: DesignerConfig | None = None) -> D
     )
     live = [c for c in cases if c.feasible]
     if not live:
-        err = Infeasible(
-            f"no feasible protocol on the gamma1 grid (m = {config.gamma_grid_m})"
-        )
+        err = Infeasible(f"no feasible protocol on the gamma1 grid (m = {config.gamma_grid_m})")
         err.cases = cases
         err.params = params
         raise err
@@ -237,9 +215,7 @@ def optimize(params: IntrinsicParams, config: DesignerConfig | None = None) -> D
         best = min(live, key=lambda c: (c.gamma1, c.case_id != CASE_BETA_ONE))
     design = DesignParams(best.alpha, best.beta, best.gamma1, 0.0)
     certificate = is_sustainable(design, params, tolerance=config.tolerance)
-    participation = {
-        worker: lifetime_values(design, params, worker).v0 for worker in (1, 2)
-    }
+    participation = {w.worker: w.lifetime.v0 for w in certificate.workers}
     band = feasibility_band(best.gamma1, params)
     if not band.contains(best.alpha, best.beta, tolerance=config.tolerance):
         raise ArithmeticError(

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDenominator
-from .params import DesignParams, IntrinsicParams, Strategy
-from .payoffs import against_compliant, payoff_line, realized_mix
+from .params import DesignParams, IntrinsicParams, Strategy, check_worker
+from .payoffs import against_compliant, payoff_line, payoff_table
 from .ratings import transition_kernel
 
 
@@ -34,12 +34,8 @@ class LifetimeValues:
 
 def one_period_values(design: DesignParams, params: IntrinsicParams, worker: int) -> np.ndarray:
     """Per-rating compliant payoffs [v_CN(gamma0), v_CN(gamma1)]."""
-    return np.array(
-        [
-            against_compliant(worker, Strategy.CN, design.gamma0, params),
-            against_compliant(worker, Strategy.CN, design.gamma1, params),
-        ]
-    )
+    prizes = (design.gamma0, design.gamma1)
+    return np.array([against_compliant(worker, Strategy.CN, g, params) for g in prizes])
 
 
 def lifetime_values(design: DesignParams, params: IntrinsicParams, worker: int) -> LifetimeValues:
@@ -47,18 +43,6 @@ def lifetime_values(design: DesignParams, params: IntrinsicParams, worker: int) 
     kernel = transition_kernel(Strategy.CN, design, params)
     reward = one_period_values(design, params, worker)
     v = np.linalg.solve(np.eye(2) - params.delta * kernel, reward)
-    return LifetimeValues(v0=float(v[0]), v1=float(v[1]))
-
-
-def lifetime_values_iterative(
-    design: DesignParams, params: IntrinsicParams, worker: int, steps: int = 1000
-) -> LifetimeValues:
-    """Value iteration from zero; converges geometrically at rate delta."""
-    kernel = transition_kernel(Strategy.CN, design, params)
-    reward = one_period_values(design, params, worker)
-    v = np.zeros(2)
-    for _ in range(steps):
-        v = reward + params.delta * (kernel @ v)
     return LifetimeValues(v0=float(v[0]), v1=float(v[1]))
 
 
@@ -80,9 +64,19 @@ def deviation_value(
 ) -> float:
     """Value of intending CA once at `rating`, then complying forever."""
     values = lifetime_values(design, params, worker)
-    row = transition_kernel(Strategy.CA, design, params)[rating]
-    one_shot = against_compliant(worker, Strategy.CA, design.price(rating), params)
-    return one_shot + params.delta * (row[0] * values.v0 + row[1] * values.v1)
+    return _deviation_values(design, params, worker, values)[rating]
+
+
+def _deviation_values(
+    design: DesignParams, params: IntrinsicParams, worker: int, values: LifetimeValues
+) -> tuple[float, float]:
+    # deviation_value at ratings 0 and 1 from one solve of the lifetime values
+    rows = transition_kernel(Strategy.CA, design, params)
+    return tuple(
+        against_compliant(worker, Strategy.CA, design.price(rating), params)
+        + params.delta * (row[0] * values.v0 + row[1] * values.v1)
+        for rating, row in enumerate(rows)
+    )
 
 
 def compliance_margins(alpha, beta, gamma1, gamma0, params: IntrinsicParams, worker: int):
@@ -110,10 +104,11 @@ def compliance_margins(alpha, beta, gamma1, gamma0, params: IntrinsicParams, wor
     return m0, m1, v0
 
 
-def _detection_drop(intended: Strategy, params: IntrinsicParams) -> float:
-    # drop in the chance of being read as CN when CN is swapped for `intended`
-    cn = Strategy.CN.index
-    return float(realized_mix(Strategy.CN, params)[cn] - realized_mix(intended, params)[cn])
+def _gain(lines: tuple[np.ndarray, np.ndarray], intended: Strategy, gamma):
+    # one-period gain of intending `intended` instead of CN at prize gamma
+    slopes, intercepts = lines
+    i, cn = intended.index, Strategy.CN.index
+    return (slopes[i] - slopes[cn]) * gamma + (intercepts[i] - intercepts[cn])
 
 
 def deviation_floor(gamma, params: IntrinsicParams, worker: int, tolerance: float = 1e-9):
@@ -128,18 +123,13 @@ def deviation_floor(gamma, params: IntrinsicParams, worker: int, tolerance: floa
     bounds and -tolerance (CA's own check), numpy-broadcasting over gamma:
     one value per prize, however many (alpha, beta) cells share it.
     """
-    cn_slope, cn_icept = payoff_line(worker, Strategy.CN, params)
-
-    def gain(intended: Strategy):
-        slope, icept = payoff_line(worker, intended, params)
-        return (slope - cn_slope) * gamma + (icept - cn_icept)
-
-    gain_ca = gain(Strategy.CA)
-    drop_ca = _detection_drop(Strategy.CA, params)
+    table = payoff_table(params)
+    lines, drop = table.lines(worker), table.detection_drop
+    gain_ca = _gain(lines, Strategy.CA, gamma)
     floor = -tolerance
     for intended in (Strategy.SN, Strategy.SA):
-        ratio = drop_ca / _detection_drop(intended, params)
-        floor = np.maximum(floor, ratio * (gain(intended) - tolerance) - gain_ca)
+        ratio = drop[Strategy.CA.index] / drop[intended.index]
+        floor = np.maximum(floor, ratio * (_gain(lines, intended, gamma) - tolerance) - gain_ca)
     return floor
 
 
@@ -213,14 +203,13 @@ def is_sustainable(
             design.alpha, design.beta, design.gamma1, design.gamma0, params, worker
         )
         gap = rating_gap(design, params, worker)
-        cn_slope, cn_icept = payoff_line(worker, Strategy.CN, params)
-        ca_slope, ca_icept = payoff_line(worker, Strategy.CA, params)
-        gain0 = (ca_slope - cn_slope) * design.gamma0 + (ca_icept - cn_icept)
-        gain1 = (ca_slope - cn_slope) * design.gamma1 + (ca_icept - cn_icept)
+        lines = payoff_table(params).lines(worker)
+        gain0, gain1 = (float(_gain(lines, Strategy.CA, g)) for g in (design.gamma0, design.gamma1))
         detect = params.delta * params.detection_margin
         th0 = _gap_threshold(gain0, detect * design.alpha)
         th1 = _gap_threshold(gain1, detect * design.beta)
         values = lifetime_values(design, params, worker)
+        deviation0, deviation1 = _deviation_values(design, params, worker, values)
         floor0, floor1 = deviation_floor(
             np.array([design.gamma0, design.gamma1]), params, worker, tolerance
         )
@@ -236,25 +225,24 @@ def is_sustainable(
                 margin0=float(m0),
                 margin1=float(m1),
                 lifetime=values,
-                deviation0=deviation_value(0, design, params, worker),
-                deviation1=deviation_value(1, design, params, worker),
+                deviation0=deviation0,
+                deviation1=deviation1,
                 sustainable=bool(m0 >= floor0 and m1 >= floor1),
             )
         )
-    table = None
-    dominant = None
+    table = dominant = None
     if strict:
-        table = {}
-        dominant = {}
-        for worker in (1, 2):
-            for rating in (0, 1):
-                prize = design.price(rating)
-                per = {
-                    strat.value: against_compliant(worker, strat, prize, params)
-                    for strat in Strategy
-                }
-                table[(worker, rating)] = per
-                dominant[(worker, rating)] = per["CA"] >= max(per["SN"], per["SA"]) - tolerance
+        table = {
+            (worker, rating): {
+                strat.value: against_compliant(worker, strat, design.price(rating), params)
+                for strat in Strategy
+            }
+            for worker in (1, 2)
+            for rating in (0, 1)
+        }
+        dominant = {
+            key: per["CA"] >= max(per["SN"], per["SA"]) - tolerance for key, per in table.items()
+        }
     return SustainabilityReport(
         design=design,
         workers=tuple(workers),
@@ -285,35 +273,80 @@ class ConstraintCoefficients:
     b3: float
 
 
-def _guarded(numer: float, denom: float, what: str) -> float:
-    if abs(denom) < 1e-12:
-        raise DegenerateDenominator(f"{what} denominator vanished: {denom!r}")
-    return numer / denom
+_VANISHES = 1e-12  # a guarded denominator smaller than this in size is degenerate
 
 
-def constraint_coefficients(
-    gamma1: float, params: IntrinsicParams, worker: int
-) -> ConstraintCoefficients:
-    """Rearranged sustainability and participation constraints at gamma0 = 0."""
-    cn_slope, cn_icept = payoff_line(worker, Strategy.CN, params)
-    ca_slope, ca_icept = payoff_line(worker, Strategy.CA, params)
+def _coefficient_grid(gamma1, params: IntrinsicParams):
+    """Both workers' constraint coefficients over a gamma1 array, shape (2, n).
+
+    Returns (coefficients, denominators): k1, b1, k2, b2, k3 and the
+    denominators of the guarded ratios b1, k1, k2, k3, in that order.
+    Each entry is computed in the order of operations of the scalar
+    rearrangement, so it is the scalar result bit for bit; entries whose
+    denominator vanishes (below _VANISHES in size) carry no meaning.
+    """
+    table = payoff_table(params)
+    cn, ca = [Strategy.CN.index], [Strategy.CA.index]  # each a (2, 1) column of the table
+    cn_slope, cn_icept = table.slope[:, cn], table.intercept[:, cn]
+    ca_slope, ca_icept = table.slope[:, ca], table.intercept[:, ca]
+    gamma1 = np.asarray(gamma1, dtype=float)
     v_cn0 = cn_icept
     v_cn1 = cn_slope * gamma1 + cn_icept
     gain0 = ca_icept - cn_icept
     gain1 = (ca_slope - cn_slope) * gamma1 + (ca_icept - cn_icept)
     edge = v_cn1 - v_cn0
-    err_any = params.error_any
-    err_free = params.error_free
-    detect = params.detection_margin
-    delta = params.delta
-    b1 = -_guarded(1.0 - delta, delta * err_any, "b1")
-    k1 = _guarded(detect * edge - err_free * gain0, err_any * gain0, "k1")
-    k2 = _guarded(err_free * gain1, detect * edge - err_any * gain1, "k2")
-    b2 = k2 * (1.0 - delta) / (delta * err_free)  # delta > 0 ensured by b1 guard
-    k3 = _guarded(-err_free * v_cn1, err_any * v_cn0, "k3")
-    b3 = b1
-    return ConstraintCoefficients(
-        worker=worker, gamma1=gamma1, k1=k1, b1=b1, k2=k2, b2=b2, k3=k3, b3=b3
+    err_any, err_free = params.error_any, params.error_free
+    detect, delta = params.detection_margin, params.delta
+    ratios = {
+        "b1": (1.0 - delta, delta * err_any),
+        "k1": (detect * edge - err_free * gain0, err_any * gain0),
+        "k2": (err_free * gain1, detect * edge - err_any * gain1),
+        "k3": (-err_free * v_cn1, err_any * v_cn0),
+    }
+    denominators = {name: np.broadcast_to(d, v_cn1.shape) for name, (_, d) in ratios.items()}
+    with np.errstate(all="ignore"):  # where a denominator vanishes the entry is dropped
+        coefficients = {name: n / denominators[name] for name, (n, _) in ratios.items()}
+        coefficients["b1"] = -coefficients["b1"]
+        coefficients["b2"] = coefficients["k2"] * (1.0 - delta) / (delta * err_free)
+    return coefficients, denominators
+
+
+def constraint_coefficients(
+    gamma1: float, params: IntrinsicParams, worker: int
+) -> ConstraintCoefficients:
+    """Rearranged sustainability and participation constraints at gamma0 = 0.
+
+    The one-point view of the designer's grid scan (binding_lines); raises
+    DegenerateDenominator where the scan drops the point.
+    """
+    check_worker(worker)
+    coefficients, denominators = _coefficient_grid(np.array([gamma1]), params)
+    for name, denoms in denominators.items():
+        denom = float(denoms[worker - 1, 0])
+        if abs(denom) < _VANISHES:
+            raise DegenerateDenominator(f"{name} denominator vanished: {denom!r}")
+    c = {name: float(value[worker - 1, 0]) for name, value in coefficients.items()}
+    return ConstraintCoefficients(worker=worker, gamma1=gamma1, b3=c["b1"], **c)
+
+
+def binding_lines(gamma1, params: IntrinsicParams):
+    """The band's binding lines at every point of a gamma1 array.
+
+    Returns (k2, b2, k3, b3, live): the lower line of the worker with the
+    larger k2 and the upper line of the worker with the smaller k3 (ties go
+    to worker 1, as in feasibility_band), and live, false where either
+    worker's constraint_coefficients would raise DegenerateDenominator.
+    """
+    coefficients, denominators = _coefficient_grid(gamma1, params)
+    live = ~np.any([np.abs(d) < _VANISHES for d in denominators.values()], axis=(0, 1))
+    k2, b2, k3 = coefficients["k2"], coefficients["b2"], coefficients["k3"]
+    low, up = k2[1] > k2[0], k3[1] < k3[0]  # where worker 2 binds
+    return (
+        np.where(low, k2[1], k2[0]),
+        np.where(low, b2[1], b2[0]),
+        np.where(up, k3[1], k3[0]),
+        coefficients["b1"][0],  # b3 = b1, the same for both workers
+        live,
     )
 
 
@@ -362,15 +395,11 @@ class FeasibilityBand:
             return False
         k2, b2 = self.lower
         k3, b3 = self.upper
-        if beta < k2 * alpha + b2 - tolerance:
-            return False
-        if beta > k3 * alpha + b3 + tolerance:
+        if beta < k2 * alpha + b2 - tolerance or beta > k3 * alpha + b3 + tolerance:
             return False
         if self.uses_k1:
-            k1 = max(c.k1 for c in self.coefficients)
-            b1 = self.coefficients[0].b1  # b1 is worker-independent
-            if beta < k1 * alpha + b1 - tolerance:
-                return False
+            k1, b1 = max(c.k1 for c in self.coefficients), self.coefficients[0].b1
+            return not beta < k1 * alpha + b1 - tolerance  # b1 is worker-independent
         return True
 
 
@@ -387,21 +416,15 @@ def feasibility_band(
     coeffs = tuple(constraint_coefficients(gamma1, params, w) for w in (1, 2))
     low = max(coeffs, key=lambda c: c.k2)
     up = min(coeffs, key=lambda c: c.k3)
-    lo_a, hi_a = 0.0, 1.0
     # lower line <= upper line, lower line <= 1, upper line > 0 (so that
     # some beta in (0, 1] fits); each is linear in alpha.
-    lo1, hi1 = _linear_interval(low.k2 - up.k3, up.b3 - low.b2, lo_a, hi_a)
-    lo2, hi2 = _linear_interval(low.k2, 1.0 - low.b2, lo_a, hi_a)
-    lo3, hi3 = _linear_interval(-up.k3, up.b3 - 1e-15, lo_a, hi_a)
-    lo = max(lo1, lo2, lo3)
-    hi = min(hi1, hi2, hi3)
+    limits = [(low.k2 - up.k3, up.b3 - low.b2), (low.k2, 1.0 - low.b2), (-up.k3, up.b3 - 1e-15)]
     if uses_k1:
-        k1 = max(c.k1 for c in coeffs)
-        b1 = coeffs[0].b1
-        lo4, hi4 = _linear_interval(k1 - up.k3, up.b3 - b1, lo_a, hi_a)
-        lo5, hi5 = _linear_interval(k1, 1.0 - b1, lo_a, hi_a)
-        lo = max(lo, lo4, lo5)
-        hi = min(hi, hi4, hi5)
+        k1, b1 = max(c.k1 for c in coeffs), coeffs[0].b1  # b1 is worker-independent
+        limits += [(k1 - up.k3, up.b3 - b1), (k1, 1.0 - b1)]
+    intervals = [_linear_interval(a, b, 0.0, 1.0) for a, b in limits]
+    lo = max(lo for lo, _ in intervals)
+    hi = min(hi for _, hi in intervals)
     # alpha itself must be strictly positive; an interval pinched to {0} is empty
     interval = (lo, hi) if (lo <= hi and hi > 0.0) else None
     return FeasibilityBand(

@@ -69,11 +69,11 @@ class IntrinsicParams:
     eps2: float
 
     def cost(self, worker: int) -> float:
-        _check_worker(worker)
+        check_worker(worker)
         return self.c1 if worker == 1 else self.c2
 
     def attack_cost(self, worker: int) -> float:
-        _check_worker(worker)
+        check_worker(worker)
         return self.s1 if worker == 1 else self.s2
 
     @property
@@ -241,6 +241,6 @@ def load_config(path: str) -> IntrinsicParams:
         return parse_config(fh.read())
 
 
-def _check_worker(worker: int) -> None:
+def check_worker(worker: int) -> None:
     if worker not in (1, 2):
         raise ValueError(f"worker must be 1 or 2, got {worker!r}")

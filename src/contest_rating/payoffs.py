@@ -8,15 +8,19 @@ with probability eps2. Expected payoffs therefore mix a perfect-monitoring
 payoff matrix over both workers' realized strategies.
 
 Against a compliant (CN-intending) opponent every strategy's expected
-payoff is affine in the prize gamma; payoff_line exposes the (slope,
-intercept) pair, which the incentive and design layers reuse heavily.
+payoff is affine in the prize gamma. payoff_table builds the eight
+(slope, intercept) pairs of an environment once; payoff_line and the
+incentive and design layers read them from there.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import lru_cache
+
 import numpy as np
 
-from .params import STRATEGIES, DesignParams, IntrinsicParams, Strategy
+from .params import STRATEGIES, DesignParams, IntrinsicParams, Strategy, check_worker
 
 
 def perfect_monitoring_matrix(worker: int, gamma: float, params: IntrinsicParams) -> np.ndarray:
@@ -46,15 +50,17 @@ def perfect_monitoring_matrix(worker: int, gamma: float, params: IntrinsicParams
 def realized_mix(intended: Strategy, params: IntrinsicParams) -> np.ndarray:
     """Distribution of the realized strategy given the intent.
 
-    The two stages flip independently: eps1 swaps C/S, eps2 swaps N/A.
-    Returned in the CN, CA, SN, SA order; entries sum to one exactly.
+    The two stages flip independently: eps1 swaps C/S, eps2 swaps N/A, so
+    the mix is the outer product of the two stage channels, flattened in
+    the CN, CA, SN, SA order; entries sum to one exactly.
     """
-    probs = np.empty(4)
-    for realized in STRATEGIES:
-        p1 = params.eps1 if realized.crowdsources != intended.crowdsources else 1.0 - params.eps1
-        p2 = params.eps2 if realized.attacks != intended.attacks else 1.0 - params.eps2
-        probs[realized.index] = p1 * p2
-    return probs
+    stage1 = [1.0 - params.eps1, params.eps1]  # realized C, S for an intended C
+    stage2 = [1.0 - params.eps2, params.eps2]  # realized N, A for an intended N
+    if not intended.crowdsources:
+        stage1.reverse()
+    if intended.attacks:
+        stage2.reverse()
+    return np.outer(stage1, stage2).ravel()
 
 
 def expected_payoff(
@@ -79,15 +85,49 @@ def against_compliant(worker: int, intended: Strategy, gamma: float, params: Int
     return expected_payoff(worker, intended, Strategy.CN, gamma, params)
 
 
-def payoff_line(worker: int, intended: Strategy, params: IntrinsicParams) -> tuple[float, float]:
-    """(slope, intercept) of gamma -> expected payoff against a compliant opponent.
+@dataclass(frozen=True)
+class PayoffTable:
+    """The eight payoff lines of one environment, read-only arrays.
+
+    slope[w - 1, i] and intercept[w - 1, i] give worker w's line for the
+    intent STRATEGIES[i]; detection_drop[i] is how much less likely that
+    intent is read as CN than CN itself (worker-independent).
+    """
+
+    slope: np.ndarray
+    intercept: np.ndarray
+    detection_drop: np.ndarray
+
+    def lines(self, worker: int) -> tuple[np.ndarray, np.ndarray]:
+        """(slopes, intercepts) of one worker's four lines, in STRATEGIES order."""
+        check_worker(worker)
+        return self.slope[worker - 1], self.intercept[worker - 1]
+
+
+@lru_cache(maxsize=128)
+def payoff_table(params: IntrinsicParams) -> PayoffTable:
+    """Slopes and intercepts of gamma -> expected payoff against a compliant opponent.
 
     Affinity in gamma is exact (the matrix is affine in gamma cell by cell),
-    so two evaluations pin the line.
+    so the evaluations at gamma = 0 and gamma = 1 pin each line. Built once
+    per environment (the cache is bounded) and shared by every caller.
+    Environments that differ only in the sign of a zero error rate compare
+    equal, and their tables are the same bit for bit.
     """
-    at0 = against_compliant(worker, intended, 0.0, params)
-    at1 = against_compliant(worker, intended, 1.0, params)
-    return at1 - at0, at0
+    at0 = np.array([[against_compliant(w, s, 0.0, params) for s in STRATEGIES] for w in (1, 2)])
+    at1 = np.array([[against_compliant(w, s, 1.0, params) for s in STRATEGIES] for w in (1, 2)])
+    seen_cn = np.array([realized_mix(s, params)[Strategy.CN.index] for s in STRATEGIES])
+    arrays = (at1 - at0, at0, seen_cn[Strategy.CN.index] - seen_cn)
+    for a in arrays:
+        a.flags.writeable = False
+    return PayoffTable(*arrays)
+
+
+def payoff_line(worker: int, intended: Strategy, params: IntrinsicParams) -> tuple[float, float]:
+    """(slope, intercept) of gamma -> expected payoff against a compliant opponent."""
+    slopes, intercepts = payoff_table(params).lines(worker)
+    i = intended.index
+    return float(slopes[i]), float(intercepts[i])
 
 
 def rating_payoff(

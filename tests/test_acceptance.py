@@ -13,6 +13,7 @@ import time
 
 import numpy as np
 from four_intent import violations
+from scalar_reference import lifetime_values_iterative
 
 from contest_rating import (
     DesignParams,
@@ -26,7 +27,6 @@ from contest_rating import (
     feasibility_band,
     first_stage_payoffs,
     lifetime_values,
-    lifetime_values_iterative,
     optimize,
     productivity_mc,
     rating_gap,

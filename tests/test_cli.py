@@ -285,3 +285,18 @@ def test_module_entry_point(config_path):
     )
     assert proc.returncode == 0
     assert "feasible=true" in proc.stdout
+
+
+def test_parser_is_built_once(config_path, capsys):
+    import contest_rating.cli as cli
+
+    probe = "import contest_rating.cli as c; print(c._build_parser.cache_info().currsize)"
+    fresh = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert fresh.stdout.strip() == "0"  # importing the CLI builds no parser
+    assert main(["design", config_path, "--grid-m", "20"]) == 0
+    parser = cli._build_parser()
+    assert main(["design", config_path, "--grid-m", "5x"]) == 1  # bad input on the reused parser
+    assert main(["design", config_path, "--grid-m", "20"]) == 0
+    assert cli._build_parser() is parser
+    out = capsys.readouterr().out.split("feasible=")
+    assert out[1] == out[2]

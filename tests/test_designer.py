@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 from four_intent import violations
+from scalar_reference import scalar_case_optimum
 
 from contest_rating import (
     CASE_ALPHA_ONE,
@@ -24,6 +25,7 @@ from contest_rating import (
     Infeasible,
     OUTCOME_CSV_HEADER,
     Strategy,
+    binding_lines,
     boundary_case_optimum,
     brute_force_oracle,
     closed_form_case_utility,
@@ -36,6 +38,7 @@ from contest_rating import (
     outcome_csv_row,
     payoff_line,
     social_utility_closed,
+    validate,
     with_params,
     zero_base_price_check,
 )
@@ -280,3 +283,99 @@ def test_infeasible_outcome_has_no_design(defaults):
         bare.design()
     row = outcome_csv_row(bare)
     assert row.split(",")[-1] == "false"
+
+
+def _one_or_both(rng, prefix):
+    return ((prefix + "1",), (prefix + "2",), (prefix + "1", prefix + "2"))[rng.integers(3)]
+
+
+def _edge_weighted_environments(count, seed):
+    """Validated environments, most of them on an edge of the domain.
+
+    Edges, in turn: none; perfect monitoring (eps1 = eps2 = 0); no attack
+    noise (eps2 = 0); no future (delta = 0); delta -> 0; c_i + d -> 1 and
+    s_i -> 0 for one or both workers. Each edge is applied alternately to
+    a draw from the whole validated domain and to a draw near the
+    defaults, where most grids have feasible points.
+    """
+    rng = np.random.default_rng(seed)
+    envs = []
+    while len(envs) < count:
+        edge, near_defaults = len(envs) % 7, len(envs) // 7 % 2
+        if near_defaults:
+            p = default_params(
+                c1=rng.uniform(0.02, 0.3), c2=rng.uniform(0.02, 0.3),
+                s1=rng.uniform(0.02, 0.3), s2=rng.uniform(0.02, 0.3),
+                d=rng.uniform(0.2, 0.6), delta=rng.uniform(0.85, 0.99),
+                eps1=rng.uniform(0.0, 0.3), eps2=rng.uniform(0.0, 0.2),
+            )
+        else:
+            p = default_params(
+                c1=rng.uniform(0.0, 1.0), c2=rng.uniform(0.0, 1.0),
+                s1=rng.uniform(0.0, 1.0), s2=rng.uniform(0.0, 1.0),
+                d=rng.uniform(0.0, 1.0), delta=rng.uniform(0.0, 1.0),
+                eps1=rng.uniform(0.0, 0.5), eps2=rng.uniform(0.0, 0.5),
+            )
+        if edge == 1:
+            p = with_params(p, eps1=0.0, eps2=0.0)
+        elif edge == 2:
+            p = with_params(p, eps2=0.0)
+        elif edge == 3:
+            p = with_params(p, delta=0.0)
+        elif edge == 4:
+            p = with_params(p, delta=float(10.0 ** rng.uniform(-15, -3)))
+        elif edge == 5:
+            slack = float(10.0 ** rng.uniform(-12, -3))
+            p = with_params(p, **{key: 1.0 - p.d - slack for key in _one_or_both(rng, "c")})
+        elif edge == 6:
+            tiny = float(10.0 ** rng.uniform(-15, -9))
+            p = with_params(p, **{key: tiny for key in _one_or_both(rng, "s")})
+        if validate(p).ok:
+            envs.append(p)
+    return envs
+
+
+def test_case_scan_equals_scalar_reference():
+    # the array scan returns the per-point scan's CaseResult, float for
+    # float, including the points it drops for a vanishing denominator
+    feasible = {CASE_BETA_ONE: 0, CASE_ALPHA_ONE: 0}
+    degenerate = {"b1": 0, "other": 0}  # environments whose whole grid is dropped
+    envs = _edge_weighted_environments(400, seed=2718)
+    for p in envs:
+        if p.delta * p.error_any < 1e-12:
+            degenerate["b1"] += 1
+        elif not binding_lines(np.array([0.5]), p)[-1].any():
+            degenerate["other"] += 1  # mostly k1's err_any * gain0 at s_i -> 0
+        for m in (10, 37, 100):
+            config = DesignerConfig(gamma_grid_m=m)
+            for case_id in (CASE_BETA_ONE, CASE_ALPHA_ONE):
+                fast = boundary_case_optimum(case_id, p, config)
+                assert fast == scalar_case_optimum(case_id, p, m), (case_id, m, p)
+                assert all(type(x) is float for x in (fast.alpha, fast.beta, fast.gamma1))
+                feasible[case_id] += fast.feasible
+    # the edges and the interior both show up
+    assert degenerate["b1"] >= 100 and degenerate["other"] >= 10
+    assert min(feasible.values()) >= 50
+
+
+def test_case_scan_rejects_unknown_case(defaults):
+    with pytest.raises(ValueError, match="unknown case id"):
+        boundary_case_optimum("beta=0", defaults)
+
+
+def test_case_scan_drops_a_degenerate_point_alone():
+    # Outside the validated domain (eps1 > 0.5) worker 1's k2 denominator
+    # changes sign inside the grid; s1 is tuned so that it vanishes at
+    # gamma1 = 0.5. Only that point is dropped, as constraint_coefficients
+    # raises there and nowhere else.
+    p = default_params(s1=0.13073854115844444, eps1=0.8277025938204418, eps2=0.4091991363691613)
+    with pytest.raises(DegenerateDenominator, match="k2 denominator vanished"):
+        constraint_coefficients(0.5, p, 1)
+    for m in (10, 100):
+        gamma1 = np.arange(1, m + 1) / m
+        live = binding_lines(gamma1, p)[-1]
+        assert list(gamma1[~live]) == [0.5]
+        for case_id in (CASE_BETA_ONE, CASE_ALPHA_ONE):
+            fast = boundary_case_optimum(case_id, p, DesignerConfig(gamma_grid_m=m))
+            assert fast == scalar_case_optimum(case_id, p, m)
+        assert fast.feasible

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import design_params, intrinsic_params
 from four_intent import DEVIATIONS, deviation_gain
+from scalar_reference import lifetime_values_iterative
 from contest_rating import (
     DegenerateDenominator,
     DesignParams,
@@ -21,7 +22,6 @@ from contest_rating import (
     feasibility_band,
     is_sustainable,
     lifetime_values,
-    lifetime_values_iterative,
     payoff_line,
     rating_gap,
     transition_kernel,

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import intrinsic_params
@@ -15,6 +15,7 @@ from contest_rating import (
     default_params,
     expected_payoff,
     payoff_line,
+    payoff_table,
     perfect_monitoring_matrix,
     rating_payoff,
     realized_mix,
@@ -144,6 +145,33 @@ def test_payoff_line_reproduces_compliant_payoffs(defaults):
         for gamma in (0.0, 0.37, 1.0):
             direct = against_compliant(1, intended, gamma, defaults)
             assert slope * gamma + intercept == pytest.approx(direct, abs=1e-14)
+
+
+@settings(max_examples=60, deadline=None)
+@given(intrinsic_params())
+def test_payoff_table_is_built_from_two_evaluations(p):
+    table = payoff_table(p)
+    assert payoff_table(p) is table
+    for w in (1, 2):
+        for i, intended in enumerate(STRATEGIES):
+            at0 = against_compliant(w, intended, 0.0, p)
+            at1 = against_compliant(w, intended, 1.0, p)
+            assert table.intercept[w - 1, i] == at0
+            assert table.slope[w - 1, i] == at1 - at0
+            assert payoff_line(w, intended, p) == (at1 - at0, at0)
+            assert type(payoff_line(w, intended, p)[0]) is float
+    cn = Strategy.CN.index
+    for i, intended in enumerate(STRATEGIES):
+        seen = realized_mix(Strategy.CN, p)[cn] - realized_mix(intended, p)[cn]
+        assert table.detection_drop[i] == seen
+    with pytest.raises(ValueError):
+        table.slope[0, 0] = 1.0
+
+
+def test_payoff_line_rejects_unknown_worker(defaults):
+    for worker in (0, 3):
+        with pytest.raises(ValueError, match="worker must be 1 or 2"):
+            payoff_line(worker, Strategy.CN, defaults)
 
 
 def test_payoff_line_compliant_slope_is_half(defaults):
