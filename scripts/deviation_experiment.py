@@ -10,7 +10,7 @@ import argparse
 import math
 import sys
 
-from contest_rating import SimConfig, default_params, optimize, run_utility
+from contest_rating import SimConfig, default_params, optimize, run_utility, utility_horizon
 
 
 def main(argv=None):
@@ -28,7 +28,7 @@ def main(argv=None):
         f"gamma1={design.gamma1:g} gamma0={design.gamma0:g} (case {outcome.case_id})"
     )
 
-    periods = math.ceil(math.log(1e-6) / math.log(params.delta))
+    periods = utility_horizon(params.delta)
     base = dict(
         periods=periods,
         replicates=args.replicates,

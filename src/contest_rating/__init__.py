@@ -89,7 +89,7 @@ from .requester import (
     social_utility,
     social_utility_closed,
 )
-from .simulate import Estimate, SimConfig, SimResult, run_chain, run_utility
+from .simulate import Estimate, SimConfig, SimResult, run_chain, run_utility, utility_horizon
 from .stage_game import (
     CASES,
     McStagePayoffs,

@@ -11,7 +11,6 @@ at fixed inputs.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from functools import cache
 
@@ -26,7 +25,7 @@ from .designer import (
 from .errors import ConfigError, DegenerateChain, Infeasible
 from .incentives import is_sustainable
 from .params import DesignParams, design_violations, load_config, validate, with_params
-from .simulate import SimConfig, run_chain, run_utility
+from .simulate import SimConfig, run_chain, run_utility, utility_horizon
 from .tableio import csv_line, fmt, write_lines
 
 _VARY_KEYS = ("c1", "c2", "s1", "s2", "d", "delta", "eps1", "eps2")
@@ -159,10 +158,6 @@ def _cmd_simulate(args) -> int:
     problems = design_violations(design, require_price_gap=False)
     if problems:
         return _fail("; ".join(problems))
-    if params.delta > 0.0:
-        needed = math.ceil(math.log(1e-6) / math.log(params.delta))
-    else:
-        needed = 1
     chain_cfg = SimConfig(
         periods=args.periods,
         replicates=args.replicates,
@@ -170,7 +165,7 @@ def _cmd_simulate(args) -> int:
         seed=args.seed,
     )
     util_cfg = SimConfig(
-        periods=max(args.periods, needed),
+        periods=max(args.periods, utility_horizon(params.delta)),
         replicates=args.replicates,
         population=args.population,
         seed=args.seed,

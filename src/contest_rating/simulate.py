@@ -95,19 +95,17 @@ def _draw_block(rng, periods: int, pairs: int, params: IntrinsicParams, attack1,
     tie coin, and the fulfillment draw.
     """
     u = rng.random((periods, pairs, 8))
-    crowd1 = u[..., 0] >= params.eps1  # realized C for a C intent
-    crowd2 = u[..., 2] >= params.eps1
-    attacked1 = np.where(attack1, u[..., 1] >= params.eps2, u[..., 1] < params.eps2)
-    attacked2 = np.where(attack2, u[..., 3] >= params.eps2, u[..., 3] < params.eps2)
+    eps1, eps2 = params.eps1, params.eps2  # the update channels' thresholds are unused
+    below = u < np.array([eps1, eps2, eps1, eps2, 0.0, 0.0, 0.5, params.error_free])
     return {
-        "crowd1": crowd1,
-        "crowd2": crowd2,
-        "attack1": attacked1,
-        "attack2": attacked2,
+        "crowd1": ~below[..., 0],  # realized C for a C intent
+        "crowd2": ~below[..., 2],
+        "attack1": below[..., 1] ^ attack1,  # an attack flip turns the intent over
+        "attack2": below[..., 3] ^ attack2,
         "update1": u[..., 4],
         "update2": u[..., 5],
-        "coin": u[..., 6] < 0.5,
-        "fulfilled": u[..., 7] < params.error_free,
+        "coin": below[..., 6],
+        "fulfilled": below[..., 7],
     }
 
 
@@ -124,27 +122,25 @@ def _rating_paths(ev, design: DesignParams):
     """Simulate both rating paths from the realized strategies.
 
     Returns (theta1, theta2, promotions, demotions); theta arrays hold the
-    rating in force during each period (updates land next period).
+    rating in force during each period (updates land next period). A
+    promotion needs an observed CN and a demotion its absence, so no period
+    has both and a period with neither keeps the rating: the rating in force
+    is the verdict of the last earlier event, or the start rating. A running
+    maximum over the keys 2 * (period + 1) + verdict finds that event.
     """
-    periods = ev["crowd1"].shape[0]
-    is_cn1 = ev["crowd1"] & ~ev["attack1"]
-    is_cn2 = ev["crowd2"] & ~ev["attack2"]
-    pr1 = is_cn1 & (ev["update1"] < design.alpha)
-    de1 = ~is_cn1 & (ev["update1"] < design.beta)
-    pr2 = is_cn2 & (ev["update2"] < design.alpha)
-    de2 = ~is_cn2 & (ev["update2"] < design.beta)
-    theta1 = np.empty_like(is_cn1)
-    theta2 = np.empty_like(is_cn2)
-    cur1 = ev["start1"]
-    cur2 = ev["start2"]
-    for t in range(periods):
-        theta1[t] = cur1
-        theta2[t] = cur2
-        cur1 = np.where(cur1, ~de1[t], pr1[t])
-        cur2 = np.where(cur2, ~de2[t], pr2[t])
-    promotions = int((pr1 & ~theta1).sum() + (pr2 & ~theta2).sum())
-    demotions = int((de1 & theta1).sum() + (de2 & theta2).sum())
-    return theta1, theta2, promotions, demotions
+    is_cn = np.stack([ev["crowd1"] & ~ev["attack1"], ev["crowd2"] & ~ev["attack2"]])
+    update = np.stack([ev["update1"], ev["update2"]])
+    pr = is_cn & (update < design.alpha)
+    de = ~is_cn & (update < design.beta)
+    periods = is_cn.shape[1]
+    dtype = np.int16 if 2 * periods + 1 <= np.iinfo(np.int16).max else np.int64
+    keys = np.empty((2, periods + 1, is_cn.shape[2]), dtype=dtype)
+    keys[:, 0] = (ev["start1"], ev["start2"])
+    keys[:, 1:] = (pr | de) * np.arange(2, 2 * periods + 1, 2, dtype=dtype)[:, None] + pr
+    theta = (np.maximum.accumulate(keys, axis=1)[:, :-1] & 1).astype(bool)
+    promotions = int(np.count_nonzero(pr & ~theta))
+    demotions = int(np.count_nonzero(de & theta))
+    return theta[0], theta[1], promotions, demotions
 
 
 def run_chain(design: DesignParams, params: IntrinsicParams, config: SimConfig) -> SimResult:
@@ -190,6 +186,14 @@ def run_chain(design: DesignParams, params: IntrinsicParams, config: SimConfig) 
     return SimResult(estimates, periods, promotions, demotions)
 
 
+def utility_horizon(delta: float) -> int:
+    """Least horizon that run_utility accepts: periods with delta**periods < 1e-6."""
+    periods = math.ceil(math.log(1e-6) / math.log(delta)) if delta > 0.0 else 1
+    while delta ** periods >= 1e-6:  # the rounded log can land on the bound
+        periods += 1
+    return periods
+
+
 def run_utility(design: DesignParams, params: IntrinsicParams, config: SimConfig) -> SimResult:
     """Discounted lifetime values by starting rating, against the solver.
 
@@ -200,7 +204,7 @@ def run_utility(design: DesignParams, params: IntrinsicParams, config: SimConfig
     (its opponent faces an off-path attack there, so the compliant
     analytic value is not its comparator).
     """
-    if params.delta > 0.0 and params.delta ** config.periods >= 1e-6:
+    if params.delta ** config.periods >= 1e-6:
         raise ValueError(
             f"horizon too short: delta^periods = {params.delta ** config.periods:g} >= 1e-6"
         )

@@ -7,6 +7,9 @@
   rearranged from payoff lines that are built directly from
   `against_compliant` at gamma = 0 and gamma = 1. `boundary_case_optimum`
   must return an equal `CaseResult`, float for float.
+- `rating_paths_loop`: the simulator's rating recurrence stepped one period
+  at a time. `simulate._rating_paths` must return equal rating paths and
+  equal promotion and demotion counts.
 """
 
 import numpy as np
@@ -111,3 +114,26 @@ def scalar_case_optimum(case_id, params, m):
         utility=closed_form_case_utility(case_id, gamma1, params),
         feasible_gamma1=tuple(g for g, _, _ in feasible),
     )
+
+
+def rating_paths_loop(ev, design):
+    """(theta1, theta2, promotions, demotions), one period at a time."""
+    periods = ev["crowd1"].shape[0]
+    is_cn1 = ev["crowd1"] & ~ev["attack1"]
+    is_cn2 = ev["crowd2"] & ~ev["attack2"]
+    pr1 = is_cn1 & (ev["update1"] < design.alpha)
+    de1 = ~is_cn1 & (ev["update1"] < design.beta)
+    pr2 = is_cn2 & (ev["update2"] < design.alpha)
+    de2 = ~is_cn2 & (ev["update2"] < design.beta)
+    theta1 = np.empty_like(is_cn1)
+    theta2 = np.empty_like(is_cn2)
+    cur1 = ev["start1"]
+    cur2 = ev["start2"]
+    for t in range(periods):
+        theta1[t] = cur1
+        theta2[t] = cur2
+        cur1 = np.where(cur1, ~de1[t], pr1[t])
+        cur2 = np.where(cur2, ~de2[t], pr2[t])
+    promotions = int((pr1 & ~theta1).sum() + (pr2 & ~theta2).sum())
+    demotions = int((de1 & theta1).sum() + (de2 & theta2).sum())
+    return theta1, theta2, promotions, demotions

@@ -268,6 +268,19 @@ def test_simulate_deterministic_csv(config_path, capsys, tmp_path):
     assert reseeded.read_bytes() != first.read_bytes()
 
 
+@pytest.mark.parametrize("delta", ["0.1", "0.01", "0.001"])
+def test_simulate_where_the_log_horizon_lands_on_the_bound(tmp_path, capsys, delta):
+    # ceil(log(1e-6) / log(delta)) gives n with delta**n == 1e-6 after rounding
+    path = tmp_path / "short.cfg"
+    path.write_text(DEFAULT_CONFIG.replace("delta = 0.95", f"delta = {delta}"))
+    argv = [
+        "simulate", str(path), "--alpha", "0.5", "--beta", "0.5", "--gamma1", "0.5",
+        "--periods", "1", "--replicates", "2", "--population", "2",
+    ]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_simulate_rejects_single_replicate(config_path, capsys):
     argv = [
         "simulate", config_path,

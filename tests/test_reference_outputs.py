@@ -1,10 +1,10 @@
-"""The designer's CLI output at the benchmark's default seed is pinned.
+"""The CLI output at the benchmark's default seed is pinned.
 
-Rebuilds the seed-0 `design_sweep` and `oracle_check` op lists with
+Rebuilds the seed-0 op list of every workload with
 `benchmark/workloads.py`, runs every op through `cli.main`, and compares
 each output digest with `benchmark/reference.json`. Both files are only
-read. A change in what `design` or `design --oracle` prints fails here, not
-only in the benchmark.
+read. A change in what `design`, `design --oracle` or `simulate` prints
+fails here, not only in the benchmark.
 """
 
 import contextlib
@@ -30,7 +30,7 @@ def workloads():
     return workloads
 
 
-@pytest.mark.parametrize("workload", ["design_sweep", "oracle_check"])
+@pytest.mark.parametrize("workload", ["design_sweep", "oracle_check", "sim_long", "sim_wide"])
 def test_default_seed_outputs_match_reference(workloads, workload, tmp_path):
     reference = json.loads((BENCHMARK / "reference.json").read_text(encoding="utf-8"))[workload]
     ops = workloads.build_ops(workload, workloads.DEFAULT_SEED, tmp_path)

@@ -12,8 +12,11 @@ from contest_rating import (
     lifetime_values,
     run_chain,
     run_utility,
+    utility_horizon,
     with_params,
 )
+from contest_rating.simulate import _draw_block, _rating_paths
+from scalar_reference import rating_paths_loop
 
 HALF = DesignParams(0.5, 0.5, 0.5, 0.0)
 
@@ -137,3 +140,58 @@ def test_estimate_z_guard(defaults):
     result = run_chain(HALF, p, SimConfig(periods=30, replicates=2, population=6, seed=0))
     assert result["eta0"].stderr == 0.0
     assert result["eta0"].z == 0.0
+
+
+# Each edge of the rating recurrence, as overrides of a 50-period, 7-pair
+# block with random monitoring noise, random intents and random start ratings.
+RECURRENCE_EDGES = {
+    "random": {},
+    "one_period": dict(periods=1),
+    "one_pair": dict(pairs=1),
+    "perfect_monitoring": dict(eps=(0.0, 0.0)),
+    "start_all_bad": dict(start=0),
+    "start_all_good": dict(start=1),
+    "worker1_attacks_first": dict(attacker=1),
+    "worker2_attacks_first": dict(attacker=2),
+    "past_int16_keys": dict(periods=16_400, pairs=2),  # keys 2 * (t + 1) + 1 pass 32767
+}
+
+
+@pytest.mark.parametrize("edge", list(RECURRENCE_EDGES))
+def test_rating_paths_equal_the_per_period_loop(defaults, edge):
+    case = RECURRENCE_EDGES[edge]
+    rng = np.random.default_rng(list(RECURRENCE_EDGES).index(edge))
+    periods, pairs = case.get("periods", 50), case.get("pairs", 7)
+    eps1, eps2 = case.get("eps", rng.uniform(0.0, 0.5, 2))
+    params = with_params(defaults, eps1=eps1, eps2=eps2)
+    if "attacker" in case:  # a deviation block: one attack intent, in period 0
+        attacks = np.zeros((2, periods, 1), dtype=bool)
+        attacks[case["attacker"] - 1, 0] = True
+    else:
+        attacks = rng.random((2, periods, 1)) < 0.2
+    designs = [(a, b) for a in (0.0, 1.0) for b in (0.0, 1.0)] + [tuple(rng.random(2))]
+    for alpha, beta in designs:
+        ev = _draw_block(rng, periods, pairs, params, attacks[0], attacks[1])
+        if "start" in case:
+            ev["start1"], ev["start2"] = np.full((2, pairs), bool(case["start"]))
+        else:
+            ev["start1"], ev["start2"] = rng.random((2, pairs)) < 0.5
+        design = DesignParams(alpha, beta, 0.5, 0.0)
+        *paths, promotions, demotions = _rating_paths(ev, design)
+        *expected, promotions_loop, demotions_loop = rating_paths_loop(ev, design)
+        for theta, theta_loop in zip(paths, expected):
+            assert theta.dtype == np.bool_
+            assert np.array_equal(theta, theta_loop), f"alpha={alpha}, beta={beta}"
+        assert type(promotions) is int and type(demotions) is int
+        assert (promotions, demotions) == (promotions_loop, demotions_loop)
+
+
+def test_utility_horizon_is_the_least_accepted(defaults):
+    assert utility_horizon(0.95) == 270  # the formula's value where it already held
+    assert utility_horizon(0.0) == 1
+    for delta in (0.1, 0.01, 0.001, 0.5, 0.95, 0.999):
+        n = utility_horizon(delta)
+        assert delta**n < 1e-6
+        assert n == 1 or delta ** (n - 1) >= 1e-6
+        config = SimConfig(periods=n, replicates=2, population=1)
+        run_utility(HALF, with_params(defaults, delta=delta), config)  # does not raise
