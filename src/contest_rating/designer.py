@@ -237,6 +237,9 @@ def optimize(params: IntrinsicParams, config: DesignerConfig | None = None) -> D
     )
 
 
+_ORACLE_SLAB_CELLS = 50_000  # grid cells per oracle slab: 5 alpha rows at r = 100
+
+
 @dataclass(frozen=True)
 class OracleResult:
     feasible: bool
@@ -263,34 +266,52 @@ def brute_force_oracle(
     participation holds at rating 0. gamma0 can be pinned to a positive
     value to probe the base price; gamma1 points at or below it are
     excluded.
+
+    The grid is walked in slabs of whole alpha rows, so memory grows with
+    one slab, not with r**3. A slab's maximum replaces the running one only
+    when strictly larger: the first maximum in C order wins (smallest
+    alpha, beta, gamma1), as over the whole grid at once.
     """
     config = config or DesignerConfig()
     r = config.oracle_grid_r
     grid = np.arange(1, r + 1) / r
-    alpha = grid[:, None, None]
     beta = grid[None, :, None]
     gamma1 = grid[None, None, :]
     tol = config.tolerance
-    ok = np.broadcast_to(gamma1 > gamma0 + 1e-12, (r, r, r)).copy()
-    for worker in (1, 2):
-        m0, m1, v0 = compliance_margins(alpha, beta, gamma1, gamma0, params, worker)
-        floor0 = deviation_floor(gamma0, params, worker, tol)
-        floor1 = deviation_floor(gamma1, params, worker, tol)
-        ok &= (m0 >= floor0) & (m1 >= floor1) & (v0 >= -tol)
-    n_feasible = int(ok.sum())
+    floors = [
+        (w, deviation_floor(gamma0, params, w, tol), deviation_floor(gamma1, params, w, tol))
+        for w in (1, 2)
+    ]
+    prize_ok = gamma1 > gamma0 + 1e-12
+    rows = max(1, _ORACLE_SLAB_CELLS // (r * r))
+    n_feasible, best_flat, best_utility = 0, -1, -math.inf
+    for first in range(0, r, rows):
+        alpha = grid[first : first + rows, None, None]
+        ok = np.broadcast_to(prize_ok, (alpha.shape[0], r, r)).copy()
+        for worker, floor0, floor1 in floors:
+            m0, m1, v0 = compliance_margins(alpha, beta, gamma1, gamma0, params, worker)
+            ok &= m0 >= floor0
+            ok &= m1 >= floor1
+            ok &= v0 >= -tol
+        count = int(np.count_nonzero(ok))
+        if not count:
+            continue
+        n_feasible += count
+        utility = social_utility_closed(alpha, beta, gamma1, gamma0, params)
+        utility[~ok] = -np.inf
+        flat = int(np.argmax(utility))
+        if utility.flat[flat] > best_utility:
+            best_flat, best_utility = first * r * r + flat, float(utility.flat[flat])
     if n_feasible == 0:
         return OracleResult(False, math.nan, math.nan, math.nan, gamma0, math.nan, 0, r)
-    utility = social_utility_closed(alpha, beta, gamma1, gamma0, params)
-    utility = np.where(ok, utility, -np.inf)
-    flat = int(np.argmax(utility))  # first max in C order: smallest alpha, beta, gamma1
-    ia, ib, ig = np.unravel_index(flat, (r, r, r))
+    ia, ib, ig = np.unravel_index(best_flat, (r, r, r))
     return OracleResult(
         feasible=True,
         alpha=float(grid[ia]),
         beta=float(grid[ib]),
         gamma1=float(grid[ig]),
         gamma0=gamma0,
-        utility=float(utility[ia, ib, ig]),
+        utility=best_utility,
         n_feasible=n_feasible,
         grid_r=r,
     )

@@ -280,7 +280,7 @@ def _coefficient_grid(gamma1, params: IntrinsicParams):
     """Both workers' constraint coefficients over a gamma1 array, shape (2, n).
 
     Returns (coefficients, denominators): k1, b1, k2, b2, k3 and the
-    denominators of the guarded ratios b1, k1, k2, k3, in that order.
+    denominators of the guarded ratios b1, k2, k3, in that order.
     Each entry is computed in the order of operations of the scalar
     rearrangement, so it is the scalar result bit for bit; entries whose
     denominator vanishes (below _VANISHES in size) carry no meaning.
@@ -308,6 +308,9 @@ def _coefficient_grid(gamma1, params: IntrinsicParams):
         coefficients = {name: n / denominators[name] for name, (n, _) in ratios.items()}
         coefficients["b1"] = -coefficients["b1"]
         coefficients["b2"] = coefficients["k2"] * (1.0 - delta) / (delta * err_free)
+    # k1's denominator err_any * gain0 vanishes as an attack cost s_i -> 0,
+    # where k1 -> -inf; its line never binds, so it guards nothing.
+    del denominators["k1"]
     return coefficients, denominators
 
 

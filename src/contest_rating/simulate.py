@@ -27,6 +27,9 @@ from .requester import social_utility
 from .tableio import csv_line
 
 
+MAX_BLOCK_DRAWS = 2**27  # uniform draws in one replicate's event block: 1 GiB of float64
+
+
 @dataclass(frozen=True)
 class SimConfig:
     periods: int = 2000
@@ -43,6 +46,11 @@ class SimConfig:
             raise ValueError(f"replicates must be >= 2, got {self.replicates}")
         if self.population < 1:
             raise ValueError(f"population must be >= 1, got {self.population}")
+        if self.periods * self.population * 8 > MAX_BLOCK_DRAWS:
+            raise ValueError(
+                f"draw block too large: {self.periods} periods x {self.population} pairs"
+                f" x 8 channels exceeds {MAX_BLOCK_DRAWS} draws"
+            )
         if (self.deviate_worker is None) != (self.deviate_rating is None):
             raise ValueError("deviate_worker and deviate_rating go together")
         if self.deviate_worker is not None and self.deviate_worker not in (1, 2):
@@ -178,6 +186,7 @@ def run_chain(design: DesignParams, params: IntrinsicParams, config: SimConfig) 
             np.where(theta2, design.gamma1, design.gamma0),
         )
         social_means.append((ev["fulfilled"] - prize_paid).mean())
+        del ev, theta1, theta2, win1, prize_paid  # free this block before the next draw
     estimates = (
         _estimate("eta0", eta.eta0, eta0_means),
         _estimate("eta1", eta.eta1, eta1_means),
@@ -250,6 +259,7 @@ def run_utility(design: DesignParams, params: IntrinsicParams, config: SimConfig
             )
             means1.append(np.tensordot(weights, pay1, axes=(0, 0)).mean())
             means2.append(np.tensordot(weights, pay2, axes=(0, 0)).mean())
+            del ev, theta1, theta2, win1, prize1, prize2, pay1, pay2  # before the next draw
         for worker, means in ((1, means1), (2, means2)):
             if deviating:
                 if worker != config.deviate_worker:

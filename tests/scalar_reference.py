@@ -10,7 +10,12 @@
 - `rating_paths_loop`: the simulator's rating recurrence stepped one period
   at a time. `simulate._rating_paths` must return equal rating paths and
   equal promotion and demotion counts.
+- `whole_grid_oracle`: the grid oracle evaluated over all r**3 cells at
+  once. `brute_force_oracle`, which walks the grid in slabs of alpha rows,
+  must return an equal `OracleResult`.
 """
+
+import math
 
 import numpy as np
 
@@ -19,11 +24,16 @@ from contest_rating import (
     CASE_BETA_ONE,
     CaseResult,
     DegenerateDenominator,
+    DesignerConfig,
     LifetimeValues,
+    OracleResult,
     Strategy,
     against_compliant,
     closed_form_case_utility,
+    compliance_margins,
+    deviation_floor,
     one_period_values,
+    social_utility_closed,
     transition_kernel,
 )
 
@@ -64,7 +74,6 @@ def scalar_coefficients(gamma1, params, worker, lines):
     detect = params.detection_margin
     delta = params.delta
     b1 = -_guarded(1.0 - delta, delta * err_any, "b1")
-    _guarded(detect * edge - err_free * gain0, err_any * gain0, "k1")
     k2 = _guarded(err_free * gain1, detect * edge - err_any * gain1, "k2")
     b2 = k2 * (1.0 - delta) / (delta * err_free)
     k3 = _guarded(-err_free * v_cn1, err_any * v_cn0, "k3")
@@ -137,3 +146,37 @@ def rating_paths_loop(ev, design):
     promotions = int((pr1 & ~theta1).sum() + (pr2 & ~theta2).sum())
     demotions = int((de1 & theta1).sum() + (de2 & theta2).sum())
     return theta1, theta2, promotions, demotions
+
+
+def whole_grid_oracle(params, config=None, gamma0=0.0, utility_of=social_utility_closed):
+    """brute_force_oracle with every (alpha, beta, gamma1) cell in one array."""
+    config = config or DesignerConfig()
+    r = config.oracle_grid_r
+    grid = np.arange(1, r + 1) / r
+    alpha = grid[:, None, None]
+    beta = grid[None, :, None]
+    gamma1 = grid[None, None, :]
+    tol = config.tolerance
+    ok = np.broadcast_to(gamma1 > gamma0 + 1e-12, (r, r, r)).copy()
+    for worker in (1, 2):
+        m0, m1, v0 = compliance_margins(alpha, beta, gamma1, gamma0, params, worker)
+        floor0 = deviation_floor(gamma0, params, worker, tol)
+        floor1 = deviation_floor(gamma1, params, worker, tol)
+        ok &= (m0 >= floor0) & (m1 >= floor1) & (v0 >= -tol)
+    n_feasible = int(ok.sum())
+    if n_feasible == 0:
+        return OracleResult(False, math.nan, math.nan, math.nan, gamma0, math.nan, 0, r)
+    utility = utility_of(alpha, beta, gamma1, gamma0, params)
+    utility = np.where(ok, utility, -np.inf)
+    flat = int(np.argmax(utility))  # first max in C order: smallest alpha, beta, gamma1
+    ia, ib, ig = np.unravel_index(flat, (r, r, r))
+    return OracleResult(
+        feasible=True,
+        alpha=float(grid[ia]),
+        beta=float(grid[ib]),
+        gamma1=float(grid[ig]),
+        gamma0=gamma0,
+        utility=float(utility[ia, ib, ig]),
+        n_feasible=n_feasible,
+        grid_r=r,
+    )

@@ -6,13 +6,21 @@ with d at the default eps2 = 0.05, where a compliant opponent's intent
 lands as an attack with probability eps2.
 """
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import contest_rating
 from contest_rating import OUTCOME_CSV_HEADER
 from contest_rating.cli import main
+
+# child interpreters import the package this process imported, also where
+# only pytest's own pythonpath setting put it on sys.path
+_PATHS = [str(Path(contest_rating.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, _PATHS))}
 
 DEFAULT_CONFIG = """\
 # baseline environment
@@ -281,6 +289,21 @@ def test_simulate_where_the_log_horizon_lands_on_the_bound(tmp_path, capsys, del
     assert capsys.readouterr().err == ""
 
 
+def test_simulate_refuses_an_oversized_horizon(tmp_path, capsys, monkeypatch):
+    # at delta = 0.999999 the utility horizon is 13,815,504 periods; the
+    # simulator is replaced so that nothing is drawn should the check fail
+    def no_run(*args):
+        raise AssertionError("simulated past the draw-block limit")
+
+    monkeypatch.setattr("contest_rating.cli.run_chain", no_run)
+    monkeypatch.setattr("contest_rating.cli.run_utility", no_run)
+    path = tmp_path / "patient.cfg"
+    path.write_text(DEFAULT_CONFIG.replace("delta = 0.95", "delta = 0.999999"))
+    argv = ["simulate", str(path), "--alpha", "0.5", "--beta", "0.5", "--gamma1", "0.5"]
+    assert main(argv) == 1
+    assert "draw block too large" in capsys.readouterr().err
+
+
 def test_simulate_rejects_single_replicate(config_path, capsys):
     argv = [
         "simulate", config_path,
@@ -295,6 +318,7 @@ def test_module_entry_point(config_path):
         [sys.executable, "-m", "contest_rating.cli", "design", config_path],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 0
     assert "feasible=true" in proc.stdout
@@ -304,7 +328,9 @@ def test_parser_is_built_once(config_path, capsys):
     import contest_rating.cli as cli
 
     probe = "import contest_rating.cli as c; print(c._build_parser.cache_info().currsize)"
-    fresh = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    fresh = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=CHILD_ENV
+    )
     assert fresh.stdout.strip() == "0"  # importing the CLI builds no parser
     assert main(["design", config_path, "--grid-m", "20"]) == 0
     parser = cli._build_parser()

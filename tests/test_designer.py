@@ -10,12 +10,15 @@ independent four-intent check in `four_intent.py`.
 """
 
 import math
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 from four_intent import violations
-from scalar_reference import scalar_case_optimum
+from scalar_reference import scalar_case_optimum, whole_grid_oracle
 
+from contest_rating import designer
 from contest_rating import (
     CASE_ALPHA_ONE,
     CASE_BETA_ONE,
@@ -339,13 +342,15 @@ def test_case_scan_equals_scalar_reference():
     # the array scan returns the per-point scan's CaseResult, float for
     # float, including the points it drops for a vanishing denominator
     feasible = {CASE_BETA_ONE: 0, CASE_ALPHA_ONE: 0}
-    degenerate = {"b1": 0, "other": 0}  # environments whose whole grid is dropped
+    degenerate = 0  # environments whose whole grid is dropped (b1's delta * error_any)
+    tiny_attack_cost = 0  # s_i -> 0: k1's denominator vanishes, but k1 drops nothing
     envs = _edge_weighted_environments(400, seed=2718)
     for p in envs:
         if p.delta * p.error_any < 1e-12:
-            degenerate["b1"] += 1
-        elif not binding_lines(np.array([0.5]), p)[-1].any():
-            degenerate["other"] += 1  # mostly k1's err_any * gain0 at s_i -> 0
+            degenerate += 1
+        elif min(p.s1, p.s2) < 1e-9:
+            tiny_attack_cost += 1
+            assert binding_lines(np.arange(1, 101) / 100, p)[-1].all(), p
         for m in (10, 37, 100):
             config = DesignerConfig(gamma_grid_m=m)
             for case_id in (CASE_BETA_ONE, CASE_ALPHA_ONE):
@@ -354,8 +359,66 @@ def test_case_scan_equals_scalar_reference():
                 assert all(type(x) is float for x in (fast.alpha, fast.beta, fast.gamma1))
                 feasible[case_id] += fast.feasible
     # the edges and the interior both show up
-    assert degenerate["b1"] >= 100 and degenerate["other"] >= 10
+    assert degenerate >= 100 and tiny_attack_cost >= 10
     assert min(feasible.values()) >= 50
+
+
+def test_near_zero_attack_cost_is_feasible():
+    # k1's denominator error_any * gain0 vanishes as s1 -> 0, but the k1
+    # line never binds, so the scan keeps its points and certifies a design
+    p = default_params(s1=1e-13)
+    assert constraint_coefficients(0.5, p, 1).k1 < -1e12
+    outcome = optimize(p)
+    assert outcome.certificate.sustainable
+    assert violations(outcome.design(), p) == []
+    assert outcome.utility == pytest.approx(0.35974, abs=5e-6)
+    oracle = brute_force_oracle(p)
+    assert oracle.feasible and abs(oracle.utility - outcome.utility) < 1e-3
+
+
+@pytest.mark.parametrize(
+    "r, slab_cells",
+    # 37: a 36-row slab and a 1-row tail; 100: twenty 5-row slabs; 10 at
+    # 300 cells: 3-row slabs and a 1-row tail; 23 at 1 cell: a row per slab
+    [(37, None), (100, None), (10, 300), (23, 1)],
+)
+def test_oracle_slabs_equal_the_whole_grid(monkeypatch, r, slab_cells):
+    if slab_cells is not None:
+        monkeypatch.setattr(designer, "_ORACLE_SLAB_CELLS", slab_cells)
+    config = DesignerConfig(oracle_grid_r=r)
+    seen = Counter()  # (feasible, perfect monitoring)
+    for p in _edge_weighted_environments(14 if r == 100 else 70, seed=1618):
+        for gamma0 in (0.0, 0.3):
+            res = brute_force_oracle(p, config, gamma0=gamma0)
+            assert repr(res) == repr(whole_grid_oracle(p, config, gamma0=gamma0)), (p, gamma0)
+            seen[res.feasible, p.error_any == 0.0] += 1
+    assert seen[True, False] and seen[False, False] and seen[True, True], seen
+
+
+def test_oracle_tie_across_slabs_keeps_the_first_cell(defaults, monkeypatch):
+    # a flat utility ties every feasible cell; with one alpha row per slab
+    # the feasible cells span several slabs, and the first in C order wins
+    def flat(alpha, beta, gamma1, gamma0, params):
+        return 0.0 * alpha + 0.0 * beta + 0.0 * gamma1
+
+    monkeypatch.setattr(designer, "social_utility_closed", flat)
+    monkeypatch.setattr(designer, "_ORACLE_SLAB_CELLS", 1)
+    config = DesignerConfig(oracle_grid_r=10)
+    res = brute_force_oracle(defaults, config)
+    assert res.n_feasible > 10 * 10
+    assert repr(res) == repr(whole_grid_oracle(defaults, config, utility_of=flat))
+
+
+def test_oracle_memory_grows_with_one_slab(defaults):
+    config = DesignerConfig(oracle_grid_r=100)
+    brute_force_oracle(defaults, config)  # the payoff table is built outside the trace
+    tracemalloc.start()
+    try:
+        brute_force_oracle(defaults, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6  # whole_grid_oracle peaks at about 55 MB here
 
 
 def test_case_scan_rejects_unknown_case(defaults):

@@ -15,7 +15,7 @@ from contest_rating import (
     utility_horizon,
     with_params,
 )
-from contest_rating.simulate import _draw_block, _rating_paths
+from contest_rating.simulate import MAX_BLOCK_DRAWS, _draw_block, _rating_paths
 from scalar_reference import rating_paths_loop
 
 HALF = DesignParams(0.5, 0.5, 0.5, 0.0)
@@ -34,6 +34,19 @@ def test_config_validation():
         SimConfig(deviate_worker=3, deviate_rating=1)
     with pytest.raises(ValueError):
         SimConfig(deviate_worker=1, deviate_rating=2)
+
+
+def test_config_refuses_oversized_draw_blocks():
+    # the block is periods x population x 8 draws; the config holds no
+    # array, so neither side of the limit allocates anything here
+    assert MAX_BLOCK_DRAWS * 8 == 2**30  # bytes of float64: 1 GiB
+    SimConfig(periods=MAX_BLOCK_DRAWS // (8 * 64), population=64)
+    with pytest.raises(ValueError, match="draw block too large"):
+        SimConfig(periods=MAX_BLOCK_DRAWS // (8 * 64) + 1, population=64)
+    horizon = utility_horizon(0.999999)
+    assert horizon == 13_815_504  # about 44 GB of draws at 50 pairs
+    with pytest.raises(ValueError, match="draw block too large"):
+        SimConfig(periods=horizon, population=50)
 
 
 def test_chain_is_reproducible(defaults):
