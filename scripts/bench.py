@@ -1,0 +1,167 @@
+"""Time each row of the ROADMAP Baseline table and write BENCH_1.json.
+
+    python3 scripts/bench.py [--out BENCH_1.json]
+
+Every function row runs in a fresh interpreter: numpy's temporaries move
+glibc's mmap and trim thresholds, so a row timed after another one can read
+faster or slower than it would alone. Each timed call (and each CLI
+subprocess) is followed by the fixed kernel of benchmark/hostspeed.py, and
+the row's times are also reported scaled to the kernel's reference speed,
+as benchmark/run.py does: seconds x REFERENCE_S / median kernel seconds.
+Each row records its median and quartiles. The file also records the
+Tier-1 wall time and the line count of src/contest_rating.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from functools import partial
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+sys.path[:0] = [str(SRC), str(ROOT / "benchmark")]
+
+import hostspeed  # noqa: E402  (benchmark/hostspeed.py, imported read-only)
+import numpy  # noqa: E402
+from contest_rating import (  # noqa: E402
+    DesignerConfig,
+    SimConfig,
+    brute_force_oracle,
+    default_params,
+    is_sustainable,
+    optimize,
+    productivity_mc,
+    run_chain,
+    run_utility,
+    zero_base_price_check,
+)
+
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+DESIGNED = ("1.0", "0.947368421053", "0.52")  # optimize(default_params()) at m = 100
+
+
+# (row, calls, factory): factory(params) does the set-up and returns the
+# call to time; each row runs `calls` times in its own process.
+FUNCTION_ROWS = [
+    ("optimize, default environment, m=100", 15, lambda p: partial(optimize, p)),
+    ("is_sustainable", 15, lambda p: partial(is_sustainable, optimize(p).design(), p)),
+    ("brute_force_oracle, r=100", 15, lambda p: partial(brute_force_oracle, p, DesignerConfig(oracle_grid_r=100))),
+    ("brute_force_oracle, r=40", 15, lambda p: partial(brute_force_oracle, p, DesignerConfig(oracle_grid_r=40))),
+    ("brute_force_oracle, r=200", 7, lambda p: partial(brute_force_oracle, p, DesignerConfig(oracle_grid_r=200))),
+    ("zero_base_price_check, r=40", 7,
+     lambda p: partial(zero_base_price_check, p, config=DesignerConfig(oracle_grid_r=40))),
+    ("productivity_mc, 1e6 samples", 15, lambda p: partial(productivity_mc, "C", "C", p, samples=1_000_000)),
+    ("run_chain, defaults (2000 periods x 16 x 50)", 9,
+     lambda p: partial(run_chain, optimize(p).design(), p, SimConfig())),
+    ("run_utility, horizon 270", 15,
+     lambda p: partial(run_utility, optimize(p).design(), p, SimConfig(periods=270))),
+]
+CLI_ROWS = [
+    ("CLI design", ["design", "{cfg}"]),
+    ("CLI sweep, 9 points", ["sweep", "{cfg}", "--vary", "c1", "--from", "0.05", "--to", "0.45", "--step", "0.05"]),
+    ("CLI check", ["check", "{cfg}", "--alpha", DESIGNED[0], "--beta", DESIGNED[1], "--gamma1", DESIGNED[2]]),
+    ("CLI simulate", ["simulate", "{cfg}", "--alpha", DESIGNED[0], "--beta", DESIGNED[1], "--gamma1", DESIGNED[2]]),
+]
+CLI_CALLS = 7
+DEFAULT_CONFIG = "c1 = 0.1\nc2 = 0.2\ns1 = 0.2\ns2 = 0.1\nd = 0.5\ndelta = 0.95\neps1 = 0.2\neps2 = 0.05\n"
+
+
+def summary(seconds: list[float], kernels: list[float]) -> dict:
+    """Median and quartiles in ms, as measured and scaled to the reference speed."""
+    q1, median, q3 = statistics.quantiles(seconds, n=4, method="inclusive")
+    scale = hostspeed.REFERENCE_S / statistics.median(kernels)
+    return {
+        "calls": len(seconds),
+        "median_ms": median * 1e3,
+        "q1_ms": q1 * 1e3,
+        "q3_ms": q3 * 1e3,
+        "iqr_ms": (q3 - q1) * 1e3,
+        "scaled_median_ms": median * scale * 1e3,
+        "scaled_iqr_ms": (q3 - q1) * scale * 1e3,
+        "kernel_median_ms": statistics.median(kernels) * 1e3,
+    }
+
+
+def time_function_row(index: int) -> dict:
+    """Run in a fresh process: time one function row after one untimed warm-up call."""
+    _, calls, factory = FUNCTION_ROWS[index]
+    call = factory(default_params())
+    call()
+    hostspeed.kernel()
+    seconds, kernels = [], []
+    for _ in range(calls):
+        start = time.perf_counter()
+        call()
+        seconds.append(time.perf_counter() - start)
+        kernels.append(hostspeed.kernel())
+    return summary(seconds, kernels)
+
+
+def time_cli_row(argv: list[str]) -> dict:
+    seconds, kernels = [], []
+    hostspeed.kernel()
+    for _ in range(CLI_CALLS):
+        start = time.perf_counter()
+        subprocess.run([sys.executable, "-m", "contest_rating.cli", *argv], env=ENV, check=False,
+                       capture_output=True)
+        seconds.append(time.perf_counter() - start)
+        kernels.append(hostspeed.kernel())
+    return summary(seconds, kernels)
+
+
+def tier1() -> dict:
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
+                          cwd=ROOT, env=ENV, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    return {"seconds": time.perf_counter() - start, "result": lines[-1] if lines else proc.stderr[-200:]}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", default=str(ROOT / "BENCH_1.json"))
+    parser.add_argument("--row", type=int, help=argparse.SUPPRESS)  # child mode: one function row
+    args = parser.parse_args(argv)
+    if args.row is not None:
+        print(json.dumps(time_function_row(args.row)))
+        return 0
+
+    rows = {}
+    for index, (name, *_) in enumerate(FUNCTION_ROWS):
+        child = subprocess.run([sys.executable, __file__, "--row", str(index)], env=ENV, check=True,
+                               capture_output=True, text=True)
+        rows[name] = json.loads(child.stdout)
+        print(f"{name}: {rows[name]['median_ms']:.2f} ms", file=sys.stderr)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "env.cfg"
+        cfg.write_text(DEFAULT_CONFIG)
+        for name, argv_template in CLI_ROWS:
+            rows[name] = time_cli_row([str(cfg) if a == "{cfg}" else a for a in argv_template])
+            print(f"{name}: {rows[name]['median_ms']:.0f} ms", file=sys.stderr)
+    report = {
+        "host": {
+            "platform": platform.platform(),
+            "cpus": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": numpy.__version__,
+        },
+        "reference_s": hostspeed.REFERENCE_S,
+        "rows": rows,
+        "tier1": tier1(),
+        "src_lines": sum(len(p.read_bytes().splitlines()) for p in (SRC / "contest_rating").rglob("*.py")),
+    }
+    Path(args.out).write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

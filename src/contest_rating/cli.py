@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from functools import cache
 
 from .designer import (
@@ -77,6 +78,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--replicates", type=int, default=16)
     p.add_argument("--population", type=int, default=50, help="matched pairs per replicate")
     p.add_argument("--out", help="CSV destination (default stdout)")
+    p.add_argument("--counters", action="store_true", help="also write event counts to stderr as JSON")
     return parser
 
 
@@ -158,18 +160,9 @@ def _cmd_simulate(args) -> int:
     problems = design_violations(design, require_price_gap=False)
     if problems:
         return _fail("; ".join(problems))
-    chain_cfg = SimConfig(
-        periods=args.periods,
-        replicates=args.replicates,
-        population=args.population,
-        seed=args.seed,
-    )
-    util_cfg = SimConfig(
-        periods=max(args.periods, utility_horizon(params.delta)),
-        replicates=args.replicates,
-        population=args.population,
-        seed=args.seed,
-    )
+    chain_cfg = SimConfig(periods=args.periods, replicates=args.replicates,
+                          population=args.population, seed=args.seed)
+    util_cfg = replace(chain_cfg, periods=max(args.periods, utility_horizon(params.delta)))
     try:
         chain = run_chain(design, params, chain_cfg)
         util = run_utility(design, params, util_cfg)
@@ -177,6 +170,12 @@ def _cmd_simulate(args) -> int:
         return _fail(str(exc))
     lines = [chain.CSV_HEADER] + chain.rows() + util.rows()
     write_lines(args.out, lines)
+    if args.counters:
+        import json  # here, so that plain runs do not pay for its import
+
+        counts = {k: {"horizon": r.horizon, "promotions": r.promotions, "demotions": r.demotions}
+                  for k, r in (("chain", chain), ("utility", util))}
+        print(json.dumps(counts, sort_keys=True), file=sys.stderr)
     return 0
 
 

@@ -8,6 +8,9 @@ its rating, and ratings update from the realized strategies. One flip
 outcome per worker per period drives both the payoff and the rating
 update, and requester fulfillment is an independent draw.
 
+Each cell (period, pair) is read once into a one-byte event code; with
+the ratings in force folded in, it indexes exact per-run payoff tables.
+
 Replicates get generators spawned from a single SeedSequence up front, so
 a fixed SimConfig reproduces results bit for bit and no aggregation step
 depends on replicate execution order.
@@ -46,6 +49,8 @@ class SimConfig:
             raise ValueError(f"replicates must be >= 2, got {self.replicates}")
         if self.population < 1:
             raise ValueError(f"population must be >= 1, got {self.population}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.periods * self.population * 8 > MAX_BLOCK_DRAWS:
             raise ValueError(
                 f"draw block too large: {self.periods} periods x {self.population} pairs"
@@ -95,60 +100,86 @@ class SimResult:
         raise KeyError(metric)
 
 
-def _draw_block(rng, periods: int, pairs: int, params: IntrinsicParams, attack1, attack2):
-    """One replicate's realized events; attack_i is a (periods, 1) intent mask.
+# Bit k of a cell's event code: its draw on channel k fell below the channel's
+# threshold. Channels: worker-1 effort and attack flips, worker-2 effort and
+# attack flips, two update draws, the tie coin, the fulfillment draw. In an
+# outcome code the UPDATE bits hold instead the two ratings in force.
+FLIP1, ATTACK1, FLIP2, ATTACK2, UPDATE1, UPDATE2, COIN, FULFILLED = (1 << k for k in range(8))
+_PACK = np.uint64(0x0102040810204080)  # moves bit 0 of byte k of a word to bit 56 + k
+_CN = np.array([[[FLIP1 | ATTACK1]], [[FLIP2 | ATTACK2]]], dtype=np.uint8)
+_UPDATE = np.array([[[UPDATE1]], [[UPDATE2]]], dtype=np.uint8)
 
-    Channel layout (fixed, so draws are reproducible): worker-1 effort and
-    attack flips, worker-2 effort and attack flips, two update draws, the
-    tie coin, and the fulfillment draw.
+
+def _draw_block(rng, block: np.ndarray, params: IntrinsicParams, design: DesignParams, intents):
+    """Draw a replicate into block, (periods, pairs, 8); return (code, promote, demote).
+
+    The UPDATE bits of promote and demote mark update draws below alpha and
+    beta; a rate of 1 or more takes every draw, and UPDATE1 | UPDATE2 stands
+    in for its compare. intents: ATTACK bits of intended attacks, by period.
     """
-    u = rng.random((periods, pairs, 8))
-    eps1, eps2 = params.eps1, params.eps2  # the update channels' thresholds are unused
-    below = u < np.array([eps1, eps2, eps1, eps2, 0.0, 0.0, 0.5, params.error_free])
-    return {
-        "crowd1": ~below[..., 0],  # realized C for a C intent
-        "crowd2": ~below[..., 2],
-        "attack1": below[..., 1] ^ attack1,  # an attack flip turns the intent over
-        "attack2": below[..., 3] ^ attack2,
-        "update1": u[..., 4],
-        "update2": u[..., 5],
-        "coin": below[..., 6],
-        "fulfilled": below[..., 7],
-    }
+    periods, pairs, _ = block.shape
+    rng.random(out=block)
+    u = block.reshape(periods, 8 * pairs)  # so each compare is one contiguous pass
+    eps = [params.eps1, params.eps2, params.eps1, params.eps2]
+
+    def below(rate):  # as (periods, pairs) uint8 codes
+        words = (u < np.tile(eps + [rate, rate, 0.5, params.error_free], pairs)).view("<u8")
+        words *= _PACK  # little-endian words: byte k is channel k on any host
+        words >>= 56
+        return words.astype(np.uint8)
+
+    code = below(design.beta if design.alpha >= 1.0 else design.alpha)
+    code ^= intents
+    if design.alpha >= 1.0:
+        return code, UPDATE1 | UPDATE2, code
+    return code, code, UPDATE1 | UPDATE2 if design.beta >= 1.0 else below(design.beta)
 
 
-def _winner(ev) -> np.ndarray:
-    """True where the worker-1 side takes the contest."""
-    return np.where(
-        ev["crowd1"] != ev["crowd2"],
-        ev["crowd1"],
-        np.where(ev["attack1"] != ev["attack2"], ev["attack1"], ev["coin"]),
-    )
+def _rating_paths(code: np.ndarray, promote, demote, start: np.ndarray):
+    """Both rating paths as (outcome, promotions, demotions); start is (2, pairs) bool.
 
-
-def _rating_paths(ev, design: DesignParams):
-    """Simulate both rating paths from the realized strategies.
-
-    Returns (theta1, theta2, promotions, demotions); theta arrays hold the
-    rating in force during each period (updates land next period). A
-    promotion needs an observed CN and a demotion its absence, so no period
-    has both and a period with neither keeps the rating: the rating in force
-    is the verdict of the last earlier event, or the start rating. A running
-    maximum over the keys 2 * (period + 1) + verdict finds that event.
+    outcome is the code with each worker's rating in force (updates land next
+    period) in its UPDATE bit. A promotion needs an observed CN and a demotion
+    its absence, so no period has both and a period with neither keeps the
+    rating: the rating in force is the verdict of the last earlier event, or
+    the start rating. A running maximum over the keys 2 * (period + 1) + verdict
+    finds that event.
     """
-    is_cn = np.stack([ev["crowd1"] & ~ev["attack1"], ev["crowd2"] & ~ev["attack2"]])
-    update = np.stack([ev["update1"], ev["update2"]])
-    pr = is_cn & (update < design.alpha)
-    de = ~is_cn & (update < design.beta)
-    periods = is_cn.shape[1]
+    is_cn = code & _CN == 0
+    pr = is_cn & (promote & _UPDATE != 0)
+    de = ~is_cn & (demote & _UPDATE != 0)
+    periods, pairs = code.shape
     dtype = np.int16 if 2 * periods + 1 <= np.iinfo(np.int16).max else np.int64
-    keys = np.empty((2, periods + 1, is_cn.shape[2]), dtype=dtype)
-    keys[:, 0] = (ev["start1"], ev["start2"])
+    keys = np.empty((2, periods + 1, pairs), dtype=dtype)
+    keys[:, 0] = start
     keys[:, 1:] = (pr | de) * np.arange(2, 2 * periods + 1, 2, dtype=dtype)[:, None] + pr
-    theta = (np.maximum.accumulate(keys, axis=1)[:, :-1] & 1).astype(bool)
+    if pairs < 32:  # accumulate is one scalar recurrence per column
+        keys = np.maximum.accumulate(keys, axis=1)
+    else:  # doubling steps: log2(periods) whole-array passes
+        step = 1
+        while step < periods:  # until each row theta reads spans back to row 0
+            np.maximum(keys[:, step:], keys[:, :-step], out=keys[:, step:])  # reads old values
+            step *= 2
+    theta = (keys[:, :-1] & 1).astype(bool)
     promotions = int(np.count_nonzero(pr & ~theta))
     demotions = int(np.count_nonzero(de & theta))
-    return theta[0], theta[1], promotions, demotions
+    rated = theta.view(np.uint8)
+    outcome = code & (0xFF ^ UPDATE1 ^ UPDATE2) | rated[0] << 4 | rated[1] << 5
+    return outcome, promotions, demotions
+
+
+def _payoff_tables(design: DesignParams, params: IntrinsicParams):
+    """(social, pay1, pay2) of all 256 outcome codes, each from the per-cell formula."""
+    bits = np.arange(256) >> np.arange(8)[:, None] & 1 == 1  # row k: bit k of every code
+    flip1, attack1, flip2, attack2, theta1, theta2, coin, fulfilled = bits
+    crowd1, crowd2 = ~flip1, ~flip2  # realized C for a C intent
+    win1 = np.where(crowd1 != crowd2, crowd1, np.where(attack1 != attack2, attack1, coin))
+    prize1 = np.where(theta1, design.gamma1, design.gamma0)
+    prize2 = np.where(theta2, design.gamma1, design.gamma0)
+    social = fulfilled - np.where(win1, prize1, prize2)
+    pay1 = prize1 * win1 - params.c1 * crowd1 - params.s1 * attack1 - params.d * attack2
+    pay2 = prize2 * ~win1 - params.c2 * crowd2 - params.s2 * attack2 - params.d * attack1
+    return social, pay1, pay2
 
 
 def run_chain(design: DesignParams, params: IntrinsicParams, config: SimConfig) -> SimResult:
@@ -158,12 +189,15 @@ def run_chain(design: DesignParams, params: IntrinsicParams, config: SimConfig) 
     law, so time averages are unbiased at any horizon. Estimates and
     standard errors come from the replicate means.
     """
+    if config.deviate_worker is not None:
+        raise ValueError("run_chain simulates compliance: deviate_worker/_rating are for run_utility")
     eta = stationary_distribution(design, params)
     analytic_social = social_utility(design, params).value
+    social, _, _ = _payoff_tables(design, params)
     children = np.random.SeedSequence([config.seed, 0]).spawn(config.replicates)
     pairs = config.population
     periods = config.periods
-    no_attack = np.zeros((periods, 1), dtype=bool)
+    block = np.empty((periods, pairs, 8))  # each replicate's draws, in one buffer
     eta0_means = []
     eta1_means = []
     social_means = []
@@ -171,22 +205,15 @@ def run_chain(design: DesignParams, params: IntrinsicParams, config: SimConfig) 
     for child in children:
         rng = np.random.default_rng(child)
         start = rng.random((2, pairs)) < eta.eta1
-        ev = _draw_block(rng, periods, pairs, params, no_attack, no_attack)
-        ev["start1"], ev["start2"] = start[0], start[1]
-        theta1, theta2, pro, dem = _rating_paths(ev, design)
+        code, promote, demote = _draw_block(rng, block, params, design, 0)
+        outcome, pro, dem = _rating_paths(code, promote, demote, start)
         promotions += pro
         demotions += dem
-        good_share = (theta1.mean() + theta2.mean()) / 2.0
+        good = [np.count_nonzero(outcome & bit) / outcome.size for bit in (UPDATE1, UPDATE2)]
+        good_share = (good[0] + good[1]) / 2.0  # the two workers' mean ratings
         eta0_means.append(1.0 - good_share)
         eta1_means.append(good_share)
-        win1 = _winner(ev)
-        prize_paid = np.where(
-            win1,
-            np.where(theta1, design.gamma1, design.gamma0),
-            np.where(theta2, design.gamma1, design.gamma0),
-        )
-        social_means.append((ev["fulfilled"] - prize_paid).mean())
-        del ev, theta1, theta2, win1, prize_paid  # free this block before the next draw
+        social_means.append(social.take(outcome).mean())
     estimates = (
         _estimate("eta0", eta.eta0, eta0_means),
         _estimate("eta1", eta.eta1, eta1_means),
@@ -222,44 +249,25 @@ def run_utility(design: DesignParams, params: IntrinsicParams, config: SimConfig
     weights = params.delta ** np.arange(periods)
     estimates = []
     promotions = demotions = 0
+    _, pay1, pay2 = _payoff_tables(design, params)
+    block = np.empty((periods, pairs, 8))  # each replicate's draws, in one buffer
     for start in (0, 1):
         deviating = config.deviate_worker is not None and config.deviate_rating == start
-        attack1 = np.zeros((periods, 1), dtype=bool)
-        attack2 = np.zeros((periods, 1), dtype=bool)
-        if deviating and config.deviate_worker == 1:
-            attack1[0] = True
-        if deviating and config.deviate_worker == 2:
-            attack2[0] = True
+        intents = np.zeros((periods, 1), dtype=np.uint8)
+        if deviating:
+            intents[0] = ATTACK1 if config.deviate_worker == 1 else ATTACK2
+        starts = np.full((2, pairs), bool(start))
         children = np.random.SeedSequence([config.seed, 1, start]).spawn(config.replicates)
         means1 = []
         means2 = []
         for child in children:
             rng = np.random.default_rng(child)
-            ev = _draw_block(rng, periods, pairs, params, attack1, attack2)
-            full = np.full((pairs,), bool(start))
-            ev["start1"] = full.copy()
-            ev["start2"] = full.copy()
-            theta1, theta2, pro, dem = _rating_paths(ev, design)
+            code, promote, demote = _draw_block(rng, block, params, design, intents)
+            outcome, pro, dem = _rating_paths(code, promote, demote, starts)
             promotions += pro
             demotions += dem
-            win1 = _winner(ev)
-            prize1 = np.where(theta1, design.gamma1, design.gamma0)
-            prize2 = np.where(theta2, design.gamma1, design.gamma0)
-            pay1 = (
-                prize1 * win1
-                - params.c1 * ev["crowd1"]
-                - params.s1 * ev["attack1"]
-                - params.d * ev["attack2"]
-            )
-            pay2 = (
-                prize2 * ~win1
-                - params.c2 * ev["crowd2"]
-                - params.s2 * ev["attack2"]
-                - params.d * ev["attack1"]
-            )
-            means1.append(np.tensordot(weights, pay1, axes=(0, 0)).mean())
-            means2.append(np.tensordot(weights, pay2, axes=(0, 0)).mean())
-            del ev, theta1, theta2, win1, prize1, prize2, pay1, pay2  # before the next draw
+            means1.append(np.tensordot(weights, pay1.take(outcome), axes=(0, 0)).mean())
+            means2.append(np.tensordot(weights, pay2.take(outcome), axes=(0, 0)).mean())
         for worker, means in ((1, means1), (2, means2)):
             if deviating:
                 if worker != config.deviate_worker:

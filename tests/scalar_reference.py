@@ -10,6 +10,12 @@
 - `rating_paths_loop`: the simulator's rating recurrence stepped one period
   at a time. `simulate._rating_paths` must return equal rating paths and
   equal promotion and demotion counts.
+- `draw_channels`, `winner`, `rating_paths`, `run_chain_channels` and
+  `run_utility_channels`: the simulator as one bool or float array per
+  draw channel, with the winner and every prize and pay computed per cell.
+  `simulate.run_chain` and `simulate.run_utility`, which read each cell as
+  one packed event code and look payoffs up in per-code tables, must return
+  an equal `SimResult`, float for float.
 - `whole_grid_oracle`: the grid oracle evaluated over all r**3 cells at
   once. `brute_force_oracle`, which walks the grid in slabs of alpha rows,
   must return an equal `OracleResult`.
@@ -27,15 +33,21 @@ from contest_rating import (
     DesignerConfig,
     LifetimeValues,
     OracleResult,
+    SimResult,
     Strategy,
     against_compliant,
     closed_form_case_utility,
     compliance_margins,
     deviation_floor,
+    deviation_value,
+    lifetime_values,
     one_period_values,
+    social_utility,
     social_utility_closed,
+    stationary_distribution,
     transition_kernel,
 )
+from contest_rating.simulate import _estimate
 
 
 def lifetime_values_iterative(design, params, worker, steps=1000):
@@ -146,6 +158,158 @@ def rating_paths_loop(ev, design):
     promotions = int((pr1 & ~theta1).sum() + (pr2 & ~theta2).sum())
     demotions = int((de1 & theta1).sum() + (de2 & theta2).sum())
     return theta1, theta2, promotions, demotions
+
+
+def draw_channels(rng, periods, pairs, params, attack1, attack2):
+    """One replicate's realized events; attack_i is a (periods, 1) intent mask.
+
+    Channel layout (fixed, so draws are reproducible): worker-1 effort and
+    attack flips, worker-2 effort and attack flips, two update draws, the
+    tie coin, and the fulfillment draw.
+    """
+    u = rng.random((periods, pairs, 8))
+    eps1, eps2 = params.eps1, params.eps2  # the update channels' thresholds are unused
+    below = u < np.array([eps1, eps2, eps1, eps2, 0.0, 0.0, 0.5, params.error_free])
+    return {
+        "crowd1": ~below[..., 0],  # realized C for a C intent
+        "crowd2": ~below[..., 2],
+        "attack1": below[..., 1] ^ attack1,  # an attack flip turns the intent over
+        "attack2": below[..., 3] ^ attack2,
+        "update1": u[..., 4],
+        "update2": u[..., 5],
+        "coin": below[..., 6],
+        "fulfilled": below[..., 7],
+    }
+
+
+def winner(ev):
+    """True where the worker-1 side takes the contest."""
+    return np.where(
+        ev["crowd1"] != ev["crowd2"],
+        ev["crowd1"],
+        np.where(ev["attack1"] != ev["attack2"], ev["attack1"], ev["coin"]),
+    )
+
+
+def rating_paths(ev, design):
+    """(theta1, theta2, promotions, demotions) from one running maximum over time."""
+    is_cn = np.stack([ev["crowd1"] & ~ev["attack1"], ev["crowd2"] & ~ev["attack2"]])
+    update = np.stack([ev["update1"], ev["update2"]])
+    pr = is_cn & (update < design.alpha)
+    de = ~is_cn & (update < design.beta)
+    periods = is_cn.shape[1]
+    dtype = np.int16 if 2 * periods + 1 <= np.iinfo(np.int16).max else np.int64
+    keys = np.empty((2, periods + 1, is_cn.shape[2]), dtype=dtype)
+    keys[:, 0] = (ev["start1"], ev["start2"])
+    keys[:, 1:] = (pr | de) * np.arange(2, 2 * periods + 1, 2, dtype=dtype)[:, None] + pr
+    theta = (np.maximum.accumulate(keys, axis=1)[:, :-1] & 1).astype(bool)
+    promotions = int(np.count_nonzero(pr & ~theta))
+    demotions = int(np.count_nonzero(de & theta))
+    return theta[0], theta[1], promotions, demotions
+
+
+def social_paid(ev, theta1, theta2, win1, design):
+    """Per-cell requester payoff: fulfillment minus the winner's prize."""
+    prize_paid = np.where(
+        win1,
+        np.where(theta1, design.gamma1, design.gamma0),
+        np.where(theta2, design.gamma1, design.gamma0),
+    )
+    return ev["fulfilled"] - prize_paid
+
+
+def worker_pay(ev, theta1, theta2, win1, design, params):
+    """Per-cell (pay1, pay2): prize if won, minus effort, attack and damage costs."""
+    prize1 = np.where(theta1, design.gamma1, design.gamma0)
+    prize2 = np.where(theta2, design.gamma1, design.gamma0)
+    pay1 = (
+        prize1 * win1
+        - params.c1 * ev["crowd1"]
+        - params.s1 * ev["attack1"]
+        - params.d * ev["attack2"]
+    )
+    pay2 = (
+        prize2 * ~win1
+        - params.c2 * ev["crowd2"]
+        - params.s2 * ev["attack2"]
+        - params.d * ev["attack1"]
+    )
+    return pay1, pay2
+
+
+def run_chain_channels(design, params, config):
+    """simulate.run_chain computed channel by channel."""
+    eta = stationary_distribution(design, params)
+    analytic_social = social_utility(design, params).value
+    children = np.random.SeedSequence([config.seed, 0]).spawn(config.replicates)
+    pairs = config.population
+    periods = config.periods
+    no_attack = np.zeros((periods, 1), dtype=bool)
+    eta0_means = []
+    eta1_means = []
+    social_means = []
+    promotions = demotions = 0
+    for child in children:
+        rng = np.random.default_rng(child)
+        start = rng.random((2, pairs)) < eta.eta1
+        ev = draw_channels(rng, periods, pairs, params, no_attack, no_attack)
+        ev["start1"], ev["start2"] = start[0], start[1]
+        theta1, theta2, pro, dem = rating_paths(ev, design)
+        promotions += pro
+        demotions += dem
+        good_share = (theta1.mean() + theta2.mean()) / 2.0
+        eta0_means.append(1.0 - good_share)
+        eta1_means.append(good_share)
+        social_means.append(social_paid(ev, theta1, theta2, winner(ev), design).mean())
+    estimates = (
+        _estimate("eta0", eta.eta0, eta0_means),
+        _estimate("eta1", eta.eta1, eta1_means),
+        _estimate("social", analytic_social, social_means),
+    )
+    return SimResult(estimates, periods, promotions, demotions)
+
+
+def run_utility_channels(design, params, config):
+    """simulate.run_utility computed channel by channel (its horizon check aside)."""
+    periods = config.periods
+    pairs = config.population
+    weights = params.delta ** np.arange(periods)
+    estimates = []
+    promotions = demotions = 0
+    for start in (0, 1):
+        deviating = config.deviate_worker is not None and config.deviate_rating == start
+        attack1 = np.zeros((periods, 1), dtype=bool)
+        attack2 = np.zeros((periods, 1), dtype=bool)
+        if deviating and config.deviate_worker == 1:
+            attack1[0] = True
+        if deviating and config.deviate_worker == 2:
+            attack2[0] = True
+        children = np.random.SeedSequence([config.seed, 1, start]).spawn(config.replicates)
+        means1 = []
+        means2 = []
+        for child in children:
+            rng = np.random.default_rng(child)
+            ev = draw_channels(rng, periods, pairs, params, attack1, attack2)
+            full = np.full((pairs,), bool(start))
+            ev["start1"] = full.copy()
+            ev["start2"] = full.copy()
+            theta1, theta2, pro, dem = rating_paths(ev, design)
+            promotions += pro
+            demotions += dem
+            pay1, pay2 = worker_pay(ev, theta1, theta2, winner(ev), design, params)
+            means1.append(np.tensordot(weights, pay1, axes=(0, 0)).mean())
+            means2.append(np.tensordot(weights, pay2, axes=(0, 0)).mean())
+        for worker, means in ((1, means1), (2, means2)):
+            if deviating:
+                if worker != config.deviate_worker:
+                    continue
+                analytic = deviation_value(start, design, params, worker)
+                metric = f"vinf_w{worker}_r{start}_dev"
+            else:
+                analytic = lifetime_values(design, params, worker)[start]
+                metric = f"vinf_w{worker}_r{start}"
+            estimates.append(_estimate(metric, analytic, means))
+    return SimResult(tuple(estimates), periods, promotions, demotions)
 
 
 def whole_grid_oracle(params, config=None, gamma0=0.0, utility_of=social_utility_closed):

@@ -6,6 +6,7 @@ with d at the default eps2 = 0.05, where a compliant opponent's intent
 lands as an attack with probability eps2.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -14,7 +15,15 @@ from pathlib import Path
 import pytest
 
 import contest_rating
-from contest_rating import OUTCOME_CSV_HEADER
+from contest_rating import (
+    OUTCOME_CSV_HEADER,
+    DesignParams,
+    SimConfig,
+    load_config,
+    run_chain,
+    run_utility,
+    utility_horizon,
+)
 from contest_rating.cli import main
 
 # child interpreters import the package this process imported, also where
@@ -274,6 +283,36 @@ def test_simulate_deterministic_csv(config_path, capsys, tmp_path):
     assert main(base[:-2] + ["--seed", "10", "--out", str(reseeded)]) == 0
     capsys.readouterr()
     assert reseeded.read_bytes() != first.read_bytes()
+
+
+def test_simulate_counters_go_to_stderr(config_path, capsys):
+    argv = [
+        "simulate", config_path, "--alpha", "0.5", "--beta", "0.5", "--gamma1", "0.5",
+        "--periods", "50", "--replicates", "2", "--population", "5", "--seed", "3",
+    ]
+    assert main(argv) == 0
+    plain = capsys.readouterr()
+    assert main(argv + ["--counters"]) == 0
+    counted = capsys.readouterr()
+    assert plain.err == ""
+    assert counted.out == plain.out  # stdout is the same bytes with or without the flag
+    assert counted.err.count("\n") == 1  # one JSON line
+    params = load_config(config_path)
+    design = DesignParams(0.5, 0.5, 0.5)
+    chain = run_chain(design, params, SimConfig(periods=50, replicates=2, population=5, seed=3))
+    horizon = max(50, utility_horizon(params.delta))
+    util = run_utility(design, params, SimConfig(periods=horizon, replicates=2, population=5, seed=3))
+    assert json.loads(counted.err) == {
+        name: {"horizon": r.horizon, "promotions": r.promotions, "demotions": r.demotions}
+        for name, r in (("chain", chain), ("utility", util))
+    }
+    assert chain.promotions > 0 and util.demotions > 0
+
+
+def test_simulate_refuses_a_negative_seed(config_path, capsys):
+    argv = ["simulate", config_path, "--alpha", "0.5", "--beta", "0.5", "--gamma1", "0.5"]
+    assert main(argv + ["--seed", "-1"]) == 1
+    assert "seed must be >= 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("delta", ["0.1", "0.01", "0.001"])

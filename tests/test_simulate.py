@@ -15,8 +15,26 @@ from contest_rating import (
     utility_horizon,
     with_params,
 )
-from contest_rating.simulate import MAX_BLOCK_DRAWS, _draw_block, _rating_paths
-from scalar_reference import rating_paths_loop
+from contest_rating.errors import DegenerateChain
+from contest_rating.simulate import (
+    ATTACK1,
+    ATTACK2,
+    MAX_BLOCK_DRAWS,
+    UPDATE1,
+    UPDATE2,
+    _draw_block,
+    _payoff_tables,
+    _rating_paths,
+)
+from scalar_reference import (
+    draw_channels,
+    rating_paths_loop,
+    run_chain_channels,
+    run_utility_channels,
+    social_paid,
+    winner,
+    worker_pay,
+)
 
 HALF = DesignParams(0.5, 0.5, 0.5, 0.0)
 
@@ -34,6 +52,15 @@ def test_config_validation():
         SimConfig(deviate_worker=3, deviate_rating=1)
     with pytest.raises(ValueError):
         SimConfig(deviate_worker=1, deviate_rating=2)
+    with pytest.raises(ValueError, match="seed"):
+        SimConfig(seed=-1)  # numpy's SeedSequence would refuse it without naming the field
+    SimConfig(seed=0)
+
+
+def test_chain_refuses_a_deviation(defaults):
+    config = SimConfig(periods=5, replicates=2, population=2, deviate_worker=1, deviate_rating=0)
+    with pytest.raises(ValueError, match="deviate_worker"):
+        run_chain(HALF, defaults, config)
 
 
 def test_config_refuses_oversized_draw_blocks():
@@ -167,11 +194,14 @@ RECURRENCE_EDGES = {
     "worker1_attacks_first": dict(attacker=1),
     "worker2_attacks_first": dict(attacker=2),
     "past_int16_keys": dict(periods=16_400, pairs=2),  # keys 2 * (t + 1) + 1 pass 32767
+    "wide": dict(pairs=40),  # enough columns for the doubling scan
+    "wide_past_a_power_of_two": dict(periods=65, pairs=32),  # needs the step-64 pass
 }
 
 
 @pytest.mark.parametrize("edge", list(RECURRENCE_EDGES))
 def test_rating_paths_equal_the_per_period_loop(defaults, edge):
+    # the same seeded draws, read as event codes and as channel arrays
     case = RECURRENCE_EDGES[edge]
     rng = np.random.default_rng(list(RECURRENCE_EDGES).index(edge))
     periods, pairs = case.get("periods", 50), case.get("pairs", 7)
@@ -182,21 +212,120 @@ def test_rating_paths_equal_the_per_period_loop(defaults, edge):
         attacks[case["attacker"] - 1, 0] = True
     else:
         attacks = rng.random((2, periods, 1)) < 0.2
+    intents = (attacks[0] * ATTACK1 | attacks[1] * ATTACK2).astype(np.uint8)
     designs = [(a, b) for a in (0.0, 1.0) for b in (0.0, 1.0)] + [tuple(rng.random(2))]
     for alpha, beta in designs:
-        ev = _draw_block(rng, periods, pairs, params, attacks[0], attacks[1])
-        if "start" in case:
-            ev["start1"], ev["start2"] = np.full((2, pairs), bool(case["start"]))
-        else:
-            ev["start1"], ev["start2"] = rng.random((2, pairs)) < 0.5
         design = DesignParams(alpha, beta, 0.5, 0.0)
-        *paths, promotions, demotions = _rating_paths(ev, design)
+        seed = int(rng.integers(2**32))
+        ev = draw_channels(np.random.default_rng(seed), periods, pairs, params, *attacks)
+        block = np.empty((periods, pairs, 8))
+        code, promote, demote = _draw_block(
+            np.random.default_rng(seed), block, params, design, intents
+        )
+        if "start" in case:
+            start = np.full((2, pairs), bool(case["start"]))
+        else:
+            start = rng.random((2, pairs)) < 0.5
+        ev["start1"], ev["start2"] = start
+        outcome, promotions, demotions = _rating_paths(code, promote, demote, start)
         *expected, promotions_loop, demotions_loop = rating_paths_loop(ev, design)
-        for theta, theta_loop in zip(paths, expected):
-            assert theta.dtype == np.bool_
-            assert np.array_equal(theta, theta_loop), f"alpha={alpha}, beta={beta}"
+        assert outcome.dtype == np.uint8 and outcome.shape == (periods, pairs)
+        for bit, path_loop in zip((UPDATE1, UPDATE2), expected):
+            assert np.array_equal(outcome & bit != 0, path_loop), f"alpha={alpha}, beta={beta}"
+        assert np.array_equal(outcome & ~np.uint8(UPDATE1 | UPDATE2), code & ~np.uint8(UPDATE1 | UPDATE2))
         assert type(promotions) is int and type(demotions) is int
         assert (promotions, demotions) == (promotions_loop, demotions_loop)
+
+
+class _Fixed:
+    """A stand-in generator whose draws are given."""
+
+    def __init__(self, draws):
+        self.draws = draws
+
+    def random(self, out):
+        out[...] = self.draws
+
+
+def test_codes_pack_the_channels_in_order(defaults):
+    # one cell per pattern of the eight channels: a draw of 0 falls below
+    # every threshold and one of 0.999 below none, so bit k is channel k
+    patterns = np.arange(256)[:, None] >> np.arange(8) & 1 == 1
+    draws = _Fixed(np.where(patterns, 0.0, 0.999).reshape(1, 256, 8))
+    params = with_params(defaults, eps1=0.5, eps2=0.5)
+    updates = UPDATE1 | UPDATE2
+    for intent in (0, ATTACK1, ATTACK2):  # an intended attack turns the attack bit over
+        intents = np.full((1, 1), intent, dtype=np.uint8)
+        code, promote, demote = _draw_block(draws, np.empty((1, 256, 8)), params, HALF, intents)
+        assert code.dtype == np.uint8 and code.shape == (1, 256)
+        assert np.array_equal(code[0], np.arange(256) ^ intent)
+        assert promote is code
+        assert np.array_equal(demote[0] & updates, np.arange(256) & updates)
+
+
+def test_payoff_tables_equal_the_per_cell_formulas(defaults):
+    # all 256 outcome codes, decoded bit by bit and fed to the channel
+    # reference: with gamma0 > 0 every prize is nonzero, so a wrong winner
+    # at any code changes that code's pay
+    bits = [np.array([(code >> k) & 1 == 1 for code in range(256)]) for k in range(8)]
+    ev = {
+        "crowd1": ~bits[0], "attack1": bits[1], "crowd2": ~bits[2], "attack2": bits[3],
+        "coin": bits[6], "fulfilled": bits[7],
+    }
+    theta1, theta2 = bits[4], bits[5]
+    for design, params in (
+        (DesignParams(0.6, 0.8, 0.7, 0.2), defaults),
+        (DesignParams(1.0, 0.3, 0.41, 0.3), with_params(defaults, c1=0.33, s2=0.07, d=0.61)),
+    ):
+        social, pay1, pay2 = _payoff_tables(design, params)
+        win1 = winner(ev)
+        ref1, ref2 = worker_pay(ev, theta1, theta2, win1, design, params)
+        assert social.tobytes() == social_paid(ev, theta1, theta2, win1, design).tobytes()
+        assert pay1.tobytes() == ref1.tobytes()
+        assert pay2.tobytes() == ref2.tobytes()
+
+
+# Edges of the whole simulation, as overrides of a 30-period, 5-pair,
+# 2-replicate run at delta = 0.5 with random noise and a random protocol.
+SIM_EDGES = {
+    "random": {},
+    "perfect_monitoring": dict(eps=(0.0, 0.0)),
+    "base_price": dict(gamma0=0.25),
+    "one_period": dict(periods=1, delta=0.0),  # delta = 0: the first period alone
+    "one_pair": dict(pairs=1),
+    "wide": dict(pairs=40),
+    "past_int16_keys": dict(periods=16_400, pairs=2),
+}
+
+
+@pytest.mark.parametrize("edge", list(SIM_EDGES))
+def test_runs_equal_the_channel_reference(defaults, edge):
+    case = SIM_EDGES[edge]
+    rng = np.random.default_rng(100 + list(SIM_EDGES).index(edge))
+    eps1, eps2 = case.get("eps", rng.uniform(0.0, 0.4, 2))
+    params = with_params(defaults, eps1=eps1, eps2=eps2, delta=case.get("delta", 0.5))
+    periods = max(case.get("periods", 30), utility_horizon(params.delta))
+    base = dict(periods=periods, replicates=2, population=case.get("pairs", 5))
+    gamma0 = case.get("gamma0", 0.0)
+    rates = [(a, b) for a in (0.0, 1.0) for b in (0.0, 1.0)] + [tuple(rng.random(2))]
+    deviations = [(None, None)] + [(w, r) for w in (1, 2) for r in (0, 1)]
+    for alpha, beta in rates:
+        design = DesignParams(alpha, beta, rng.uniform(gamma0 + 0.1, 1.0), gamma0)
+        config = SimConfig(**base, seed=int(rng.integers(2**31)))
+        try:
+            expected = repr(run_chain_channels(design, params, config))
+        except DegenerateChain:  # no flow between ratings: both sides refuse
+            with pytest.raises(DegenerateChain):
+                run_chain(design, params, config)
+        else:
+            assert repr(run_chain(design, params, config)) == expected, (alpha, beta)
+        for worker, rating in deviations:
+            config = SimConfig(
+                **base, seed=int(rng.integers(2**31)),
+                deviate_worker=worker, deviate_rating=rating,
+            )
+            expected = repr(run_utility_channels(design, params, config))
+            assert repr(run_utility(design, params, config)) == expected, (alpha, beta, worker)
 
 
 def test_utility_horizon_is_the_least_accepted(defaults):
