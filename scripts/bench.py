@@ -1,6 +1,10 @@
-"""Time each row of the ROADMAP Baseline table and write BENCH_1.json.
+"""Time each row of the ROADMAP Baseline table and write BENCH_<n>.json.
 
-    python3 scripts/bench.py [--out BENCH_1.json]
+    python3 scripts/bench.py [--out PATH]
+
+Without --out the report goes to the first BENCH_<n>.json, n = 1, 2, ...,
+that does not exist yet at the root of the repository, so no earlier
+report is overwritten.
 
 Every function row runs in a fresh interpreter: numpy's temporaries move
 glibc's mmap and trim thresholds, so a row timed after another one can read
@@ -126,9 +130,16 @@ def tier1() -> dict:
     return {"seconds": time.perf_counter() - start, "result": lines[-1] if lines else proc.stderr[-200:]}
 
 
+def next_report_path() -> Path:
+    n = 1
+    while (ROOT / f"BENCH_{n}.json").exists():
+        n += 1
+    return ROOT / f"BENCH_{n}.json"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--out", default=str(ROOT / "BENCH_1.json"))
+    parser.add_argument("--out", type=Path, help="default: the next unused BENCH_<n>.json")
     parser.add_argument("--row", type=int, help=argparse.SUPPRESS)  # child mode: one function row
     args = parser.parse_args(argv)
     if args.row is not None:
@@ -159,7 +170,9 @@ def main(argv=None) -> int:
         "tier1": tier1(),
         "src_lines": sum(len(p.read_bytes().splitlines()) for p in (SRC / "contest_rating").rglob("*.py")),
     }
-    Path(args.out).write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+    out = args.out or next_report_path()
+    out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {out}", file=sys.stderr)
     return 0
 
 

@@ -13,12 +13,15 @@ the ratings in force folded in, it indexes exact per-run payoff tables.
 
 Replicates get generators spawned from a single SeedSequence up front, so
 a fixed SimConfig reproduces results bit for bit and no aggregation step
-depends on replicate execution order.
+depends on replicate execution order. Each replicate draws its stream in
+cache-sized slabs, and replicates too large for one slab run at the same
+time on threads, one per CPU, their results gathered in replicate order.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +33,10 @@ from .requester import social_utility
 from .tableio import csv_line
 
 
-MAX_BLOCK_DRAWS = 2**27  # uniform draws in one replicate's event block: 1 GiB of float64
+# Uniform draws of one replicate, and of the replicates in flight together
+# (2**27 float64 would fill 1 GiB); each replicate draws them _SLAB_DRAWS at a time.
+MAX_BLOCK_DRAWS = 2**27
+_SLAB_DRAWS = 1 << 17  # 1 MB of float64: a fill and its compares stay in cache
 
 
 @dataclass(frozen=True)
@@ -110,29 +116,44 @@ _CN = np.array([[[FLIP1 | ATTACK1]], [[FLIP2 | ATTACK2]]], dtype=np.uint8)
 _UPDATE = np.array([[[UPDATE1]], [[UPDATE2]]], dtype=np.uint8)
 
 
-def _draw_block(rng, block: np.ndarray, params: IntrinsicParams, design: DesignParams, intents):
-    """Draw a replicate into block, (periods, pairs, 8); return (code, promote, demote).
+def _draw_block(rng, periods: int, pairs: int, params: IntrinsicParams, design: DesignParams, intents):
+    """Draw a replicate of (periods, pairs) cells; return (code, promote, demote).
 
-    The UPDATE bits of promote and demote mark update draws below alpha and
-    beta; a rate of 1 or more takes every draw, and UPDATE1 | UPDATE2 stands
-    in for its compare. intents: ATTACK bits of intended attacks, by period.
+    The cells take 8 draws each from one rng.random stream, filled
+    _SLAB_DRAWS at a time and packed into (periods, pairs) uint8 codes slab
+    by slab, so no slab size changes a code. The UPDATE bits of promote and
+    demote mark update draws below alpha and beta; a rate of 1 or more takes
+    every draw, and UPDATE1 | UPDATE2 stands in for its compare. intents:
+    ATTACK bits of intended attacks, by period.
     """
-    periods, pairs, _ = block.shape
-    rng.random(out=block)
-    u = block.reshape(periods, 8 * pairs)  # so each compare is one contiguous pass
+    rates = [design.beta if design.alpha >= 1.0 else design.alpha]
+    if design.alpha < 1.0 and design.beta < 1.0:
+        rates.append(design.beta)
+    total = periods * pairs * 8
+    codes = [np.empty(total // 8, dtype=np.uint8) for _ in rates]
+    size = min(total, _SLAB_DRAWS)
+    row = min(size, 4096)  # draws per compare row: rows of 8 would make each compare about 1.7x slower
     eps = [params.eps1, params.eps2, params.eps1, params.eps2]
-
-    def below(rate):  # as (periods, pairs) uint8 codes
-        words = (u < np.tile(eps + [rate, rate, 0.5, params.error_free], pairs)).view("<u8")
-        words *= _PACK  # little-endian words: byte k is channel k on any host
-        words >>= 56
-        return words.astype(np.uint8)
-
-    code = below(design.beta if design.alpha >= 1.0 else design.alpha)
+    thresholds = [np.tile(eps + [rate, rate, 0.5, params.error_free], row // 8) for rate in rates]
+    draws = np.empty((-(-size // row), row))
+    draws.reshape(-1)[size:] = 0.0  # the last row can run past the slab
+    below = np.empty(draws.shape, dtype=bool)
+    words = below.reshape(-1).view("<u8")  # little-endian words: byte k is channel k on any host
+    for first in range(0, total, size):
+        n = min(size, total - first)
+        rng.random(out=draws.reshape(-1)[:n])
+        rows = -(-n // row)  # the part of a row past n compares stale draws or zeros, unread
+        for threshold, code in zip(thresholds, codes):
+            np.less(draws[:rows], threshold, out=below[:rows])
+            cells = words[: n // 8]
+            cells *= _PACK
+            cells >>= 56
+            code[first // 8 : (first + n) // 8] = cells
+    code = codes[0].reshape(periods, pairs)
     code ^= intents
     if design.alpha >= 1.0:
         return code, UPDATE1 | UPDATE2, code
-    return code, code, UPDATE1 | UPDATE2 if design.beta >= 1.0 else below(design.beta)
+    return code, code, codes[1].reshape(periods, pairs) if len(codes) > 1 else UPDATE1 | UPDATE2
 
 
 def _rating_paths(code: np.ndarray, promote, demote, start: np.ndarray):
@@ -194,32 +215,26 @@ def run_chain(design: DesignParams, params: IntrinsicParams, config: SimConfig) 
     eta = stationary_distribution(design, params)
     analytic_social = social_utility(design, params).value
     social, _, _ = _payoff_tables(design, params)
-    children = np.random.SeedSequence([config.seed, 0]).spawn(config.replicates)
     pairs = config.population
     periods = config.periods
-    block = np.empty((periods, pairs, 8))  # each replicate's draws, in one buffer
-    eta0_means = []
-    eta1_means = []
-    social_means = []
-    promotions = demotions = 0
-    for child in children:
+
+    def replicate(child):
         rng = np.random.default_rng(child)
         start = rng.random((2, pairs)) < eta.eta1
-        code, promote, demote = _draw_block(rng, block, params, design, 0)
+        code, promote, demote = _draw_block(rng, periods, pairs, params, design, 0)
         outcome, pro, dem = _rating_paths(code, promote, demote, start)
-        promotions += pro
-        demotions += dem
         good = [np.count_nonzero(outcome & bit) / outcome.size for bit in (UPDATE1, UPDATE2)]
         good_share = (good[0] + good[1]) / 2.0  # the two workers' mean ratings
-        eta0_means.append(1.0 - good_share)
-        eta1_means.append(good_share)
-        social_means.append(social.take(outcome).mean())
+        return good_share, social.take(outcome).mean(), pro, dem
+
+    children = np.random.SeedSequence([config.seed, 0]).spawn(config.replicates)
+    results = _map_replicates(replicate, children, periods * pairs * 8)
     estimates = (
-        _estimate("eta0", eta.eta0, eta0_means),
-        _estimate("eta1", eta.eta1, eta1_means),
-        _estimate("social", analytic_social, social_means),
+        _estimate("eta0", eta.eta0, [1.0 - r[0] for r in results]),
+        _estimate("eta1", eta.eta1, [r[0] for r in results]),
+        _estimate("social", analytic_social, [r[1] for r in results]),
     )
-    return SimResult(estimates, periods, promotions, demotions)
+    return SimResult(estimates, periods, sum(r[2] for r in results), sum(r[3] for r in results))
 
 
 def utility_horizon(delta: float) -> int:
@@ -247,28 +262,31 @@ def run_utility(design: DesignParams, params: IntrinsicParams, config: SimConfig
     periods = config.periods
     pairs = config.population
     weights = params.delta ** np.arange(periods)
-    estimates = []
-    promotions = demotions = 0
     _, pay1, pay2 = _payoff_tables(design, params)
-    block = np.empty((periods, pairs, 8))  # each replicate's draws, in one buffer
+    attack = np.zeros((periods, 1), dtype=np.uint8)  # the deviator's intents, by period
+    attack[0] = ATTACK2 if config.deviate_worker == 2 else ATTACK1
+
+    def replicate(task):
+        start, child = task
+        rng = np.random.default_rng(child)
+        intents = attack if start == config.deviate_rating else 0
+        code, promote, demote = _draw_block(rng, periods, pairs, params, design, intents)
+        outcome, pro, dem = _rating_paths(code, promote, demote, np.full((2, pairs), bool(start)))
+        means = [np.tensordot(weights, pay.take(outcome), axes=(0, 0)).mean() for pay in (pay1, pay2)]
+        return means, pro, dem
+
+    tasks = [
+        (start, child)
+        for start in (0, 1)
+        for child in np.random.SeedSequence([config.seed, 1, start]).spawn(config.replicates)
+    ]
+    results = _map_replicates(replicate, tasks, periods * pairs * 8)
+    estimates = []
     for start in (0, 1):
         deviating = config.deviate_worker is not None and config.deviate_rating == start
-        intents = np.zeros((periods, 1), dtype=np.uint8)
-        if deviating:
-            intents[0] = ATTACK1 if config.deviate_worker == 1 else ATTACK2
-        starts = np.full((2, pairs), bool(start))
-        children = np.random.SeedSequence([config.seed, 1, start]).spawn(config.replicates)
-        means1 = []
-        means2 = []
-        for child in children:
-            rng = np.random.default_rng(child)
-            code, promote, demote = _draw_block(rng, block, params, design, intents)
-            outcome, pro, dem = _rating_paths(code, promote, demote, starts)
-            promotions += pro
-            demotions += dem
-            means1.append(np.tensordot(weights, pay1.take(outcome), axes=(0, 0)).mean())
-            means2.append(np.tensordot(weights, pay2.take(outcome), axes=(0, 0)).mean())
-        for worker, means in ((1, means1), (2, means2)):
+        runs = results[start * config.replicates : (start + 1) * config.replicates]
+        for worker in (1, 2):
+            means = [r[0][worker - 1] for r in runs]
             if deviating:
                 if worker != config.deviate_worker:
                     continue
@@ -278,7 +296,36 @@ def run_utility(design: DesignParams, params: IntrinsicParams, config: SimConfig
                 analytic = lifetime_values(design, params, worker)[start]
                 metric = f"vinf_w{worker}_r{start}"
             estimates.append(_estimate(metric, analytic, means))
-    return SimResult(tuple(estimates), periods, promotions, demotions)
+    return SimResult(tuple(estimates), periods, sum(r[1] for r in results), sum(r[2] for r in results))
+
+
+def _workers(replicates: int, draws: int) -> int:
+    """Threads for `replicates` replicates of `draws` uniforms each; 1 is the calling thread.
+
+    A replicate within one slab is cheaper than a thread hand-off. Above
+    that, one thread per replicate and CPU, and at most MAX_BLOCK_DRAWS
+    draws in flight across them.
+    """
+    if draws <= _SLAB_DRAWS:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(replicates, cpus, max(1, MAX_BLOCK_DRAWS // draws))
+
+
+def _map_replicates(replicate, tasks: list, draws: int) -> list:
+    """[replicate(task) for task in tasks], on a thread per worker that _workers allows.
+
+    numpy's draws, compares and reductions release the GIL, so the
+    replicates overlap; each owns its generator and buffers, and the results
+    come back in task order, so every sum and mean is taken as on one thread.
+    """
+    workers = _workers(len(tasks), draws)
+    if workers == 1:
+        return [replicate(task) for task in tasks]
+    from concurrent.futures import ThreadPoolExecutor  # here, so importing the package starts no pool
+
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(replicate, tasks))
 
 
 def _estimate(metric: str, analytic: float, means: list) -> Estimate:

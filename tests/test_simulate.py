@@ -1,5 +1,13 @@
 """Monte-Carlo simulator: reproducibility, degenerate corners, analytic agreement."""
 
+import concurrent.futures
+import dataclasses
+import itertools
+import os
+import subprocess
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -15,6 +23,7 @@ from contest_rating import (
     utility_horizon,
     with_params,
 )
+from contest_rating import simulate
 from contest_rating.errors import DegenerateChain
 from contest_rating.simulate import (
     ATTACK1,
@@ -25,6 +34,7 @@ from contest_rating.simulate import (
     _draw_block,
     _payoff_tables,
     _rating_paths,
+    _workers,
 )
 from scalar_reference import (
     draw_channels,
@@ -218,9 +228,8 @@ def test_rating_paths_equal_the_per_period_loop(defaults, edge):
         design = DesignParams(alpha, beta, 0.5, 0.0)
         seed = int(rng.integers(2**32))
         ev = draw_channels(np.random.default_rng(seed), periods, pairs, params, *attacks)
-        block = np.empty((periods, pairs, 8))
         code, promote, demote = _draw_block(
-            np.random.default_rng(seed), block, params, design, intents
+            np.random.default_rng(seed), periods, pairs, params, design, intents
         )
         if "start" in case:
             start = np.full((2, pairs), bool(case["start"]))
@@ -238,27 +247,32 @@ def test_rating_paths_equal_the_per_period_loop(defaults, edge):
 
 
 class _Fixed:
-    """A stand-in generator whose draws are given."""
+    """A stand-in generator that hands out the given draws, one slab after the next."""
 
     def __init__(self, draws):
-        self.draws = draws
+        self.draws = draws.reshape(-1)
+        self.used = 0
 
     def random(self, out):
-        out[...] = self.draws
+        out[...] = self.draws[self.used : self.used + out.size]
+        self.used += out.size
 
 
-def test_codes_pack_the_channels_in_order(defaults):
+def test_codes_pack_the_channels_in_order(defaults, monkeypatch):
     # one cell per pattern of the eight channels: a draw of 0 falls below
-    # every threshold and one of 0.999 below none, so bit k is channel k
+    # every threshold and one of 0.999 below none, so bit k is channel k;
+    # the 2048 draws are one slab, or 85 slabs of 24 and a partial one
     patterns = np.arange(256)[:, None] >> np.arange(8) & 1 == 1
-    draws = _Fixed(np.where(patterns, 0.0, 0.999).reshape(1, 256, 8))
     params = with_params(defaults, eps1=0.5, eps2=0.5)
     updates = UPDATE1 | UPDATE2
-    for intent in (0, ATTACK1, ATTACK2):  # an intended attack turns the attack bit over
+    for slab, intent in itertools.product((simulate._SLAB_DRAWS, 24), (0, ATTACK1, ATTACK2)):
+        monkeypatch.setattr(simulate, "_SLAB_DRAWS", slab)
+        draws = _Fixed(np.where(patterns, 0.0, 0.999))
         intents = np.full((1, 1), intent, dtype=np.uint8)
-        code, promote, demote = _draw_block(draws, np.empty((1, 256, 8)), params, HALF, intents)
+        code, promote, demote = _draw_block(draws, 1, 256, params, HALF, intents)
+        assert draws.used == 2048
         assert code.dtype == np.uint8 and code.shape == (1, 256)
-        assert np.array_equal(code[0], np.arange(256) ^ intent)
+        assert np.array_equal(code[0], np.arange(256) ^ intent)  # an intent turns the attack bit over
         assert promote is code
         assert np.array_equal(demote[0] & updates, np.arange(256) & updates)
 
@@ -295,12 +309,33 @@ SIM_EDGES = {
     "one_pair": dict(pairs=1),
     "wide": dict(pairs=40),
     "past_int16_keys": dict(periods=16_400, pairs=2),
+    # threaded replicates: 1,200 draws in 2 slabs of 512 and one of 176, and
+    # 320 draws a period in slabs of 104
+    "several_slabs": dict(slab=512),
+    "period_past_a_slab": dict(pairs=40, slab=104),
 }
 
 
+def _spy_on_pools(monkeypatch) -> list:
+    """Record the max_workers of every ThreadPoolExecutor the simulator opens."""
+    pools = []
+
+    class Spy(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Spy)
+    return pools
+
+
 @pytest.mark.parametrize("edge", list(SIM_EDGES))
-def test_runs_equal_the_channel_reference(defaults, edge):
+def test_runs_equal_the_channel_reference(defaults, monkeypatch, edge):
     case = SIM_EDGES[edge]
+    if "slab" in case:  # several workers even on a one-CPU host
+        monkeypatch.setattr(simulate, "_SLAB_DRAWS", case["slab"])
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    pools = _spy_on_pools(monkeypatch)
     rng = np.random.default_rng(100 + list(SIM_EDGES).index(edge))
     eps1, eps2 = case.get("eps", rng.uniform(0.0, 0.4, 2))
     params = with_params(defaults, eps1=eps1, eps2=eps2, delta=case.get("delta", 0.5))
@@ -326,6 +361,10 @@ def test_runs_equal_the_channel_reference(defaults, edge):
             )
             expected = repr(run_utility_channels(design, params, config))
             assert repr(run_utility(design, params, config)) == expected, (alpha, beta, worker)
+    if "slab" in case:  # capped by the replicates: 2 in a chain run, 2 per start in a utility run
+        assert set(pools) == {2, 4}
+    elif edge != "past_int16_keys":  # each replicate fits one slab: the calling thread
+        assert pools == []
 
 
 def test_utility_horizon_is_the_least_accepted(defaults):
@@ -337,3 +376,61 @@ def test_utility_horizon_is_the_least_accepted(defaults):
         assert n == 1 or delta ** (n - 1) >= 1e-6
         config = SimConfig(periods=n, replicates=2, population=1)
         run_utility(HALF, with_params(defaults, delta=delta), config)  # does not raise
+
+
+def test_threads_give_the_bits_of_one_thread(defaults, monkeypatch):
+    # 8 workers on fewer cores, switching threads every microsecond: any
+    # state the replicates shared, or an order the results depended on,
+    # would show in the reprs
+    params = with_params(defaults, delta=0.5)
+    config = SimConfig(periods=40, replicates=8, population=60, seed=9)  # 19,200 draws each
+    monkeypatch.setattr(simulate, "_SLAB_DRAWS", 1024)
+    pools = _spy_on_pools(monkeypatch)
+
+    def runs():
+        out = []
+        for design in (DesignParams(0.6, 0.8, 0.7, 0.2), DesignParams(1.0, 0.9, 0.55, 0.0)):
+            out.append(repr(run_chain(design, params, config)))
+            for worker, rating in ((None, None), (1, 0), (1, 1), (2, 0), (2, 1)):
+                deviation = dataclasses.replace(config, deviate_worker=worker, deviate_rating=rating)
+                out.append(repr(run_utility(design, params, deviation)))
+        return out
+
+    monkeypatch.setattr(simulate, "_workers", lambda replicates, draws: 1)
+    expected = runs()
+    assert pools == []
+    monkeypatch.setattr(simulate, "_workers", lambda replicates, draws: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert runs() == expected
+    finally:
+        sys.setswitchinterval(interval)
+    assert pools == [8] * 12
+
+
+def test_worker_count_rule(monkeypatch):
+    # a pure function of the run's shape and the CPUs it may use
+    threads = threading.active_count()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    slab = simulate._SLAB_DRAWS
+    assert _workers(16, slab) == 1  # one slab: the calling thread
+    assert _workers(16, slab + 8) == 16  # capped by the replicates
+    assert _workers(100, slab + 8) == 64  # by the CPUs
+    assert _workers(100, MAX_BLOCK_DRAWS // 5) == 5  # by the draws in flight
+    assert _workers(100, MAX_BLOCK_DRAWS // 2) == 2
+    assert _workers(100, MAX_BLOCK_DRAWS // 2 + 8) == 1  # at the limit, one replicate at a time
+    assert _workers(100, MAX_BLOCK_DRAWS) == 1
+    assert threading.active_count() == threads
+
+
+def test_import_starts_no_thread():
+    probe = (
+        "import sys, threading, contest_rating\n"
+        "print(threading.active_count(), 'concurrent.futures' in sys.modules)"
+    )
+    paths = [os.path.dirname(os.path.dirname(simulate.__file__)), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.split() == ["1", "False"]
