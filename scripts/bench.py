@@ -6,13 +6,17 @@ Without --out the report goes to the first BENCH_<n>.json, n = 1, 2, ...,
 that does not exist yet at the root of the repository, so no earlier
 report is overwritten.
 
-Every function row runs in a fresh interpreter: numpy's temporaries move
-glibc's mmap and trim thresholds, so a row timed after another one can read
-faster or slower than it would alone. Each timed call (and each CLI
+Every function row runs in PROCESSES fresh interpreters: numpy's
+temporaries move glibc's mmap and trim thresholds, so a row timed after
+another one can read faster or slower than it would alone, and one process
+alone can read 10-30% off the next. The processes run in rounds over all
+rows, as do the CLI rows' subprocesses, so a drift of the host spreads over
+every row instead of landing on one. Each timed call (and each CLI
 subprocess) is followed by the fixed kernel of benchmark/hostspeed.py, and
-the row's times are also reported scaled to the kernel's reference speed,
-as benchmark/run.py does: seconds x REFERENCE_S / median kernel seconds.
-Each row records its median and quartiles. The file also records the
+the times are also reported scaled to the kernel's reference speed, as
+benchmark/run.py does: seconds x REFERENCE_S / median kernel seconds. A
+function row records the median and quartiles over its processes of each
+process's median; a CLI row those of its calls. The file also records the
 Tier-1 wall time and the line count of src/contest_rating.
 """
 
@@ -54,7 +58,7 @@ DESIGNED = ("1.0", "0.947368421053", "0.52")  # optimize(default_params()) at m 
 
 
 # (row, calls, factory): factory(params) does the set-up and returns the
-# call to time; each row runs `calls` times in its own process.
+# call to time; each of a row's processes runs it `calls` times.
 FUNCTION_ROWS = [
     ("optimize, default environment, m=100", 15, lambda p: partial(optimize, p)),
     ("is_sustainable", 15, lambda p: partial(is_sustainable, optimize(p).design(), p)),
@@ -76,6 +80,7 @@ CLI_ROWS = [
     ("CLI simulate", ["simulate", "{cfg}", "--alpha", DESIGNED[0], "--beta", DESIGNED[1], "--gamma1", DESIGNED[2]]),
 ]
 CLI_CALLS = 7
+PROCESSES = 5  # fresh processes per function row
 DEFAULT_CONFIG = "c1 = 0.1\nc2 = 0.2\ns1 = 0.2\ns2 = 0.1\nd = 0.5\ndelta = 0.95\neps1 = 0.2\neps2 = 0.05\n"
 
 
@@ -95,6 +100,26 @@ def summary(seconds: list[float], kernels: list[float]) -> dict:
     }
 
 
+def across_processes(children: list[dict]) -> dict:
+    """Median and quartiles over processes of each process's median (raw and scaled)."""
+    q1, median, q3 = statistics.quantiles([c["median_ms"] for c in children], n=4, method="inclusive")
+    sq1, scaled, sq3 = statistics.quantiles(
+        [c["scaled_median_ms"] for c in children], n=4, method="inclusive"
+    )
+    return {
+        "processes": len(children),
+        "calls": children[0]["calls"],
+        "median_ms": median,
+        "q1_ms": q1,
+        "q3_ms": q3,
+        "iqr_ms": q3 - q1,
+        "scaled_median_ms": scaled,
+        "scaled_iqr_ms": sq3 - sq1,
+        "kernel_median_ms": statistics.median(c["kernel_median_ms"] for c in children),
+        "process_medians_ms": [c["median_ms"] for c in children],
+    }
+
+
 def time_function_row(index: int) -> dict:
     """Run in a fresh process: time one function row after one untimed warm-up call."""
     _, calls, factory = FUNCTION_ROWS[index]
@@ -110,16 +135,12 @@ def time_function_row(index: int) -> dict:
     return summary(seconds, kernels)
 
 
-def time_cli_row(argv: list[str]) -> dict:
-    seconds, kernels = [], []
-    hostspeed.kernel()
-    for _ in range(CLI_CALLS):
-        start = time.perf_counter()
-        subprocess.run([sys.executable, "-m", "contest_rating.cli", *argv], env=ENV, check=False,
-                       capture_output=True)
-        seconds.append(time.perf_counter() - start)
-        kernels.append(hostspeed.kernel())
-    return summary(seconds, kernels)
+def time_cli_call(argv: list[str]) -> tuple[float, float]:
+    """(seconds of one CLI subprocess, seconds of the kernel right after it)."""
+    start = time.perf_counter()
+    subprocess.run([sys.executable, "-m", "contest_rating.cli", *argv], env=ENV, check=False,
+                   capture_output=True)
+    return time.perf_counter() - start, hostspeed.kernel()
 
 
 def tier1() -> dict:
@@ -146,18 +167,28 @@ def main(argv=None) -> int:
         print(json.dumps(time_function_row(args.row)))
         return 0
 
-    rows = {}
-    for index, (name, *_) in enumerate(FUNCTION_ROWS):
-        child = subprocess.run([sys.executable, __file__, "--row", str(index)], env=ENV, check=True,
-                               capture_output=True, text=True)
-        rows[name] = json.loads(child.stdout)
-        print(f"{name}: {rows[name]['median_ms']:.2f} ms", file=sys.stderr)
+    children = {name: [] for name, *_ in FUNCTION_ROWS}
+    for _ in range(PROCESSES):
+        for index, (name, *_) in enumerate(FUNCTION_ROWS):
+            child = subprocess.run([sys.executable, __file__, "--row", str(index)], env=ENV,
+                                   check=True, capture_output=True, text=True)
+            children[name].append(json.loads(child.stdout))
+    rows = {name: across_processes(runs) for name, runs in children.items()}
+    for name, row in rows.items():
+        print(f"{name}: {row['median_ms']:.2f} ms", file=sys.stderr)
+    hostspeed.kernel()
+    timed = {name: ([], []) for name, _ in CLI_ROWS}  # (seconds, kernels)
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "env.cfg"
         cfg.write_text(DEFAULT_CONFIG)
-        for name, argv_template in CLI_ROWS:
-            rows[name] = time_cli_row([str(cfg) if a == "{cfg}" else a for a in argv_template])
-            print(f"{name}: {rows[name]['median_ms']:.0f} ms", file=sys.stderr)
+        for _ in range(CLI_CALLS):
+            for name, argv_template in CLI_ROWS:
+                seconds, kernel = time_cli_call([str(cfg) if a == "{cfg}" else a for a in argv_template])
+                timed[name][0].append(seconds)
+                timed[name][1].append(kernel)
+    for name, (seconds, kernels) in timed.items():
+        rows[name] = summary(seconds, kernels)
+        print(f"{name}: {rows[name]['median_ms']:.0f} ms", file=sys.stderr)
     report = {
         "host": {
             "platform": platform.platform(),

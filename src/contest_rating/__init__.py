@@ -20,7 +20,6 @@ from .designer import (
     OracleResult,
     boundary_case_optimum,
     brute_force_oracle,
-    closed_form_case_utility,
     optimize,
     outcome_csv_row,
     zero_base_price_check,
@@ -58,7 +57,6 @@ from .params import (
     ValidationReport,
     default_params,
     design_violations,
-    error_aggregate,
     load_config,
     parse_config,
     validate,
@@ -70,7 +68,6 @@ from .payoffs import (
     payoff_line,
     payoff_table,
     perfect_monitoring_matrix,
-    rating_payoff,
     realized_mix,
 )
 from .ratings import (
@@ -83,7 +80,6 @@ from .ratings import (
 )
 from .requester import (
     SocialUtility,
-    iso_utility_slope,
     pair_utility,
     per_winner_utility,
     social_utility,

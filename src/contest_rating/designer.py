@@ -4,10 +4,11 @@ Utility is monotone along the promotion/demotion axes, so the optimum sits
 on the boundary of the (alpha, beta) unit square and the search reduces to
 two one-dimensional boundary cases: pin beta = 1 and put alpha on the
 participation boundary, or pin alpha = 1 and put beta there. Each case
-scans a uniform gamma1 grid, keeps the feasibility-qualified points, and
-takes its closed-form utility; the winner across cases is the design. A
-dense grid scan over (alpha, beta, gamma1) re-derives everything from the
-primal margins as an independent check.
+reads the band's binding lines once over a uniform gamma1 grid, keeps the
+feasibility-qualified points, and takes the closed-form utility of the
+chosen one; the winner across cases is the design, certified by
+is_sustainable. A dense grid scan over (alpha, beta, gamma1) re-derives
+everything from the primal margins as an independent check.
 """
 
 from __future__ import annotations
@@ -22,9 +23,7 @@ from .incentives import (
     SustainabilityReport,
     binding_lines,
     compliance_margins,
-    constraint_coefficients,
     deviation_floor,
-    feasibility_band,
     is_sustainable,
 )
 from .params import DesignParams, IntrinsicParams, Strategy
@@ -122,27 +121,20 @@ def outcome_csv_row(outcome: DesignOutcome, invalid: bool = False) -> str:
     )
 
 
-def closed_form_case_utility(case_id: str, gamma1: float, params: IntrinsicParams) -> float:
-    """Requester utility of a boundary case at its participation-binding corner.
-
-    Substituting the binding worker's participation equality into the
-    stationary utility eliminates the free knob; only that worker's
-    compliant payoffs enter. The binding worker is the one with the
-    smaller participation slope k3 (its boundary is hit first).
-    """
-    binding = min((constraint_coefficients(gamma1, params, w) for w in (1, 2)), key=lambda c: c.k3)
-    cn_slope, cn_icept = payoff_line(binding.worker, Strategy.CN, params)
+def _corner_utility(case_id: str, gamma1: float, worker: int, params: IntrinsicParams) -> float:
+    # Requester utility at the corner where `worker`'s participation binds:
+    # substituting that equality into the stationary utility eliminates the
+    # free knob, so only the worker's compliant payoffs enter.
+    cn_slope, cn_icept = payoff_line(worker, Strategy.CN, params)
     v0 = cn_icept
     v1 = cn_slope * gamma1 + cn_icept
     z, delta = params.error_free, params.delta
     if case_id == CASE_BETA_ONE:
         denom = (1.0 - delta) * v0 + delta * params.error_any * (v0 - v1)
         numer = gamma1 * (1.0 - delta * z) * v0
-    elif case_id == CASE_ALPHA_ONE:
+    else:
         denom = (delta - 1.0) * v0 + delta * z * (v0 - v1)
         numer = delta * gamma1 * z * v0
-    else:
-        raise ValueError(f"unknown case id: {case_id!r}")
     if abs(denom) < 1e-12:
         raise DegenerateDenominator(f"case utility denominator vanished: {denom!r}")
     return z - numer / denom
@@ -160,13 +152,14 @@ def boundary_case_optimum(
     as arrays. Points where a coefficient's denominator vanishes are
     dropped. Within the feasible set the case utility is monotone in
     gamma1, so beta=1 wants the smallest feasible prize and alpha=1 the
-    largest.
+    largest; the chosen point's utility comes from the worker that owns
+    its participation line.
     """
     if case_id not in (CASE_BETA_ONE, CASE_ALPHA_ONE):
         raise ValueError(f"unknown case id: {case_id!r}")
     m = (config or DesignerConfig()).gamma_grid_m
     gamma1 = np.arange(1, m + 1) / m
-    k2, b2, k3, b3, live = binding_lines(gamma1, params)
+    k2, b2, k3, b3, upper, live = binding_lines(gamma1, params)
     with np.errstate(divide="ignore", invalid="ignore"):  # entries the masks drop
         if case_id == CASE_BETA_ONE:
             alpha, beta = (1.0 - b3) / k3, np.ones(m)
@@ -186,7 +179,7 @@ def boundary_case_optimum(
         alpha=float(alpha[pick]),
         beta=float(beta[pick]),
         gamma1=float(gamma1[pick]),
-        utility=closed_form_case_utility(case_id, float(gamma1[pick]), params),
+        utility=_corner_utility(case_id, float(gamma1[pick]), int(upper[pick]), params),
         feasible_gamma1=tuple(gamma1[feasible].tolist()),
     )
 
@@ -216,12 +209,6 @@ def optimize(params: IntrinsicParams, config: DesignerConfig | None = None) -> D
     design = DesignParams(best.alpha, best.beta, best.gamma1, 0.0)
     certificate = is_sustainable(design, params, tolerance=config.tolerance)
     participation = {w.worker: w.lifetime.v0 for w in certificate.workers}
-    band = feasibility_band(best.gamma1, params)
-    if not band.contains(best.alpha, best.beta, tolerance=config.tolerance):
-        raise ArithmeticError(
-            "case optimum fell outside its own feasibility band; "
-            f"{best} at gamma1={best.gamma1}"
-        )
     return DesignOutcome(
         params=params,
         feasible=True,

@@ -5,7 +5,9 @@ value solves a two-state fixed point in the own-rating chain; the protocol
 is sustainable when no one-shot switch to CA, SN or SA is profitable at
 either rating. The CA inequalities, rearranged at gamma0 = 0, become affine
 constraints on (alpha, beta) whose intersection is the designer's feasible
-band; SN and SA enter as floors on the CA margins (deviation_floor).
+band; SN and SA enter as floors on the CA margins (deviation_floor). The
+rating-0 CA line has a negative slope and intercept, so it never binds on
+the unit square and only its intercept (shared with participation) is kept.
 """
 
 from __future__ import annotations
@@ -164,8 +166,6 @@ class SustainabilityReport:
     workers: tuple[WorkerIncentives, ...]
     sustainable: bool
     tolerance: float
-    one_period_table: dict | None = None
-    ca_dominant: dict | None = None
 
     def rows(self) -> list[tuple]:
         """(worker, constraint id, margin) rows; gap-unit combined margin may be +-inf."""
@@ -182,7 +182,6 @@ def is_sustainable(
     design: DesignParams,
     params: IntrinsicParams,
     tolerance: float = 1e-9,
-    strict: bool = False,
 ) -> SustainabilityReport:
     """One-shot-deviation check of CA, SN and SA at both ratings, for both workers.
 
@@ -192,10 +191,6 @@ def is_sustainable(
     report's margins are CA's; it also carries the gap-unit thresholds
     (infinite when the corresponding correction channel is shut) and the
     raw lifetime and CA deviation values so callers can re-derive them.
-
-    With strict=True the report includes each strategy's one-period payoff
-    at both prizes and whether CA is the most profitable deviation there;
-    this is a diagnostic, not part of the verdict.
     """
     workers = []
     for worker in (1, 2):
@@ -230,26 +225,11 @@ def is_sustainable(
                 sustainable=bool(m0 >= floor0 and m1 >= floor1),
             )
         )
-    table = dominant = None
-    if strict:
-        table = {
-            (worker, rating): {
-                strat.value: against_compliant(worker, strat, design.price(rating), params)
-                for strat in Strategy
-            }
-            for worker in (1, 2)
-            for rating in (0, 1)
-        }
-        dominant = {
-            key: per["CA"] >= max(per["SN"], per["SA"]) - tolerance for key, per in table.items()
-        }
     return SustainabilityReport(
         design=design,
         workers=tuple(workers),
         sustainable=all(w.sustainable for w in workers),
         tolerance=tolerance,
-        one_period_table=table,
-        ca_dominant=dominant,
     )
 
 
@@ -257,15 +237,14 @@ def is_sustainable(
 class ConstraintCoefficients:
     """Affine (alpha, beta) constraint coefficients at gamma0 = 0.
 
-    beta >= k1*alpha + b1 and beta >= k2*alpha + b2 are the rating-0 and
-    rating-1 deviation constraints; beta <= k3*alpha + b3 is participation.
-    b1 = b3 always; the k1 line sits below beta = 0 on the unit square, so
-    it never binds there (kept for completeness).
+    beta >= k2*alpha + b2 is the rating-1 deviation constraint and
+    beta <= k3*alpha + b3 is participation. b1 (= b3) is also the intercept
+    of the rating-0 deviation line; that line's slope is negative too, so it
+    sits below beta = 0 on the unit square, never binds and is not computed.
     """
 
     worker: int
     gamma1: float
-    k1: float
     b1: float
     k2: float
     b2: float
@@ -279,7 +258,7 @@ _VANISHES = 1e-12  # a guarded denominator smaller than this in size is degenera
 def _coefficient_grid(gamma1, params: IntrinsicParams):
     """Both workers' constraint coefficients over a gamma1 array, shape (2, n).
 
-    Returns (coefficients, denominators): k1, b1, k2, b2, k3 and the
+    Returns (coefficients, denominators): b1, k2, b2, k3 and the
     denominators of the guarded ratios b1, k2, k3, in that order.
     Each entry is computed in the order of operations of the scalar
     rearrangement, so it is the scalar result bit for bit; entries whose
@@ -292,14 +271,12 @@ def _coefficient_grid(gamma1, params: IntrinsicParams):
     gamma1 = np.asarray(gamma1, dtype=float)
     v_cn0 = cn_icept
     v_cn1 = cn_slope * gamma1 + cn_icept
-    gain0 = ca_icept - cn_icept
     gain1 = (ca_slope - cn_slope) * gamma1 + (ca_icept - cn_icept)
     edge = v_cn1 - v_cn0
     err_any, err_free = params.error_any, params.error_free
     detect, delta = params.detection_margin, params.delta
     ratios = {
         "b1": (1.0 - delta, delta * err_any),
-        "k1": (detect * edge - err_free * gain0, err_any * gain0),
         "k2": (err_free * gain1, detect * edge - err_any * gain1),
         "k3": (-err_free * v_cn1, err_any * v_cn0),
     }
@@ -308,9 +285,6 @@ def _coefficient_grid(gamma1, params: IntrinsicParams):
         coefficients = {name: n / denominators[name] for name, (n, _) in ratios.items()}
         coefficients["b1"] = -coefficients["b1"]
         coefficients["b2"] = coefficients["k2"] * (1.0 - delta) / (delta * err_free)
-    # k1's denominator err_any * gain0 vanishes as an attack cost s_i -> 0,
-    # where k1 -> -inf; its line never binds, so it guards nothing.
-    del denominators["k1"]
     return coefficients, denominators
 
 
@@ -335,10 +309,12 @@ def constraint_coefficients(
 def binding_lines(gamma1, params: IntrinsicParams):
     """The band's binding lines at every point of a gamma1 array.
 
-    Returns (k2, b2, k3, b3, live): the lower line of the worker with the
-    larger k2 and the upper line of the worker with the smaller k3 (ties go
-    to worker 1, as in feasibility_band), and live, false where either
-    worker's constraint_coefficients would raise DegenerateDenominator.
+    Returns (k2, b2, k3, b3, upper, live): the lower line of the worker
+    with the larger k2 and the upper line of the worker with the smaller k3
+    (ties go to worker 1, as in feasibility_band), upper, the number (1 or
+    2) of the worker whose participation line that is, and live, false
+    where either worker's constraint_coefficients would raise
+    DegenerateDenominator.
     """
     coefficients, denominators = _coefficient_grid(gamma1, params)
     live = ~np.any([np.abs(d) < _VANISHES for d in denominators.values()], axis=(0, 1))
@@ -349,6 +325,7 @@ def binding_lines(gamma1, params: IntrinsicParams):
         np.where(low, b2[1], b2[0]),
         np.where(up, k3[1], k3[0]),
         coefficients["b1"][0],  # b3 = b1, the same for both workers
+        np.where(up, 2, 1),
         live,
     )
 
@@ -376,7 +353,6 @@ class FeasibilityBand:
     coefficients: tuple[ConstraintCoefficients, ConstraintCoefficients]
     lower_worker: int
     upper_worker: int
-    uses_k1: bool
     alpha_interval: tuple[float, float] | None
 
     @property
@@ -398,17 +374,10 @@ class FeasibilityBand:
             return False
         k2, b2 = self.lower
         k3, b3 = self.upper
-        if beta < k2 * alpha + b2 - tolerance or beta > k3 * alpha + b3 + tolerance:
-            return False
-        if self.uses_k1:
-            k1, b1 = max(c.k1 for c in self.coefficients), self.coefficients[0].b1
-            return not beta < k1 * alpha + b1 - tolerance  # b1 is worker-independent
-        return True
+        return not (beta < k2 * alpha + b2 - tolerance or beta > k3 * alpha + b3 + tolerance)
 
 
-def feasibility_band(
-    gamma1: float, params: IntrinsicParams, uses_k1: bool = False
-) -> FeasibilityBand:
+def feasibility_band(gamma1: float, params: IntrinsicParams) -> FeasibilityBand:
     """Combine both workers' constraints into one band at gamma0 = 0.
 
     b2 is proportional to k2 with a common positive factor and b3 is
@@ -422,9 +391,6 @@ def feasibility_band(
     # lower line <= upper line, lower line <= 1, upper line > 0 (so that
     # some beta in (0, 1] fits); each is linear in alpha.
     limits = [(low.k2 - up.k3, up.b3 - low.b2), (low.k2, 1.0 - low.b2), (-up.k3, up.b3 - 1e-15)]
-    if uses_k1:
-        k1, b1 = max(c.k1 for c in coeffs), coeffs[0].b1  # b1 is worker-independent
-        limits += [(k1 - up.k3, up.b3 - b1), (k1, 1.0 - b1)]
     intervals = [_linear_interval(a, b, 0.0, 1.0) for a, b in limits]
     lo = max(lo for lo, _ in intervals)
     hi = min(hi for _, hi in intervals)
@@ -435,6 +401,5 @@ def feasibility_band(
         coefficients=coeffs,
         lower_worker=low.worker,
         upper_worker=up.worker,
-        uses_k1=uses_k1,
         alpha_interval=interval,
     )

@@ -165,11 +165,6 @@ def validate(params: IntrinsicParams) -> ValidationReport:
     return ValidationReport(tuple(bad), tuple(warn))
 
 
-def error_aggregate(params: IntrinsicParams) -> tuple[float, float]:
-    """(error_any, error_free): the misread and clean-read probabilities."""
-    return params.error_any, params.error_free
-
-
 def design_violations(design: DesignParams, require_price_gap: bool = True) -> tuple[str, ...]:
     """Constraint check for an actual protocol design.
 

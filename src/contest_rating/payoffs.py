@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .params import STRATEGIES, DesignParams, IntrinsicParams, Strategy, check_worker
+from .params import STRATEGIES, IntrinsicParams, Strategy, check_worker
 
 
 def perfect_monitoring_matrix(worker: int, gamma: float, params: IntrinsicParams) -> np.ndarray:
@@ -129,23 +129,3 @@ def payoff_line(worker: int, intended: Strategy, params: IntrinsicParams) -> tup
     i = intended.index
     return float(slopes[i]), float(intercepts[i])
 
-
-def rating_payoff(
-    worker: int,
-    intended: Strategy,
-    rating: int,
-    design: DesignParams,
-    eta,
-    params: IntrinsicParams,
-) -> float:
-    """One-period payoff at a given own rating, opponent drawn from eta.
-
-    The opponent's rating only matters through matching weights; its
-    compliant intent is what the payoff mixes over, so the result is the
-    own-rating payoff averaged over the opponent-rating distribution, which
-    collapses to a single evaluation at gamma_rating.
-    """
-    total = 0.0
-    for opp_rating in (0, 1):
-        total += eta[opp_rating] * against_compliant(worker, intended, design.price(rating), params)
-    return total

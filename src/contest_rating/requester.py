@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DegenerateDenominator
 from .params import DesignParams, IntrinsicParams
 from .ratings import StationaryDistribution, stationary_distribution
 
@@ -81,22 +80,3 @@ def social_utility_closed(alpha, beta, gamma1, gamma0, params: IntrinsicParams):
     down = beta * params.error_any
     return params.error_free - (down * gamma0 + up * gamma1) / (down + up)
 
-
-def iso_utility_slope(design: DesignParams, params: IntrinsicParams, utility: float | None = None) -> float:
-    """Slope kappa of the iso-utility rays beta = kappa * alpha at gamma0 = 0.
-
-    With gamma0 = 0 the closed form depends on (alpha, beta) only through
-    beta/alpha, so each utility level is a ray through the origin; solving
-    for the ratio gives kappa = error_free*(gamma1 - error_free + U) /
-    (error_any*(error_free - U)). Utility is strictly increasing in kappa
-    (harsher demotion shrinks time on the expensive prize).
-    """
-    if design.gamma0 != 0.0:
-        raise ValueError("iso-utility rays require gamma0 = 0")
-    if utility is None:
-        utility = social_utility(design, params).value
-    err_free = params.error_free
-    denom = params.error_any * (err_free - utility)
-    if abs(denom) < 1e-12:
-        raise DegenerateDenominator(f"iso-utility slope denominator vanished: {denom!r}")
-    return err_free * (design.gamma1 - err_free + utility) / denom

@@ -2,11 +2,14 @@
 
 - `lifetime_values_iterative`: value iteration for the compliant two-state
   values, against which the linear solve is checked.
+- `closed_form_case_utility`: a boundary case's utility at one gamma1, with
+  the binding worker found from both workers' `constraint_coefficients`.
 - `scalar_case_optimum`: the per-point gamma1 scan of a boundary case, one
   grid point and one worker at a time, with the constraint coefficients
   rearranged from payoff lines that are built directly from
-  `against_compliant` at gamma = 0 and gamma = 1. `boundary_case_optimum`
-  must return an equal `CaseResult`, float for float.
+  `against_compliant` at gamma = 0 and gamma = 1, and the chosen point's
+  utility from `closed_form_case_utility`. `boundary_case_optimum` must
+  return an equal `CaseResult`, float for float.
 - `rating_paths_loop`: the simulator's rating recurrence stepped one period
   at a time. `simulate._rating_paths` must return equal rating paths and
   equal promotion and demotion counts.
@@ -36,12 +39,13 @@ from contest_rating import (
     SimResult,
     Strategy,
     against_compliant,
-    closed_form_case_utility,
     compliance_margins,
+    constraint_coefficients,
     deviation_floor,
     deviation_value,
     lifetime_values,
     one_period_values,
+    payoff_line,
     social_utility,
     social_utility_closed,
     stationary_distribution,
@@ -58,6 +62,32 @@ def lifetime_values_iterative(design, params, worker, steps=1000):
     for _ in range(steps):
         v = reward + params.delta * (kernel @ v)
     return LifetimeValues(v0=float(v[0]), v1=float(v[1]))
+
+
+def closed_form_case_utility(case_id, gamma1, params):
+    """Requester utility of a boundary case at its participation-binding corner.
+
+    Substituting the binding worker's participation equality into the
+    stationary utility eliminates the free knob; only that worker's
+    compliant payoffs enter. The binding worker is the one with the
+    smaller participation slope k3 (its boundary is hit first).
+    """
+    binding = min((constraint_coefficients(gamma1, params, w) for w in (1, 2)), key=lambda c: c.k3)
+    cn_slope, cn_icept = payoff_line(binding.worker, Strategy.CN, params)
+    v0 = cn_icept
+    v1 = cn_slope * gamma1 + cn_icept
+    z, delta = params.error_free, params.delta
+    if case_id == CASE_BETA_ONE:
+        denom = (1.0 - delta) * v0 + delta * params.error_any * (v0 - v1)
+        numer = gamma1 * (1.0 - delta * z) * v0
+    elif case_id == CASE_ALPHA_ONE:
+        denom = (delta - 1.0) * v0 + delta * z * (v0 - v1)
+        numer = delta * gamma1 * z * v0
+    else:
+        raise ValueError(f"unknown case id: {case_id!r}")
+    if abs(denom) < 1e-12:
+        raise DegenerateDenominator(f"case utility denominator vanished: {denom!r}")
+    return z - numer / denom
 
 
 def _line(worker, intended, params):

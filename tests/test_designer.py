@@ -16,9 +16,9 @@ from collections import Counter
 import numpy as np
 import pytest
 from four_intent import violations
-from scalar_reference import scalar_case_optimum, whole_grid_oracle
+from scalar_reference import closed_form_case_utility, scalar_case_optimum, whole_grid_oracle
 
-from contest_rating import designer
+from contest_rating import designer, incentives
 from contest_rating import (
     CASE_ALPHA_ONE,
     CASE_BETA_ONE,
@@ -31,7 +31,6 @@ from contest_rating import (
     binding_lines,
     boundary_case_optimum,
     brute_force_oracle,
-    closed_form_case_utility,
     compliance_margins,
     constraint_coefficients,
     default_params,
@@ -343,7 +342,7 @@ def test_case_scan_equals_scalar_reference():
     # float, including the points it drops for a vanishing denominator
     feasible = {CASE_BETA_ONE: 0, CASE_ALPHA_ONE: 0}
     degenerate = 0  # environments whose whole grid is dropped (b1's delta * error_any)
-    tiny_attack_cost = 0  # s_i -> 0: k1's denominator vanishes, but k1 drops nothing
+    tiny_attack_cost = 0  # s_i -> 0, where the whole grid stays live
     envs = _edge_weighted_environments(400, seed=2718)
     for p in envs:
         if p.delta * p.error_any < 1e-12:
@@ -363,11 +362,42 @@ def test_case_scan_equals_scalar_reference():
     assert min(feasible.values()) >= 50
 
 
+def test_optimize_answers_lie_in_their_band():
+    # optimize does not re-derive the band at run time; every answer it
+    # gives lies in the band and carries a sustainable certificate
+    answers = 0
+    for p in _edge_weighted_environments(400, seed=2718):
+        for m in (10, 37, 100):
+            config = DesignerConfig(gamma_grid_m=m)
+            try:
+                outcome = optimize(p, config)
+            except Infeasible:
+                continue
+            band = feasibility_band(outcome.gamma1, p)
+            assert band.contains(outcome.alpha, outcome.beta, config.tolerance), (m, p)
+            assert outcome.certificate.sustainable, (m, p)
+            answers += 1
+    assert answers >= 200
+
+
+def test_optimize_evaluates_the_grid_twice(defaults, monkeypatch):
+    # one coefficient grid per boundary case: the chosen points' utilities
+    # and the certificate read nothing more from it
+    grid, calls = incentives._coefficient_grid, []
+
+    def counted(*args):
+        calls.append(args)
+        return grid(*args)
+
+    monkeypatch.setattr(incentives, "_coefficient_grid", counted)
+    optimize(defaults)
+    assert len(calls) == 2
+
+
 def test_near_zero_attack_cost_is_feasible():
-    # k1's denominator error_any * gain0 vanishes as s1 -> 0, but the k1
-    # line never binds, so the scan keeps its points and certifies a design
+    # an attack cost s1 -> 0 guards no coefficient, so the scan keeps its
+    # points and certifies a design
     p = default_params(s1=1e-13)
-    assert constraint_coefficients(0.5, p, 1).k1 < -1e12
     outcome = optimize(p)
     assert outcome.certificate.sustainable
     assert violations(outcome.design(), p) == []

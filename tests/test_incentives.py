@@ -229,20 +229,21 @@ def test_report_rows_shape(defaults):
     assert {r[0] for r in rows} == {1, 2}
 
 
-def test_strict_mode_reports_one_period_ranking(defaults, optimum):
-    report = is_sustainable(optimum.design(), defaults, strict=True)
-    assert report.one_period_table is not None
-    assert set(report.ca_dominant) == {(1, 0), (1, 1), (2, 0), (2, 1)}
-    for key, per in report.one_period_table.items():
-        assert set(per) == {"CN", "CA", "SN", "SA"}
-        del key
+def test_one_period_ranking_at_the_optimum(defaults, optimum):
+    # whether CA is the most profitable one-period deviation at each prize
+    design = optimum.design()
+    ca_dominant = {}
+    for worker in (1, 2):
+        for rating in (0, 1):
+            prize = design.price(rating)
+            per = {s.value: against_compliant(worker, s, prize, defaults) for s in Strategy}
+            ca_dominant[worker, rating] = per["CA"] >= max(per["SN"], per["SA"]) - 1e-9
     # at the zero base prize, staying idle loses less than attacking, so
     # the one-shot attack is not the most profitable deviation there;
-    # at the top prize it is
-    assert report.ca_dominant[(1, 0)] is False
-    assert report.ca_dominant[(1, 1)] is True
-    # the verdict itself never depends on the diagnostic
-    assert report.sustainable == is_sustainable(optimum.design(), defaults).sustainable
+    # at the top prize it is, and the verdict covers every deviation anyway
+    assert ca_dominant[1, 0] is False
+    assert ca_dominant[1, 1] is True
+    assert is_sustainable(design, defaults).sustainable
 
 
 def test_zero_punishment_is_unsustainable(defaults):
@@ -282,8 +283,7 @@ def test_coefficients_sign_structure(p, gamma1, worker):
     c = constraint_coefficients(gamma1, p, worker)
     # the low-prize deviation never pays one period (attack costs s and d
     # for sure, prize gain is impossible at gamma=0), so its constraint
-    # line has negative slope and intercept and can never bind
-    assert c.k1 < 0.0
+    # line has negative intercept (and slope) and can never bind
     assert c.b1 < 0.0
     assert c.b3 < 0.0
     # the participation ceiling is a positive-slope line wherever the
@@ -296,7 +296,7 @@ def test_coefficients_finite_on_default_grid(defaults):
     for gamma1 in np.linspace(0.05, 1.0, 20):
         for worker in (1, 2):
             c = constraint_coefficients(float(gamma1), defaults, worker)
-            for value in (c.k1, c.b1, c.k2, c.b2, c.k3, c.b3):
+            for value in (c.b1, c.k2, c.b2, c.k3, c.b3):
                 assert math.isfinite(value)
 
 
@@ -337,16 +337,6 @@ def test_band_low_prize_is_empty(defaults):
     band = feasibility_band(0.2, defaults)
     assert band.empty
     assert not band.contains(0.5, 0.5)
-
-
-def test_band_ignores_vacuous_low_rating_line(defaults):
-    for gamma1 in (0.45, 0.52, 0.7, 0.9):
-        plain = feasibility_band(gamma1, defaults, uses_k1=False)
-        guarded = feasibility_band(gamma1, defaults, uses_k1=True)
-        assert plain.alpha_interval == pytest.approx(guarded.alpha_interval, abs=1e-12)
-        for alpha in np.linspace(0.05, 1.0, 21):
-            for beta in np.linspace(0.05, 1.0, 21):
-                assert plain.contains(alpha, beta) == guarded.contains(alpha, beta)
 
 
 def test_band_membership_equals_direct_margins(defaults):

@@ -16,7 +16,6 @@ from contest_rating import (
     Strategy,
     default_params,
     design_violations,
-    error_aggregate,
     load_config,
     parse_config,
     validate,
@@ -56,20 +55,19 @@ def test_default_values(defaults):
 
 
 def test_error_aggregate_defaults(defaults):
-    err_any, err_free = error_aggregate(defaults)
-    assert err_any == pytest.approx(0.24, abs=1e-15)
-    assert err_free == pytest.approx(0.76, abs=1e-15)
+    assert defaults.error_any == pytest.approx(0.24, abs=1e-15)
+    assert defaults.error_free == pytest.approx(0.76, abs=1e-15)
     assert defaults.detection_margin == pytest.approx(0.72, abs=1e-15)
 
 
 def test_error_aggregate_no_errors():
     p = default_params(eps1=0.0, eps2=0.0)
-    assert error_aggregate(p) == (0.0, 1.0)
+    assert (p.error_any, p.error_free) == (0.0, 1.0)
 
 
 @given(intrinsic_params())
 def test_error_split_sums_to_one_exactly(p):
-    err_any, err_free = error_aggregate(p)
+    err_any, err_free = p.error_any, p.error_free
     assert 0.0 <= err_any < 1.0
     assert 0.0 < err_free <= 1.0
     assert err_any + err_free == 1.0

@@ -17,9 +17,21 @@ from contest_rating import (
     payoff_line,
     payoff_table,
     perfect_monitoring_matrix,
-    rating_payoff,
     realized_mix,
 )
+
+
+def rating_payoff(worker, intended, rating, design, eta, params):
+    """One-period payoff at a given own rating, opponent rating drawn from eta.
+
+    The opponent's rating only matters through matching weights; its
+    compliant intent is what the payoff mixes over, so the result is the
+    own-rating payoff averaged over the opponent-rating distribution.
+    """
+    total = 0.0
+    for opp_rating in (0, 1):
+        total += eta[opp_rating] * against_compliant(worker, intended, design.price(rating), params)
+    return total
 
 
 def _matrix_by_hand(gamma, c, s, d):

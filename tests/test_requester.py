@@ -11,13 +11,32 @@ from contest_rating import (
     DegenerateDenominator,
     DesignParams,
     default_params,
-    iso_utility_slope,
     pair_utility,
     per_winner_utility,
     social_utility,
     social_utility_closed,
     stationary_distribution,
 )
+
+
+def iso_utility_slope(design, params, utility=None):
+    """Slope kappa of the iso-utility rays beta = kappa * alpha at gamma0 = 0.
+
+    With gamma0 = 0 the closed form depends on (alpha, beta) only through
+    beta/alpha, so each utility level is a ray through the origin; solving
+    for the ratio gives kappa = error_free*(gamma1 - error_free + U) /
+    (error_any*(error_free - U)). Utility is strictly increasing in kappa
+    (harsher demotion shrinks time on the expensive prize).
+    """
+    if design.gamma0 != 0.0:
+        raise ValueError("iso-utility rays require gamma0 = 0")
+    if utility is None:
+        utility = social_utility(design, params).value
+    err_free = params.error_free
+    denom = params.error_any * (err_free - utility)
+    if abs(denom) < 1e-12:
+        raise DegenerateDenominator(f"iso-utility slope denominator vanished: {denom!r}")
+    return err_free * (design.gamma1 - err_free + utility) / denom
 
 
 def test_per_winner_examples(defaults):

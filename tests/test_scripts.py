@@ -1,4 +1,4 @@
-"""The committed scripts: the bench report's file name."""
+"""The committed scripts: the bench report's file name and the design digest's coverage."""
 
 import importlib.util
 import sys
@@ -22,3 +22,28 @@ def test_bench_writes_the_next_unused_report(monkeypatch, tmp_path):
     (tmp_path / "BENCH_1.json").write_text("{}\n")
     (tmp_path / "BENCH_2.json").write_text("{}\n")
     assert bench.next_report_path() == tmp_path / "BENCH_3.json"
+
+
+def test_design_digest_runs_every_design_command(monkeypatch, capsys):
+    digest = _load("design_digest", monkeypatch)
+    run, outputs = digest.run, {"design": [], "sweep": [], "check": []}
+
+    def recording(sha, argv):
+        out = run(sha, argv)
+        outputs[argv[0]].append(out)
+        return out
+
+    monkeypatch.setattr(digest, "run", recording)
+    assert digest.main(["--seeds", "0"]) == 0
+    out = capsys.readouterr().out
+    assert len(out) == 65 and int(out, 16) >= 0  # one sha256 hex line
+    workloads = digest.workloads
+    sweeps, joint, jitter = workloads.design_environments(0)
+    assert len(outputs["design"]) == len(sweeps + joint + jitter) + workloads.ORACLE_OPS
+    assert len(outputs["sweep"]) == len(workloads.SWEEPS)
+    # one check per feasible design printed, and each one is sustainable
+    feasible = sum(o.startswith("feasible=true\n") for o in outputs["design"])
+    feasible += sum(o.count(",true\n") for o in outputs["sweep"])
+    assert feasible > len(workloads.SWEEPS)
+    assert len(outputs["check"]) == feasible
+    assert all(o.endswith("sustainable=true\n") for o in outputs["check"])
