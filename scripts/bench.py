@@ -16,13 +16,18 @@ subprocess) is followed by the fixed kernel of benchmark/hostspeed.py, and
 the times are also reported scaled to the kernel's reference speed, as
 benchmark/run.py does: seconds x REFERENCE_S / median kernel seconds. A
 function row records the median and quartiles over its processes of each
-process's median; a CLI row those of its calls. The file also records the
-Tier-1 wall time and the line count of src/contest_rating.
+process's median; a CLI row those of its calls. A subprocess call is mostly
+interpreter start and import, so each CLI row also times cli.main in this
+process, once per round right after the subprocess (after one untimed
+warm-up call), and records the same summary under "in_process". The file
+also records the Tier-1 wall time and the line count of src/contest_rating.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
@@ -52,6 +57,7 @@ from contest_rating import (  # noqa: E402
     run_utility,
     zero_base_price_check,
 )
+from contest_rating.cli import main as cli_main  # noqa: E402
 
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
 DESIGNED = ("1.0", "0.947368421053", "0.52")  # optimize(default_params()) at m = 100
@@ -143,6 +149,15 @@ def time_cli_call(argv: list[str]) -> tuple[float, float]:
     return time.perf_counter() - start, hostspeed.kernel()
 
 
+def time_cli_main(argv: list[str]) -> tuple[float, float]:
+    """(seconds of one in-process cli.main call, seconds of the kernel right after it)."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        start = time.perf_counter()
+        cli_main(argv)
+        seconds = time.perf_counter() - start
+    return seconds, hostspeed.kernel()
+
+
 def tier1() -> dict:
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
@@ -177,18 +192,24 @@ def main(argv=None) -> int:
     for name, row in rows.items():
         print(f"{name}: {row['median_ms']:.2f} ms", file=sys.stderr)
     hostspeed.kernel()
-    timed = {name: ([], []) for name, _ in CLI_ROWS}  # (seconds, kernels)
+    timed = {name: {time_cli_call: ([], []), time_cli_main: ([], [])} for name, _ in CLI_ROWS}
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "env.cfg"
         cfg.write_text(DEFAULT_CONFIG)
+        argvs = {name: [str(cfg) if a == "{cfg}" else a for a in template] for name, template in CLI_ROWS}
+        for argv in argvs.values():
+            time_cli_main(argv)  # warm-up
         for _ in range(CLI_CALLS):
-            for name, argv_template in CLI_ROWS:
-                seconds, kernel = time_cli_call([str(cfg) if a == "{cfg}" else a for a in argv_template])
-                timed[name][0].append(seconds)
-                timed[name][1].append(kernel)
-    for name, (seconds, kernels) in timed.items():
-        rows[name] = summary(seconds, kernels)
-        print(f"{name}: {rows[name]['median_ms']:.0f} ms", file=sys.stderr)
+            for name, argv in argvs.items():
+                for timer, (seconds, kernels) in timed[name].items():
+                    measured, kernel = timer(argv)
+                    seconds.append(measured)
+                    kernels.append(kernel)
+    for name, by_timer in timed.items():
+        rows[name] = summary(*by_timer[time_cli_call])
+        rows[name]["in_process"] = summary(*by_timer[time_cli_main])
+        print(f"{name}: {rows[name]['median_ms']:.0f} ms,"
+              f" in-process {rows[name]['in_process']['median_ms']:.1f} ms", file=sys.stderr)
     report = {
         "host": {
             "platform": platform.platform(),

@@ -8,18 +8,21 @@ reads the band's binding lines once over a uniform gamma1 grid, keeps the
 feasibility-qualified points, and takes the closed-form utility of the
 chosen one; the winner across cases is the design, certified by
 is_sustainable. A dense grid scan over (alpha, beta, gamma1) re-derives
-everything from the primal margins as an independent check.
+everything from the primal margins as an independent check. Every
+comparison that allows slack (tied case utilities, the certificate, the
+oracle's margins, the base-price verdict) allows incentives.TOLERANCE.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateDenominator, Infeasible
 from .incentives import (
+    TOLERANCE,
     SustainabilityReport,
     binding_lines,
     compliance_margins,
@@ -39,15 +42,12 @@ CASE_ALPHA_ONE = "alpha=1"
 class DesignerConfig:
     gamma_grid_m: int = 100
     oracle_grid_r: int = 100
-    tolerance: float = 1e-9
 
     def __post_init__(self) -> None:
         if self.gamma_grid_m < 10:
             raise ValueError(f"gamma grid too coarse: m = {self.gamma_grid_m}")
         if self.oracle_grid_r < 10:
             raise ValueError(f"oracle grid too coarse: r = {self.oracle_grid_r}")
-        if not 0.0 < self.tolerance <= 1e-6:
-            raise ValueError(f"tolerance out of range: {self.tolerance!r}")
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,6 @@ class DesignOutcome:
     utility: float = math.nan
     cases: tuple[CaseResult, ...] = ()
     certificate: SustainabilityReport | None = None
-    participation: dict = field(default_factory=dict)
 
     def design(self) -> DesignParams:
         if not self.feasible:
@@ -101,8 +100,8 @@ class DesignOutcome:
             for w in self.certificate.workers:
                 lines.append(f"margin_rating0[worker{w.worker}]={fmt(w.margin0)}")
                 lines.append(f"margin_rating1[worker{w.worker}]={fmt(w.margin1)}")
-        for worker, value in sorted(self.participation.items()):
-            lines.append(f"participation[worker{worker}]={fmt(value)}")
+            for w in self.certificate.workers:
+                lines.append(f"participation[worker{w.worker}]={fmt(w.lifetime.v0)}")
         return lines
 
 
@@ -204,11 +203,10 @@ def optimize(params: IntrinsicParams, config: DesignerConfig | None = None) -> D
         raise err
     live.sort(key=lambda c: (-c.utility, c.gamma1, c.case_id != CASE_BETA_ONE))
     best = live[0]
-    if len(live) == 2 and abs(live[0].utility - live[1].utility) <= config.tolerance:
+    if len(live) == 2 and abs(live[0].utility - live[1].utility) <= TOLERANCE:
         best = min(live, key=lambda c: (c.gamma1, c.case_id != CASE_BETA_ONE))
     design = DesignParams(best.alpha, best.beta, best.gamma1, 0.0)
-    certificate = is_sustainable(design, params, tolerance=config.tolerance)
-    participation = {w.worker: w.lifetime.v0 for w in certificate.workers}
+    certificate = is_sustainable(design, params)
     return DesignOutcome(
         params=params,
         feasible=True,
@@ -220,7 +218,6 @@ def optimize(params: IntrinsicParams, config: DesignerConfig | None = None) -> D
         utility=best.utility,
         cases=cases,
         certificate=certificate,
-        participation=participation,
     )
 
 
@@ -264,11 +261,7 @@ def brute_force_oracle(
     grid = np.arange(1, r + 1) / r
     beta = grid[None, :, None]
     gamma1 = grid[None, None, :]
-    tol = config.tolerance
-    floors = [
-        (w, deviation_floor(gamma0, params, w, tol), deviation_floor(gamma1, params, w, tol))
-        for w in (1, 2)
-    ]
+    floors = [(w, deviation_floor(gamma0, params, w), deviation_floor(gamma1, params, w)) for w in (1, 2)]
     prize_ok = gamma1 > gamma0 + 1e-12
     rows = max(1, _ORACLE_SLAB_CELLS // (r * r))
     n_feasible, best_flat, best_utility = 0, -1, -math.inf
@@ -279,7 +272,7 @@ def brute_force_oracle(
             m0, m1, v0 = compliance_margins(alpha, beta, gamma1, gamma0, params, worker)
             ok &= m0 >= floor0
             ok &= m1 >= floor1
-            ok &= v0 >= -tol
+            ok &= v0 >= -TOLERANCE
         count = int(np.count_nonzero(ok))
         if not count:
             continue
@@ -316,7 +309,6 @@ def zero_base_price_check(
     params: IntrinsicParams,
     gamma0_values: tuple[float, ...] = tuple(i * 0.05 for i in range(11)),
     config: DesignerConfig | None = None,
-    tolerance: float = 1e-9,
 ) -> BasePriceReport:
     """Re-optimize with the base price pinned at each grid value.
 
@@ -335,5 +327,5 @@ def zero_base_price_check(
         return BasePriceReport(tuple(gamma0_values), tuple(utilities), math.nan, False)
     best_u, best_g = max(finite, key=lambda t: (t[0], -t[1]))
     at_zero = utilities[0] if abs(gamma0_values[0]) < 1e-15 else math.nan
-    zero_ok = (not math.isnan(at_zero)) and at_zero >= best_u - tolerance
+    zero_ok = (not math.isnan(at_zero)) and at_zero >= best_u - TOLERANCE
     return BasePriceReport(tuple(gamma0_values), tuple(utilities), best_g, zero_ok)

@@ -8,6 +8,8 @@ constraints on (alpha, beta) whose intersection is the designer's feasible
 band; SN and SA enter as floors on the CA margins (deviation_floor). The
 rating-0 CA line has a negative slope and intercept, so it never binds on
 the unit square and only its intercept (shared with participation) is kept.
+Every check allows the one slack TOLERANCE: a deviation may gain up to it,
+participation and the band's lines may miss by up to it.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from .errors import DegenerateDenominator
 from .params import DesignParams, IntrinsicParams, Strategy, check_worker
 from .payoffs import against_compliant, payoff_line, payoff_table
 from .ratings import transition_kernel
+
+TOLERANCE = 1e-9  # slack of every sustainability, participation and band check
 
 
 @dataclass(frozen=True)
@@ -66,19 +70,16 @@ def deviation_value(
 ) -> float:
     """Value of intending CA once at `rating`, then complying forever."""
     values = lifetime_values(design, params, worker)
-    return _deviation_values(design, params, worker, values)[rating]
+    row = transition_kernel(Strategy.CA, design, params)[rating]
+    stage = against_compliant(worker, Strategy.CA, design.price(rating), params)
+    return stage + params.delta * (row[0] * values.v0 + row[1] * values.v1)
 
 
-def _deviation_values(
-    design: DesignParams, params: IntrinsicParams, worker: int, values: LifetimeValues
-) -> tuple[float, float]:
-    # deviation_value at ratings 0 and 1 from one solve of the lifetime values
-    rows = transition_kernel(Strategy.CA, design, params)
-    return tuple(
-        against_compliant(worker, Strategy.CA, design.price(rating), params)
-        + params.delta * (row[0] * values.v0 + row[1] * values.v1)
-        for rating, row in enumerate(rows)
-    )
+def _gain(lines: tuple[np.ndarray, np.ndarray], intended: Strategy, gamma):
+    # one-period gain of intending `intended` instead of CN at prize gamma
+    slopes, intercepts = lines
+    i, cn = intended.index, Strategy.CN.index
+    return (slopes[i] - slopes[cn]) * gamma + (intercepts[i] - intercepts[cn])
 
 
 def compliance_margins(alpha, beta, gamma1, gamma0, params: IntrinsicParams, worker: int):
@@ -92,11 +93,11 @@ def compliance_margins(alpha, beta, gamma1, gamma0, params: IntrinsicParams, wor
     the sign of the textbook thresholds wherever those are defined.
     """
     cn_slope, cn_icept = payoff_line(worker, Strategy.CN, params)
-    ca_slope, ca_icept = payoff_line(worker, Strategy.CA, params)
+    lines = payoff_table(params).lines(worker)
     v_cn0 = cn_slope * gamma0 + cn_icept
     v_cn1 = cn_slope * gamma1 + cn_icept
-    gain0 = (ca_slope - cn_slope) * gamma0 + (ca_icept - cn_icept)
-    gain1 = (ca_slope - cn_slope) * gamma1 + (ca_icept - cn_icept)
+    gain0 = _gain(lines, Strategy.CA, gamma0)
+    gain1 = _gain(lines, Strategy.CA, gamma1)
     turnover = beta * params.error_any + alpha * params.error_free
     gap = (v_cn1 - v_cn0) / (1.0 - params.delta * (1.0 - turnover))
     detect = params.delta * params.detection_margin
@@ -106,32 +107,25 @@ def compliance_margins(alpha, beta, gamma1, gamma0, params: IntrinsicParams, wor
     return m0, m1, v0
 
 
-def _gain(lines: tuple[np.ndarray, np.ndarray], intended: Strategy, gamma):
-    # one-period gain of intending `intended` instead of CN at prize gamma
-    slopes, intercepts = lines
-    i, cn = intended.index, Strategy.CN.index
-    return (slopes[i] - slopes[cn]) * gamma + (intercepts[i] - intercepts[cn])
-
-
-def deviation_floor(gamma, params: IntrinsicParams, worker: int, tolerance: float = 1e-9):
+def deviation_floor(gamma, params: IntrinsicParams, worker: int):
     """Least CA margin at prize gamma under which no one-shot deviation pays.
 
     At one rating every deviation X loses delta * weight * gap * dq_X in
     continuation value and wins gain_X over CN in the period, where dq_X
     (the drop in the chance of being read as CN) is positive for CA, SN and
     SA on the validated domain. So m_X = (dq_X / dq_CA) * (m_CA + gain_CA) -
-    gain_X, and m_X >= -tolerance holds exactly when m_CA >= (dq_CA / dq_X)
-    * (gain_X - tolerance) - gain_CA. Returns the largest of the SN and SA
-    bounds and -tolerance (CA's own check), numpy-broadcasting over gamma:
+    gain_X, and m_X >= -TOLERANCE holds exactly when m_CA >= (dq_CA / dq_X)
+    * (gain_X - TOLERANCE) - gain_CA. Returns the largest of the SN and SA
+    bounds and -TOLERANCE (CA's own check), numpy-broadcasting over gamma:
     one value per prize, however many (alpha, beta) cells share it.
     """
     table = payoff_table(params)
     lines, drop = table.lines(worker), table.detection_drop
     gain_ca = _gain(lines, Strategy.CA, gamma)
-    floor = -tolerance
+    floor = -TOLERANCE
     for intended in (Strategy.SN, Strategy.SA):
         ratio = drop[Strategy.CA.index] / drop[intended.index]
-        floor = np.maximum(floor, ratio * (_gain(lines, intended, gamma) - tolerance) - gain_ca)
+        floor = np.maximum(floor, ratio * (_gain(lines, intended, gamma) - TOLERANCE) - gain_ca)
     return floor
 
 
@@ -155,8 +149,6 @@ class WorkerIncentives:
     margin0: float
     margin1: float
     lifetime: LifetimeValues
-    deviation0: float
-    deviation1: float
     sustainable: bool
 
 
@@ -165,7 +157,6 @@ class SustainabilityReport:
     design: DesignParams
     workers: tuple[WorkerIncentives, ...]
     sustainable: bool
-    tolerance: float
 
     def rows(self) -> list[tuple]:
         """(worker, constraint id, margin) rows; gap-unit combined margin may be +-inf."""
@@ -178,23 +169,19 @@ class SustainabilityReport:
         return out
 
 
-def is_sustainable(
-    design: DesignParams,
-    params: IntrinsicParams,
-    tolerance: float = 1e-9,
-) -> SustainabilityReport:
+def is_sustainable(design: DesignParams, params: IntrinsicParams) -> SustainabilityReport:
     """One-shot-deviation check of CA, SN and SA at both ratings, for both workers.
 
     The verdict holds when each worker's cleared-denominator CA margins
     clear their deviation_floor, so no CA, SN or SA deviation gains more
-    than the tolerance; participation is reported but not part of it. The
+    than TOLERANCE; participation is reported but not part of it. The
     report's margins are CA's; it also carries the gap-unit thresholds
     (infinite when the corresponding correction channel is shut) and the
-    raw lifetime and CA deviation values so callers can re-derive them.
+    lifetime compliant values.
     """
     workers = []
     for worker in (1, 2):
-        m0, m1, v0 = compliance_margins(
+        m0, m1, _ = compliance_margins(
             design.alpha, design.beta, design.gamma1, design.gamma0, params, worker
         )
         gap = rating_gap(design, params, worker)
@@ -203,11 +190,7 @@ def is_sustainable(
         detect = params.delta * params.detection_margin
         th0 = _gap_threshold(gain0, detect * design.alpha)
         th1 = _gap_threshold(gain1, detect * design.beta)
-        values = lifetime_values(design, params, worker)
-        deviation0, deviation1 = _deviation_values(design, params, worker, values)
-        floor0, floor1 = deviation_floor(
-            np.array([design.gamma0, design.gamma1]), params, worker, tolerance
-        )
+        floor0, floor1 = deviation_floor(np.array([design.gamma0, design.gamma1]), params, worker)
         workers.append(
             WorkerIncentives(
                 worker=worker,
@@ -219,9 +202,7 @@ def is_sustainable(
                 margin_combined=gap - max(th0, th1),
                 margin0=float(m0),
                 margin1=float(m1),
-                lifetime=values,
-                deviation0=deviation0,
-                deviation1=deviation1,
+                lifetime=lifetime_values(design, params, worker),
                 sustainable=bool(m0 >= floor0 and m1 >= floor1),
             )
         )
@@ -229,7 +210,6 @@ def is_sustainable(
         design=design,
         workers=tuple(workers),
         sustainable=all(w.sustainable for w in workers),
-        tolerance=tolerance,
     )
 
 
@@ -369,12 +349,12 @@ class FeasibilityBand:
     def empty(self) -> bool:
         return self.alpha_interval is None
 
-    def contains(self, alpha: float, beta: float, tolerance: float = 1e-9) -> bool:
+    def contains(self, alpha: float, beta: float) -> bool:
         if not (0.0 < alpha <= 1.0 and 0.0 < beta <= 1.0):
             return False
         k2, b2 = self.lower
         k3, b3 = self.upper
-        return not (beta < k2 * alpha + b2 - tolerance or beta > k3 * alpha + b3 + tolerance)
+        return not (beta < k2 * alpha + b2 - TOLERANCE or beta > k3 * alpha + b3 + TOLERANCE)
 
 
 def feasibility_band(gamma1: float, params: IntrinsicParams) -> FeasibilityBand:

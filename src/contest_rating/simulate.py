@@ -29,7 +29,7 @@ import numpy as np
 from .incentives import deviation_value, lifetime_values
 from .params import DesignParams, IntrinsicParams
 from .ratings import stationary_distribution
-from .requester import social_utility
+from .requester import social_utility_closed
 from .tableio import csv_line
 
 
@@ -213,7 +213,9 @@ def run_chain(design: DesignParams, params: IntrinsicParams, config: SimConfig) 
     if config.deviate_worker is not None:
         raise ValueError("run_chain simulates compliance: deviate_worker/_rating are for run_utility")
     eta = stationary_distribution(design, params)
-    analytic_social = social_utility(design, params).value
+    analytic_social = social_utility_closed(
+        design.alpha, design.beta, design.gamma1, design.gamma0, params
+    )
     social, _, _ = _payoff_tables(design, params)
     pairs = config.population
     periods = config.periods

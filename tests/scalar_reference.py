@@ -51,6 +51,7 @@ from contest_rating import (
     stationary_distribution,
     transition_kernel,
 )
+from contest_rating.incentives import TOLERANCE
 from contest_rating.simulate import _estimate
 
 
@@ -350,13 +351,12 @@ def whole_grid_oracle(params, config=None, gamma0=0.0, utility_of=social_utility
     alpha = grid[:, None, None]
     beta = grid[None, :, None]
     gamma1 = grid[None, None, :]
-    tol = config.tolerance
     ok = np.broadcast_to(gamma1 > gamma0 + 1e-12, (r, r, r)).copy()
     for worker in (1, 2):
         m0, m1, v0 = compliance_margins(alpha, beta, gamma1, gamma0, params, worker)
-        floor0 = deviation_floor(gamma0, params, worker, tol)
-        floor1 = deviation_floor(gamma1, params, worker, tol)
-        ok &= (m0 >= floor0) & (m1 >= floor1) & (v0 >= -tol)
+        floor0 = deviation_floor(gamma0, params, worker)
+        floor1 = deviation_floor(gamma1, params, worker)
+        ok &= (m0 >= floor0) & (m1 >= floor1) & (v0 >= -TOLERANCE)
     n_feasible = int(ok.sum())
     if n_feasible == 0:
         return OracleResult(False, math.nan, math.nan, math.nan, gamma0, math.nan, 0, r)

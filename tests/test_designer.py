@@ -18,7 +18,7 @@ import pytest
 from four_intent import violations
 from scalar_reference import closed_form_case_utility, scalar_case_optimum, whole_grid_oracle
 
-from contest_rating import designer, incentives
+from contest_rating import designer, incentives, ratings
 from contest_rating import (
     CASE_ALPHA_ONE,
     CASE_BETA_ONE,
@@ -51,8 +51,6 @@ def test_config_validation():
         DesignerConfig(gamma_grid_m=5)
     with pytest.raises(ValueError):
         DesignerConfig(oracle_grid_r=3)
-    with pytest.raises(ValueError):
-        DesignerConfig(tolerance=1e-3)
 
 
 def test_defaults_optimum_frozen(defaults, optimum):
@@ -66,8 +64,8 @@ def test_defaults_optimum_frozen(defaults, optimum):
     assert optimum.certificate is not None and optimum.certificate.sustainable
     # the costlier worker sits exactly on its participation boundary; the
     # cheaper one keeps strictly positive surplus
-    assert optimum.participation[2] == pytest.approx(0.0, abs=1e-9)
-    assert optimum.participation[1] > 1.0
+    assert optimum.certificate.workers[1].lifetime.v0 == pytest.approx(0.0, abs=1e-9)
+    assert optimum.certificate.workers[0].lifetime.v0 > 1.0
 
 
 def test_optimum_on_unit_square_boundary(optimum):
@@ -374,7 +372,7 @@ def test_optimize_answers_lie_in_their_band():
             except Infeasible:
                 continue
             band = feasibility_band(outcome.gamma1, p)
-            assert band.contains(outcome.alpha, outcome.beta, config.tolerance), (m, p)
+            assert band.contains(outcome.alpha, outcome.beta), (m, p)
             assert outcome.certificate.sustainable, (m, p)
             answers += 1
     assert answers >= 200
@@ -392,6 +390,22 @@ def test_optimize_evaluates_the_grid_twice(defaults, monkeypatch):
     monkeypatch.setattr(incentives, "_coefficient_grid", counted)
     optimize(defaults)
     assert len(calls) == 2
+
+
+def test_optimize_solves_no_deviation_values(defaults, monkeypatch):
+    # the certificate reads margins and floors; nothing in it needs the
+    # value of a CA deviation, so no CA rating kernel is built
+    kernel, intents = ratings.transition_kernel, []
+
+    def counted(intended, *args):
+        intents.append(intended)
+        return kernel(intended, *args)
+
+    for module in (ratings, incentives):
+        monkeypatch.setattr(module, "transition_kernel", counted)
+    optimize(defaults)
+    assert Strategy.CN in intents  # the counter sees the lifetime solves
+    assert intents.count(Strategy.CA) == 0
 
 
 def test_near_zero_attack_cost_is_feasible():

@@ -1,7 +1,8 @@
-"""The committed scripts: the bench report's file name and the design digest's coverage."""
+"""The committed scripts: the bench report's file name and the digests' coverage."""
 
 import importlib.util
 import sys
+import tempfile
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -47,3 +48,22 @@ def test_design_digest_runs_every_design_command(monkeypatch, capsys):
     assert feasible > len(workloads.SWEEPS)
     assert len(outputs["check"]) == feasible
     assert all(o.endswith("sustainable=true\n") for o in outputs["check"])
+
+
+def test_sim_digest_runs_every_simulate_op(monkeypatch, capsys):
+    digest = _load("sim_digest", monkeypatch)
+    monkeypatch.setattr(digest, "SHAPES", ((270, 2, 2),))  # the least horizon at delta = 0.95
+    monkeypatch.setattr(digest, "DESIGNS", digest.DESIGNS[2:3])
+    main, codes = digest.cli_main, []
+
+    def recording(argv):
+        codes.append(main(argv))
+        return codes[-1]
+
+    monkeypatch.setattr(digest, "cli_main", recording)
+    assert digest.main(["--seeds", "0"]) == 0
+    out = capsys.readouterr().out
+    assert len(out) == 65 and int(out, 16) >= 0  # one sha256 hex line
+    with tempfile.TemporaryDirectory() as tmp:
+        ops = [digest.workloads.build_ops(w, 0, Path(tmp)) for w in ("sim_long", "sim_wide")]
+    assert len(codes) == sum(map(len, ops)) and set(codes) == {0}
