@@ -16,11 +16,15 @@ subprocess) is followed by the fixed kernel of benchmark/hostspeed.py, and
 the times are also reported scaled to the kernel's reference speed, as
 benchmark/run.py does: seconds x REFERENCE_S / median kernel seconds. A
 function row records the median and quartiles over its processes of each
-process's median; a CLI row those of its calls. A subprocess call is mostly
-interpreter start and import, so each CLI row also times cli.main in this
-process, once per round right after the subprocess (after one untimed
-warm-up call), and records the same summary under "in_process". The file
-also records the Tier-1 wall time and the line count of src/contest_rating.
+process's median; a CLI row those of its calls. A function row also records
+its minor page faults per call (the ru_minflt delta of getrusage around the
+timed calls, kernel runs excluded), the median over its processes: a call
+whose temporaries glibc hands back to the kernel faults them in again. A
+subprocess call is mostly interpreter start and import, so each CLI row
+also times cli.main in this process, once per round right after the
+subprocess (after one untimed warm-up call), and records the same summary
+under "in_process". The file also records the Tier-1 wall time and the
+line count of src/contest_rating.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import io
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -123,6 +128,7 @@ def across_processes(children: list[dict]) -> dict:
         "scaled_iqr_ms": sq3 - sq1,
         "kernel_median_ms": statistics.median(c["kernel_median_ms"] for c in children),
         "process_medians_ms": [c["median_ms"] for c in children],
+        "minflt_per_call": statistics.median(c["minflt_per_call"] for c in children),
     }
 
 
@@ -132,13 +138,15 @@ def time_function_row(index: int) -> dict:
     call = factory(default_params())
     call()
     hostspeed.kernel()
-    seconds, kernels = [], []
+    seconds, kernels, faults = [], [], 0
     for _ in range(calls):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         start = time.perf_counter()
         call()
         seconds.append(time.perf_counter() - start)
+        faults += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
         kernels.append(hostspeed.kernel())
-    return summary(seconds, kernels)
+    return {**summary(seconds, kernels), "minflt_per_call": faults / calls}
 
 
 def time_cli_call(argv: list[str]) -> tuple[float, float]:
@@ -190,7 +198,8 @@ def main(argv=None) -> int:
             children[name].append(json.loads(child.stdout))
     rows = {name: across_processes(runs) for name, runs in children.items()}
     for name, row in rows.items():
-        print(f"{name}: {row['median_ms']:.2f} ms", file=sys.stderr)
+        print(f"{name}: {row['median_ms']:.2f} ms, {row['minflt_per_call']:.0f} minor faults per call",
+              file=sys.stderr)
     hostspeed.kernel()
     timed = {name: {time_cli_call: ([], []), time_cli_main: ([], [])} for name, _ in CLI_ROWS}
     with tempfile.TemporaryDirectory() as tmp:

@@ -8,9 +8,11 @@ reads the band's binding lines once over a uniform gamma1 grid, keeps the
 feasibility-qualified points, and takes the closed-form utility of the
 chosen one; the winner across cases is the design, certified by
 is_sustainable. A dense grid scan over (alpha, beta, gamma1) re-derives
-everything from the primal margins as an independent check. Every
-comparison that allows slack (tied case utilities, the certificate, the
-oracle's margins, the base-price verdict) allows incentives.TOLERANCE.
+everything from the primal margins as an independent check: slab by slab,
+into work arrays made once per call, over the prizes above gamma0 only,
+reading utility once per (alpha, beta) row. Every comparison that allows
+slack (tied case utilities, the certificate, the oracle's margins, the
+base-price verdict) allows incentives.TOLERANCE.
 """
 
 from __future__ import annotations
@@ -248,43 +250,48 @@ def brute_force_oracle(
     workers, no one-shot deviation to CA, SN or SA pays at either rating
     (each CA margin clears its deviation_floor, one bound per prize) and
     participation holds at rating 0. gamma0 can be pinned to a positive
-    value to probe the base price; gamma1 points at or below it are
-    excluded.
+    value to probe the base price; only the suffix of gamma1 points above
+    it is walked.
 
-    The grid is walked in slabs of whole alpha rows, so memory grows with
-    one slab, not with r**3. A slab's maximum replaces the running one only
-    when strictly larger: the first maximum in C order wins (smallest
-    alpha, beta, gamma1), as over the whole grid at once.
+    Slabs of whole alpha rows are computed into work arrays made once per
+    call, so memory grows with one slab, not with r**3. Utility is read at
+    each (alpha, beta) row's first feasible gamma1: in error_free - (down *
+    gamma0 + up * gamma1) / (down + up), up, down >= 0, each step is monotone
+    in gamma1, so under IEEE rounding utility never rises along a row. A
+    slab's maximum replaces the running one only when strictly larger: the
+    first maximum in C order wins (smallest alpha, beta, gamma1), as in one pass.
     """
     config = config or DesignerConfig()
     r = config.oracle_grid_r
     grid = np.arange(1, r + 1) / r
-    beta = grid[None, :, None]
-    gamma1 = grid[None, None, :]
+    start = int(np.searchsorted(grid, gamma0 + 1e-12, side="right"))  # first prize above gamma0
+    beta, gamma1 = grid[None, :, None], grid[None, None, start:]
     floors = [(w, deviation_floor(gamma0, params, w), deviation_floor(gamma1, params, w)) for w in (1, 2)]
-    prize_ok = gamma1 > gamma0 + 1e-12
-    rows = max(1, _ORACLE_SLAB_CELLS // (r * r))
-    n_feasible, best_flat, best_utility = 0, -1, -math.inf
+    rows = max(1, _ORACLE_SLAB_CELLS // (r * max(1, r - start)))
+    margins = np.empty((3, rows, r, r - start))  # one slab's work arrays, reused by every slab
+    masks = np.empty((2, rows, r, r - start), dtype=bool)
+    n_feasible, best, best_utility = 0, None, -math.inf
     for first in range(0, r, rows):
         alpha = grid[first : first + rows, None, None]
-        ok = np.broadcast_to(prize_ok, (alpha.shape[0], r, r)).copy()
+        (m0, m1, v0), (ok, cut) = margins[:, : len(alpha)], masks[:, : len(alpha)]
+        ok.fill(True)
         for worker, floor0, floor1 in floors:
-            m0, m1, v0 = compliance_margins(alpha, beta, gamma1, gamma0, params, worker)
-            ok &= m0 >= floor0
-            ok &= m1 >= floor1
-            ok &= v0 >= -TOLERANCE
-        count = int(np.count_nonzero(ok))
+            compliance_margins(alpha, beta, gamma1, gamma0, params, worker, out=(m0, m1, v0))
+            ok &= np.greater_equal(m0, floor0, out=cut)
+            ok &= np.greater_equal(m1, floor1, out=cut)
+            ok &= np.greater_equal(v0, -TOLERANCE, out=cut)
+        n_feasible += (count := int(np.count_nonzero(ok)))
         if not count:
             continue
-        n_feasible += count
-        utility = social_utility_closed(alpha, beta, gamma1, gamma0, params)
-        utility[~ok] = -np.inf
-        flat = int(np.argmax(utility))
-        if utility.flat[flat] > best_utility:
-            best_flat, best_utility = first * r * r + flat, float(utility.flat[flat])
+        cell = ok.argmax(axis=2)  # each row's first feasible gamma1, which holds its maximum
+        utility = social_utility_closed(alpha[:, :, 0], beta[:, :, 0], gamma1[0, 0, cell], gamma0, params)
+        utility[~ok.any(axis=2)] = -np.inf
+        ia, ib = np.unravel_index(int(np.argmax(utility)), utility.shape)
+        if utility[ia, ib] > best_utility:
+            best, best_utility = (first + ia, ib, start + cell[ia, ib]), float(utility[ia, ib])
     if n_feasible == 0:
         return OracleResult(False, math.nan, math.nan, math.nan, gamma0, math.nan, 0, r)
-    ia, ib, ig = np.unravel_index(best_flat, (r, r, r))
+    ia, ib, ig = best
     return OracleResult(
         feasible=True,
         alpha=float(grid[ia]),

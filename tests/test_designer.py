@@ -422,9 +422,12 @@ def test_near_zero_attack_cost_is_feasible():
 
 @pytest.mark.parametrize(
     "r, slab_cells",
-    # 37: a 36-row slab and a 1-row tail; 100: twenty 5-row slabs; 10 at
-    # 300 cells: 3-row slabs and a 1-row tail; 23 at 1 cell: a row per slab
-    [(37, None), (100, None), (10, 300), (23, 1)],
+    # At gamma0 = 0 (the whole gamma1 axis): 37: a 36-row slab and a 1-row
+    # tail; 100: twenty 5-row slabs; 10 at 300 cells: 3-row slabs and a
+    # 1-row tail; 23 at 1 cell: a row per slab. 23 at 1955 cells: 3-row
+    # slabs at gamma0 = 0, 5-row slabs on the 17-point prize suffix above
+    # gamma0 = 0.3, and one slab on the 1-point suffix above 0.995.
+    [(37, None), (100, None), (10, 300), (23, 1), (23, 1955)],
 )
 def test_oracle_slabs_equal_the_whole_grid(monkeypatch, r, slab_cells):
     if slab_cells is not None:
@@ -432,11 +435,24 @@ def test_oracle_slabs_equal_the_whole_grid(monkeypatch, r, slab_cells):
     config = DesignerConfig(oracle_grid_r=r)
     seen = Counter()  # (feasible, perfect monitoring)
     for p in _edge_weighted_environments(14 if r == 100 else 70, seed=1618):
-        for gamma0 in (0.0, 0.3):
+        # 0.995 leaves a one-point prize suffix (gamma1 = 1), 1.0 none
+        for gamma0 in (0.0, 0.3, 0.995, 1.0):
             res = brute_force_oracle(p, config, gamma0=gamma0)
             assert repr(res) == repr(whole_grid_oracle(p, config, gamma0=gamma0)), (p, gamma0)
             seen[res.feasible, p.error_any == 0.0] += 1
     assert seen[True, False] and seen[False, False] and seen[True, True], seen
+
+
+def test_utility_never_rises_along_gamma1_on_the_oracle_grid():
+    # the premise of the oracle's row read: along every (alpha, beta) row the
+    # computed utility is non-increasing in gamma1, exactly, so the row's
+    # first feasible cell holds its maximum
+    grid = np.arange(1, 101) / 100
+    alpha, beta, gamma1 = grid[:, None, None], grid[None, :, None], grid[None, None, :]
+    for p in _edge_weighted_environments(70, seed=1618):
+        for gamma0 in (0.0, 0.3):
+            utility = social_utility_closed(alpha, beta, gamma1, gamma0, p)
+            assert (np.diff(utility, axis=-1) <= 0.0).all(), (p, gamma0)
 
 
 def test_oracle_tie_across_slabs_keeps_the_first_cell(defaults, monkeypatch):
@@ -462,7 +478,10 @@ def test_oracle_memory_grows_with_one_slab(defaults):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 16e6  # whole_grid_oracle peaks at about 55 MB here
+    # 1.45 MB measured: three float work arrays of one 5-row slab (1.2 MB)
+    # and the masks; 3.3 MB with fresh temporaries per slab, 55 MB for
+    # whole_grid_oracle
+    assert peak < 2e6
 
 
 def test_case_scan_rejects_unknown_case(defaults):
