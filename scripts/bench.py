@@ -86,6 +86,7 @@ FUNCTION_ROWS = [
 ]
 CLI_ROWS = [
     ("CLI design", ["design", "{cfg}"]),
+    ("CLI design --oracle", ["design", "{cfg}", "--oracle"]),
     ("CLI sweep, 9 points", ["sweep", "{cfg}", "--vary", "c1", "--from", "0.05", "--to", "0.45", "--step", "0.05"]),
     ("CLI check", ["check", "{cfg}", "--alpha", DESIGNED[0], "--beta", DESIGNED[1], "--gamma1", DESIGNED[2]]),
     ("CLI simulate", ["simulate", "{cfg}", "--alpha", DESIGNED[0], "--beta", DESIGNED[1], "--gamma1", DESIGNED[2]]),

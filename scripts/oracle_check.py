@@ -1,4 +1,4 @@
-"""Cross-check the boundary-case optimizer against the dense grid oracle.
+"""Cross-check the boundary-case optimizer against the grid oracle.
 
 Part one scans the default family (c1 varies, everything else fixed) and
 prints the case-analysis optimum next to the exhaustive (alpha, beta,

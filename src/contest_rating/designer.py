@@ -7,12 +7,13 @@ participation boundary, or pin alpha = 1 and put beta there. Each case
 reads the band's binding lines once over a uniform gamma1 grid, keeps the
 feasibility-qualified points, and takes the closed-form utility of the
 chosen one; the winner across cases is the design, certified by
-is_sustainable. A dense grid scan over (alpha, beta, gamma1) re-derives
-everything from the primal margins as an independent check: slab by slab,
-into work arrays made once per call, over the prizes above gamma0 only,
-reading utility once per (alpha, beta) row. Every comparison that allows
-slack (tied case utilities, the certificate, the oracle's margins, the
-base-price verdict) allows incentives.TOLERANCE.
+is_sustainable. A grid oracle over (alpha, beta, gamma1) re-derives
+everything from the primal margins as an independent check. It finds each
+cell's verdict by exact bisection: along gamma1 the rating-0 and
+participation margins never fall, and along alpha the rating-1 margin never
+rises, so each verdict holds on a suffix of prizes or a prefix of alphas.
+Every comparison that allows slack (tied case utilities, the certificate,
+the oracle's margins, the base-price verdict) allows incentives.TOLERANCE.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDenominator, Infeasible
+from .errors import DegenerateDenominator, DomainError, Infeasible
 from .incentives import (
     TOLERANCE,
     SustainabilityReport,
@@ -223,9 +224,6 @@ def optimize(params: IntrinsicParams, config: DesignerConfig | None = None) -> D
     )
 
 
-_ORACLE_SLAB_CELLS = 50_000  # grid cells per oracle slab: 5 alpha rows at r = 100
-
-
 @dataclass(frozen=True)
 class OracleResult:
     feasible: bool
@@ -238,6 +236,20 @@ class OracleResult:
     grid_r: int
 
 
+_SEARCH_CELLS = 8000  # cells per margin call (whole grid rows): each float temporary stays under 64 KiB
+_MASK_CELLS = 1 << 18  # cells per slab of the one-byte feasibility mask
+
+
+def _count_leading(fails, size: int, shape: tuple[int, ...]) -> np.ndarray:
+    # Per entry, the length of the prefix of range(size) on which `fails` holds, by binary
+    # lifting: one probe per entry and step; a probe past the end counts for nothing.
+    count = np.zeros(shape, dtype=np.intp)
+    for step in (1 << e for e in reversed(range(size.bit_length()))):
+        probe = count + (step - 1)
+        np.add(count, step, out=count, where=(probe < size) & fails(probe))
+    return count
+
+
 def brute_force_oracle(
     params: IntrinsicParams,
     config: DesignerConfig | None = None,
@@ -245,63 +257,66 @@ def brute_force_oracle(
 ) -> OracleResult:
     """Exhaustive grid argmax over (alpha, beta, gamma1) in {1/r, ..., 1}^3.
 
-    Feasibility is evaluated from the primal margins rather than the band
-    algebra, so it shares no logic with the case analysis: for both
-    workers, no one-shot deviation to CA, SN or SA pays at either rating
-    (each CA margin clears its deviation_floor, one bound per prize) and
-    participation holds at rating 0. gamma0 can be pinned to a positive
-    value to probe the base price; only the suffix of gamma1 points above
-    it is walked.
+    Feasibility comes from the primal margins, not the band algebra, so it
+    shares no logic with the case analysis: for both workers no one-shot
+    deviation to CA, SN or SA pays at either rating (each CA margin clears
+    its deviation_floor) and participation holds at rating 0. gamma0 can be
+    pinned above 0 to probe the base price; only prizes above it count.
 
-    Slabs of whole alpha rows are computed into work arrays made once per
-    call, so memory grows with one slab, not with r**3. Utility is read at
-    each (alpha, beta) row's first feasible gamma1: in error_free - (down *
-    gamma0 + up * gamma1) / (down + up), up, down >= 0, each step is monotone
-    in gamma1, so under IEEE rounding utility never rises along a row. A
-    slab's maximum replaces the running one only when strictly larger: the
-    first maximum in C order wins (smallest alpha, beta, gamma1), as in one pass.
+    Each verdict is compliance_margins' own at its cell, found by bisection
+    on two premises. They hold step by step in IEEE arithmetic when the CN
+    slopes, detection margin and error rates are >= 0 and 0 <= delta < 1
+    (DomainError otherwise). At fixed (alpha, beta), m0 and v0 never fall as
+    gamma1 rises, so rating 0 and participation hold from a first prize on.
+    At fixed (beta, gamma1), m1 never rises as alpha rises, so rating 1
+    holds below a first failing alpha. Utility never rises along gamma1, so
+    each (alpha, beta) row is read at its first feasible prize; the first
+    maximum in C order wins (smallest alpha, beta, gamma1).
     """
-    config = config or DesignerConfig()
-    r = config.oracle_grid_r
+    cn_slopes = [payoff_line(w, Strategy.CN, params)[0] for w in (1, 2)]
+    signs = (*cn_slopes, params.detection_margin, params.error_free, params.error_any, params.delta)
+    if not (all(x >= 0.0 for x in signs) and params.delta < 1.0):
+        raise DomainError(f"oracle premises need CN slopes, detection margin, error rates, delta {signs} >= 0, delta < 1")
+    r = (config or DesignerConfig()).oracle_grid_r
     grid = np.arange(1, r + 1) / r
-    start = int(np.searchsorted(grid, gamma0 + 1e-12, side="right"))  # first prize above gamma0
-    beta, gamma1 = grid[None, :, None], grid[None, None, start:]
-    floors = [(w, deviation_floor(gamma0, params, w), deviation_floor(gamma1, params, w)) for w in (1, 2)]
-    rows = max(1, _ORACLE_SLAB_CELLS // (r * max(1, r - start)))
-    margins = np.empty((3, rows, r, r - start))  # one slab's work arrays, reused by every slab
-    masks = np.empty((2, rows, r, r - start), dtype=bool)
-    n_feasible, best, best_utility = 0, None, -math.inf
-    for first in range(0, r, rows):
-        alpha = grid[first : first + rows, None, None]
-        (m0, m1, v0), (ok, cut) = margins[:, : len(alpha)], masks[:, : len(alpha)]
-        ok.fill(True)
+    prizes = grid[int(np.searchsorted(grid, gamma0 + 1e-12, side="right")) :]  # the prizes above gamma0
+    n, index = len(prizes), np.min_scalar_type(r)  # one byte per grid index up to r = 255
+    floors = [(w, deviation_floor(gamma0, params, w), deviation_floor(prizes, params, w)) for w in (1, 2)]
+
+    def holds(rating, alpha, beta, k):  # rating 0 and participation (rating = 0), or rating 1, at prizes[k]
+        gamma1, ok = prizes.take(k, mode="clip"), []
         for worker, floor0, floor1 in floors:
-            compliance_margins(alpha, beta, gamma1, gamma0, params, worker, out=(m0, m1, v0))
-            ok &= np.greater_equal(m0, floor0, out=cut)
-            ok &= np.greater_equal(m1, floor1, out=cut)
-            ok &= np.greater_equal(v0, -TOLERANCE, out=cut)
-        n_feasible += (count := int(np.count_nonzero(ok)))
-        if not count:
-            continue
-        cell = ok.argmax(axis=2)  # each row's first feasible gamma1, which holds its maximum
-        utility = social_utility_closed(alpha[:, :, 0], beta[:, :, 0], gamma1[0, 0, cell], gamma0, params)
-        utility[~ok.any(axis=2)] = -np.inf
+            m0, m1, v0 = compliance_margins(alpha, beta, gamma1, gamma0, params, worker)
+            ok.append((m1 >= floor1[k]) if rating else (m0 >= floor0) & (v0 >= -TOLERANCE))
+        return ok[0] & ok[1]
+
+    low, top, rows = np.empty((r, r), dtype=index), np.zeros((r, n), dtype=index), max(1, _SEARCH_CELLS // r)
+    for s in range(0, r, rows):  # first prize at which each (alpha, beta) row clears
+        a = grid[s : s + rows, None]
+        low[s : s + rows] = _count_leading(lambda k: ~holds(0, a, grid, k), n, (len(a), r))
+    # first failing alpha per (beta, prize) column, searched where some row's low allows a feasible cell
+    b, k = np.nonzero(np.arange(n) >= low.min(axis=0)[:, None])
+    for e in (slice(s, s + rows * r) for s in range(0, len(b), rows * r)):
+        beta, prize = grid[b[e]], k[e]
+        top[b[e], prize] = _count_leading(lambda i: holds(1, grid.take(i, mode="clip"), beta, prize), r, prize.shape)
+    rows = max(1, _MASK_CELLS // (r * max(n, 1)))  # mask slabs of alpha rows
+    masks = np.empty((2, rows, r, n), dtype=bool)
+    n_feasible, best = 0, (-math.inf,)
+    for s in range(0, r if n else 0, rows):  # no slab when no prize is above gamma0
+        ok, cut = masks[:, : len(low[s : s + rows])]
+        np.less(np.arange(s, s + len(ok), dtype=index)[:, None, None], top, out=ok)
+        ok &= np.greater_equal(np.arange(n, dtype=index), low[s : s + rows, :, None], out=cut)
+        n_feasible += int(np.count_nonzero(ok))
+        cell = ok.argmax(axis=2)  # each row's first feasible gamma1
+        utility = social_utility_closed(grid[s : s + rows, None], grid, prizes[cell], gamma0, params)
+        utility[~np.take_along_axis(ok, cell[:, :, None], axis=2)[:, :, 0]] = -np.inf
         ia, ib = np.unravel_index(int(np.argmax(utility)), utility.shape)
-        if utility[ia, ib] > best_utility:
-            best, best_utility = (first + ia, ib, start + cell[ia, ib]), float(utility[ia, ib])
+        if utility[ia, ib] > best[0]:  # strictly, so the first maximum in C order wins
+            best = (float(utility[ia, ib]), float(grid[s + ia]), float(grid[ib]), float(prizes[cell[ia, ib]]))
     if n_feasible == 0:
         return OracleResult(False, math.nan, math.nan, math.nan, gamma0, math.nan, 0, r)
-    ia, ib, ig = best
-    return OracleResult(
-        feasible=True,
-        alpha=float(grid[ia]),
-        beta=float(grid[ib]),
-        gamma1=float(grid[ig]),
-        gamma0=gamma0,
-        utility=best_utility,
-        n_feasible=n_feasible,
-        grid_r=r,
-    )
+    utility, alpha, beta, gamma1 = best
+    return OracleResult(True, alpha, beta, gamma1, gamma0, utility, n_feasible, r)
 
 
 @dataclass(frozen=True)

@@ -82,7 +82,7 @@ def _gain(lines: tuple[np.ndarray, np.ndarray], intended: Strategy, gamma):
     return (slopes[i] - slopes[cn]) * gamma + (intercepts[i] - intercepts[cn])
 
 
-def compliance_margins(alpha, beta, gamma1, gamma0, params: IntrinsicParams, worker: int, *, out=None):
+def compliance_margins(alpha, beta, gamma1, gamma0, params: IntrinsicParams, worker: int):
     """Deviation margins and participation value, numpy-broadcasting.
 
     Returns (m0, m1, v0): m_theta = delta * weight_theta * D * gap -
@@ -91,11 +91,7 @@ def compliance_margins(alpha, beta, gamma1, gamma0, params: IntrinsicParams, wor
     one-shot-deviation inequalities cleared of their (possibly vanishing)
     denominators, so they stay finite at delta = 0 or beta = 0 and share
     the sign of the textbook thresholds wherever those are defined.
-
-    out, as in numpy, takes three arrays of the broadcast shape for (m0, m1,
-    v0), the gap staged in the third; the operations and bits are the same.
     """
-    out0, out1, out_v = out or (None, None, None)
     cn_slope, cn_icept = payoff_line(worker, Strategy.CN, params)
     lines = payoff_table(params).lines(worker)
     v_cn0 = cn_slope * gamma0 + cn_icept
@@ -103,12 +99,11 @@ def compliance_margins(alpha, beta, gamma1, gamma0, params: IntrinsicParams, wor
     gain0 = _gain(lines, Strategy.CA, gamma0)
     gain1 = _gain(lines, Strategy.CA, gamma1)
     turnover = beta * params.error_any + alpha * params.error_free
-    gap = np.divide(v_cn1 - v_cn0, 1.0 - params.delta * (1.0 - turnover), out=out_v)
+    gap = (v_cn1 - v_cn0) / (1.0 - params.delta * (1.0 - turnover))
     detect = params.delta * params.detection_margin
-    m0 = np.subtract(np.multiply(detect * alpha, gap, out=out0), gain0, out=out0)
-    m1 = np.subtract(np.multiply(detect * beta, gap, out=out1), gain1, out=out1)
-    v0 = np.multiply(params.delta * alpha * params.error_free, gap, out=out_v)
-    v0 = np.divide(np.add(v_cn0, v0, out=out_v), 1.0 - params.delta, out=out_v)
+    m0 = detect * alpha * gap - gain0
+    m1 = detect * beta * gap - gain1
+    v0 = (v_cn0 + params.delta * alpha * params.error_free * gap) / (1.0 - params.delta)
     return m0, m1, v0
 
 

@@ -20,8 +20,10 @@
   one packed event code and look payoffs up in per-code tables, must return
   an equal `SimResult`, float for float.
 - `whole_grid_oracle`: the grid oracle evaluated over all r**3 cells at
-  once. `brute_force_oracle`, which walks the grid in slabs of alpha rows,
-  must return an equal `OracleResult`.
+  once. `brute_force_oracle`, which finds each row's first clearing prize
+  and each column's first failing alpha by bisection on the margins (the
+  rating-0 and participation margins never fall along gamma1, the rating-1
+  margin never rises along alpha), must return an equal `OracleResult`.
 """
 
 import math

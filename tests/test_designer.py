@@ -9,6 +9,7 @@ stationary share eta0 of periods. Every winner is certified by the
 independent four-intent check in `four_intent.py`.
 """
 
+import itertools
 import math
 import tracemalloc
 from collections import Counter
@@ -24,6 +25,7 @@ from contest_rating import (
     CASE_BETA_ONE,
     DegenerateDenominator,
     DesignerConfig,
+    DomainError,
     DesignParams,
     Infeasible,
     OUTCOME_CSV_HEADER,
@@ -421,17 +423,22 @@ def test_near_zero_attack_cost_is_feasible():
 
 
 @pytest.mark.parametrize(
-    "r, slab_cells",
-    # At gamma0 = 0 (the whole gamma1 axis): 37: a 36-row slab and a 1-row
-    # tail; 100: twenty 5-row slabs; 10 at 300 cells: 3-row slabs and a
-    # 1-row tail; 23 at 1 cell: a row per slab. 23 at 1955 cells: 3-row
-    # slabs at gamma0 = 0, 5-row slabs on the 17-point prize suffix above
-    # gamma0 = 0.3, and one slab on the 1-point suffix above 0.995.
+    "r, cells",
+    # cells sets both _SEARCH_CELLS (cells per margin call, in whole grid
+    # rows) and _MASK_CELLS (cells per mask slab). None keeps the defaults:
+    # at 37 one search chunk and one mask slab; at 100 an 80-row search
+    # chunk and a 20-row tail, and 26-row mask slabs. 10 at 300: one search
+    # chunk, 3-row mask slabs and a 1-row tail. 23 at 1: a row per search
+    # chunk, 23 columns per column chunk and a row per mask slab. 23 at
+    # 1955: 3-row mask slabs at gamma0 = 0, 5-row slabs on the 17-point
+    # prize suffix above gamma0 = 0.3, and one slab on the 1-point suffix
+    # above 0.995.
     [(37, None), (100, None), (10, 300), (23, 1), (23, 1955)],
 )
-def test_oracle_slabs_equal_the_whole_grid(monkeypatch, r, slab_cells):
-    if slab_cells is not None:
-        monkeypatch.setattr(designer, "_ORACLE_SLAB_CELLS", slab_cells)
+def test_oracle_slabs_equal_the_whole_grid(monkeypatch, r, cells):
+    if cells is not None:
+        monkeypatch.setattr(designer, "_SEARCH_CELLS", cells)
+        monkeypatch.setattr(designer, "_MASK_CELLS", cells)
     config = DesignerConfig(oracle_grid_r=r)
     seen = Counter()  # (feasible, perfect monitoring)
     for p in _edge_weighted_environments(14 if r == 100 else 70, seed=1618):
@@ -455,14 +462,44 @@ def test_utility_never_rises_along_gamma1_on_the_oracle_grid():
             assert (np.diff(utility, axis=-1) <= 0.0).all(), (p, gamma0)
 
 
+def test_oracle_search_premises_hold_on_the_oracle_grid():
+    # the premises of the oracle's two searches, on each worker's verdicts
+    # computed as the oracle computes them: at fixed (alpha, beta) rating 0
+    # and participation never go from holding to failing as gamma1 rises,
+    # and at fixed (beta, gamma1) rating 1 never goes from failing to
+    # holding as alpha rises
+    grid = np.arange(1, 101) / 100
+    for p in _edge_weighted_environments(70, seed=1618):
+        for gamma0, worker in itertools.product((0.0, 0.3), (1, 2)):
+            gamma1 = grid[grid > gamma0 + 1e-12]
+            m0, m1, v0 = compliance_margins(grid[:, None, None], grid[None, :, None], gamma1, gamma0, p, worker)
+            rating0 = (m0 >= incentives.deviation_floor(gamma0, p, worker)) & (v0 >= -incentives.TOLERANCE)
+            rating1 = m1 >= incentives.deviation_floor(gamma1, p, worker)
+            assert (rating0[:, :, :-1] <= rating0[:, :, 1:]).all(), (p, gamma0, worker)
+            assert (rating1[:-1] >= rating1[1:]).all(), (p, gamma0, worker)
+
+
+def test_oracle_refuses_a_domain_outside_its_premises(defaults):
+    # eps2 > 0.5 makes the detection margin negative, so m0 could fall as
+    # gamma1 rises and the bisection could miss a feasible cell
+    p = with_params(defaults, eps2=0.6)
+    assert p.detection_margin < 0.0 and not validate(p).ok
+    with pytest.raises(DomainError, match="oracle premises"):
+        brute_force_oracle(p, DesignerConfig(oracle_grid_r=10))
+    with pytest.raises(DomainError, match="oracle premises"):
+        brute_force_oracle(with_params(defaults, delta=1.0), DesignerConfig(oracle_grid_r=10))
+
+
 def test_oracle_tie_across_slabs_keeps_the_first_cell(defaults, monkeypatch):
-    # a flat utility ties every feasible cell; with one alpha row per slab
-    # the feasible cells span several slabs, and the first in C order wins
+    # a flat utility ties every feasible cell; with one alpha row per mask
+    # slab and per search chunk the feasible cells span several slabs, and
+    # the first in C order wins
     def flat(alpha, beta, gamma1, gamma0, params):
         return 0.0 * alpha + 0.0 * beta + 0.0 * gamma1
 
     monkeypatch.setattr(designer, "social_utility_closed", flat)
-    monkeypatch.setattr(designer, "_ORACLE_SLAB_CELLS", 1)
+    monkeypatch.setattr(designer, "_SEARCH_CELLS", 1)
+    monkeypatch.setattr(designer, "_MASK_CELLS", 1)
     config = DesignerConfig(oracle_grid_r=10)
     res = brute_force_oracle(defaults, config)
     assert res.n_feasible > 10 * 10
@@ -478,9 +515,9 @@ def test_oracle_memory_grows_with_one_slab(defaults):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # 1.45 MB measured: three float work arrays of one 5-row slab (1.2 MB)
-    # and the masks; 3.3 MB with fresh temporaries per slab, 55 MB for
-    # whole_grid_oracle
+    # 1.00 MB measured: two 0.26 MB mask slabs and an 80-row search chunk's
+    # float temporaries (64 KB each); 1.45 MB with the slab walk of every
+    # cell, 55 MB for whole_grid_oracle
     assert peak < 2e6
 
 

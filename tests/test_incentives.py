@@ -137,21 +137,6 @@ def test_margins_are_one_shot_deviation_differences(p, design, worker):
     assert float(v0) == pytest.approx(values.v0, abs=1e-11)
 
 
-@settings(max_examples=30, deadline=None)
-@given(intrinsic_params(), st.sampled_from([1, 2]), st.sampled_from([0.0, 0.3]))
-def test_margins_into_out_equal_the_plain_call(p, worker, gamma0):
-    # the grid oracle's slab buffers: writing into out (the gap staged in
-    # the v0 array) must give the plain call's bits on broadcast shapes
-    grid = np.arange(1, 8) / 7
-    alpha, beta, gamma1 = grid[:3, None, None], grid[None, :, None], grid[None, None, 2:]
-    plain = compliance_margins(alpha, beta, gamma1, gamma0, p, worker)
-    out = tuple(np.full((3, 7, 5), np.nan) for _ in range(3))
-    written = compliance_margins(alpha, beta, gamma1, gamma0, p, worker, out=out)
-    for buffer, result, expected in zip(out, written, plain):
-        assert result is buffer
-        assert np.array_equal(result, expected)
-
-
 def test_verdict_matches_four_intent_certificate():
     # the verdict counts SN and SA through deviation_floor; on random
     # designs it must agree with pricing every deviation directly, also
