@@ -23,8 +23,10 @@ whose temporaries glibc hands back to the kernel faults them in again. A
 subprocess call is mostly interpreter start and import, so each CLI row
 also times cli.main in this process, once per round right after the
 subprocess (after one untimed warm-up call), and records the same summary
-under "in_process". The file also records the Tier-1 wall time and the
-line count of src/contest_rating.
+under "in_process". The oracle rows also record margin_calls_per_call:
+the compliance_margins calls of one untimed call, counted by wrapping the
+designer's reference to that function from this script. The file also
+records the Tier-1 wall time and the line count of src/contest_rating.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ from contest_rating import (  # noqa: E402
     run_utility,
     zero_base_price_check,
 )
+from contest_rating import designer  # noqa: E402
 from contest_rating.cli import main as cli_main  # noqa: E402
 
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
@@ -84,6 +87,7 @@ FUNCTION_ROWS = [
     ("run_utility, horizon 270", 15,
      lambda p: partial(run_utility, optimize(p).design(), p, SimConfig(periods=270))),
 ]
+MARGIN_COUNTED = ("brute_force_oracle", "zero_base_price_check")  # rows that count margin calls
 CLI_ROWS = [
     ("CLI design", ["design", "{cfg}"]),
     ("CLI design --oracle", ["design", "{cfg}", "--oracle"]),
@@ -118,7 +122,7 @@ def across_processes(children: list[dict]) -> dict:
     sq1, scaled, sq3 = statistics.quantiles(
         [c["scaled_median_ms"] for c in children], n=4, method="inclusive"
     )
-    return {
+    row = {
         "processes": len(children),
         "calls": children[0]["calls"],
         "median_ms": median,
@@ -131,11 +135,30 @@ def across_processes(children: list[dict]) -> dict:
         "process_medians_ms": [c["median_ms"] for c in children],
         "minflt_per_call": statistics.median(c["minflt_per_call"] for c in children),
     }
+    if "margin_calls_per_call" in children[0]:  # a count, the same in every process
+        row["margin_calls_per_call"] = children[0]["margin_calls_per_call"]
+    return row
+
+
+def margin_calls(call) -> int:
+    """compliance_margins calls made by one call of `call`."""
+    margins, calls = designer.compliance_margins, [0]
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return margins(*args, **kwargs)
+
+    designer.compliance_margins = counting
+    try:
+        call()
+    finally:
+        designer.compliance_margins = margins
+    return calls[0]
 
 
 def time_function_row(index: int) -> dict:
     """Run in a fresh process: time one function row after one untimed warm-up call."""
-    _, calls, factory = FUNCTION_ROWS[index]
+    name, calls, factory = FUNCTION_ROWS[index]
     call = factory(default_params())
     call()
     hostspeed.kernel()
@@ -147,7 +170,10 @@ def time_function_row(index: int) -> dict:
         seconds.append(time.perf_counter() - start)
         faults += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
         kernels.append(hostspeed.kernel())
-    return {**summary(seconds, kernels), "minflt_per_call": faults / calls}
+    row = {**summary(seconds, kernels), "minflt_per_call": faults / calls}
+    if name.startswith(MARGIN_COUNTED):
+        row["margin_calls_per_call"] = margin_calls(call)
+    return row
 
 
 def time_cli_call(argv: list[str]) -> tuple[float, float]:

@@ -8,10 +8,12 @@ reads the band's binding lines once over a uniform gamma1 grid, keeps the
 feasibility-qualified points, and takes the closed-form utility of the
 chosen one; the winner across cases is the design, certified by
 is_sustainable. A grid oracle over (alpha, beta, gamma1) re-derives
-everything from the primal margins as an independent check. It finds each
-cell's verdict by exact bisection: along gamma1 the rating-0 and
-participation margins never fall, and along alpha the rating-1 margin never
-rises, so each verdict holds on a suffix of prizes or a prefix of alphas.
+everything from the primal margins as an independent check. Along gamma1
+the rating-0 and participation margins never fall, and along alpha the
+rating-1 margin never rises, so each verdict holds on a suffix of prizes or
+a prefix of alphas. The oracle guesses where each one turns from the
+margins solved along that axis, confirms the guess with two exact margin
+probes, and bisects only where the guess misses.
 Every comparison that allows slack (tied case utilities, the certificate,
 the oracle's margins, the base-price verdict) allows incentives.TOLERANCE.
 """
@@ -240,13 +242,29 @@ _SEARCH_CELLS = 8000  # cells per margin call (whole grid rows): each float temp
 _MASK_CELLS = 1 << 18  # cells per slab of the one-byte feasibility mask
 
 
-def _count_leading(fails, size: int, shape: tuple[int, ...]) -> np.ndarray:
-    # Per entry, the length of the prefix of range(size) on which `fails` holds, by binary
-    # lifting: one probe per entry and step; a probe past the end counts for nothing.
-    count = np.zeros(shape, dtype=np.intp)
-    for step in (1 << e for e in reversed(range(size.bit_length()))):
-        probe = count + (step - 1)
-        np.add(count, step, out=count, where=(probe < size) & fails(probe))
+def _guess(values, thresholds, side: str) -> np.ndarray:
+    # How many of the sorted `values` lie below each threshold (side "left") or at or below it
+    # ("right"): where a search expects its verdict to turn. Only the probes' verdicts count.
+    return np.searchsorted(values, thresholds, side=side)
+
+
+def _count_leading(fails, size: int, count: np.ndarray, *axes) -> np.ndarray:
+    # Per entry, the length of the prefix of range(size) on which fails(probe, *axes) holds,
+    # given a guess `count` of it in [0, size]. The guess is right exactly where fails holds
+    # just before it and not at it (a side outside range(size) holds by itself). Where it is
+    # wrong, binary lifting over those entries alone finds the length: one probe per entry and
+    # step, a probe past the end counting for nothing.
+    if not size:
+        return count
+    right = ((count == 0) | fails(count - 1, *axes)) & ((count == size) | ~fails(count, *axes))
+    at = np.nonzero(~right)
+    if at[0].size:
+        axes = [np.broadcast_to(x, count.shape)[at] for x in axes]
+        found = np.zeros(at[0].size, dtype=np.intp)
+        for step in (1 << e for e in reversed(range(size.bit_length()))):
+            probe = found + (step - 1)
+            np.add(found, step, out=found, where=(probe < size) & fails(probe, *axes))
+        count[at] = found
     return count
 
 
@@ -263,14 +281,18 @@ def brute_force_oracle(
     its deviation_floor) and participation holds at rating 0. gamma0 can be
     pinned above 0 to probe the base price; only prizes above it count.
 
-    Each verdict is compliance_margins' own at its cell, found by bisection
+    Each verdict is compliance_margins' own at its cell, found by a search
     on two premises. They hold step by step in IEEE arithmetic when the CN
     slopes, detection margin and error rates are >= 0 and 0 <= delta < 1
     (DomainError otherwise). At fixed (alpha, beta), m0 and v0 never fall as
     gamma1 rises, so rating 0 and participation hold from a first prize on.
     At fixed (beta, gamma1), m1 never rises as alpha rises, so rating 1
-    holds below a first failing alpha. Utility never rises along gamma1, so
-    each (alpha, beta) row is read at its first feasible prize; the first
+    holds below a first failing alpha. Both margins are affine in the prize
+    gap over the turnover, so each search starts at their solved crossing;
+    a probe just before that guess and one at it settle the entry, and only
+    entries whose guess misses are bisected. The guess picks which cells to
+    probe and nothing else. Utility never rises along gamma1, so each
+    (alpha, beta) row is read at its first feasible prize; the first
     maximum in C order wins (smallest alpha, beta, gamma1).
     """
     cn_slopes = [payoff_line(w, Strategy.CN, params)[0] for w in (1, 2)]
@@ -290,15 +312,39 @@ def brute_force_oracle(
             ok.append((m1 >= floor1[k]) if rating else (m0 >= floor0) & (v0 >= -TOLERANCE))
         return ok[0] & ok[1]
 
+    # Each search starts at the margins' crossing, solved along its axis. At zero weights the
+    # margins read m0 = -gain0, m1 = -gain1 and v0 = v_cn0 / (1 - delta) at every prize. So
+    # rating 0 and participation clear from gamma1 = gamma0 + lead * turnover / alpha on, and
+    # rating 1 holds while turnover <= beta * reach[k].
+    delta, error_any, error_free = params.delta, params.error_any, params.error_free
+    detect, lead, reach = delta * params.detection_margin, -np.inf, np.inf
+
+    def turnover(alpha, beta):  # the positive denominator of the rating gap
+        return 1.0 - delta * (1.0 - (beta * error_any + alpha * error_free))
+
+    with np.errstate(all="ignore"):  # a guess may be inf or nan: the probes settle any guess
+        for (worker, floor0, floor1), slope in zip(floors, cn_slopes):
+            m0, m1, v0 = compliance_margins(0.0, 0.0, prizes, gamma0, params, worker)
+            clear = np.maximum((floor0 - m0) / detect, (-TOLERANCE - v0) * (1.0 - delta) / (delta * error_free))
+            lead = np.max(clear / slope, initial=lead)
+            cost = floor1 - m1  # gain1 + floor1: rating 1 holds at every alpha where it is <= 0
+            reach = np.minimum(reach, np.where(cost > 0.0, slope * (prizes - gamma0) * detect / cost, np.inf))
+
     low, top, rows = np.empty((r, r), dtype=index), np.zeros((r, n), dtype=index), max(1, _SEARCH_CELLS // r)
     for s in range(0, r, rows):  # first prize at which each (alpha, beta) row clears
         a = grid[s : s + rows, None]
-        low[s : s + rows] = _count_leading(lambda k: ~holds(0, a, grid, k), n, (len(a), r))
+        with np.errstate(all="ignore"):
+            guess = _guess(prizes, gamma0 + lead * turnover(a, grid) / a, "left")
+        low[s : s + rows] = _count_leading(lambda k, alpha, beta: ~holds(0, alpha, beta, k), n, guess, a, grid)
     # first failing alpha per (beta, prize) column, searched where some row's low allows a feasible cell
     b, k = np.nonzero(np.arange(n) >= low.min(axis=0)[:, None])
     for e in (slice(s, s + rows * r) for s in range(0, len(b), rows * r)):
         beta, prize = grid[b[e]], k[e]
-        top[b[e], prize] = _count_leading(lambda i: holds(1, grid.take(i, mode="clip"), beta, prize), r, prize.shape)
+        with np.errstate(all="ignore"):
+            guess = _guess(grid, (beta * reach[prize] - turnover(0.0, beta)) / (delta * error_free), "right")
+        top[b[e], prize] = _count_leading(
+            lambda i, beta, prize: holds(1, grid.take(i, mode="clip"), beta, prize), r, guess, beta, prize
+        )
     rows = max(1, _MASK_CELLS // (r * max(n, 1)))  # mask slabs of alpha rows
     masks = np.empty((2, rows, r, n), dtype=bool)
     n_feasible, best = 0, (-math.inf,)
@@ -348,6 +394,6 @@ def zero_base_price_check(
     if not finite:
         return BasePriceReport(tuple(gamma0_values), tuple(utilities), math.nan, False)
     best_u, best_g = max(finite, key=lambda t: (t[0], -t[1]))
-    at_zero = utilities[0] if abs(gamma0_values[0]) < 1e-15 else math.nan
+    at_zero = next((u for u, g in zip(utilities, gamma0_values) if abs(g) < 1e-15), math.nan)
     zero_ok = (not math.isnan(at_zero)) and at_zero >= best_u - TOLERANCE
     return BasePriceReport(tuple(gamma0_values), tuple(utilities), best_g, zero_ok)

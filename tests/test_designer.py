@@ -9,6 +9,7 @@ stationary share eta0 of periods. Every winner is certified by the
 independent four-intent check in `four_intent.py`.
 """
 
+import functools
 import itertools
 import math
 import tracemalloc
@@ -269,6 +270,19 @@ def test_zero_base_price_check_defaults(defaults):
     assert violations(_winner(runs[best]), defaults) == []
 
 
+def test_zero_base_price_check_reads_zero_wherever_it_is():
+    # the verdict reads the utility at gamma0 = 0 in whatever place the
+    # values list it: each order of the same values gives the same report
+    config, zero_wins = DesignerConfig(oracle_grid_r=20), 0
+    for p in _edge_weighted_environments(70, seed=1618):
+        first = zero_base_price_check(p, (0.0, 0.05), config)
+        last = zero_base_price_check(p, (0.05, 0.0), config)
+        assert repr(last.utilities) == repr(first.utilities[::-1]), p
+        assert (last.best_gamma0, last.zero_is_optimal) == (first.best_gamma0, first.zero_is_optimal), p
+        zero_wins += first.zero_is_optimal
+    assert zero_wins >= 10
+
+
 def test_flat_price_schedule_is_dominated(defaults):
     # forcing both prizes equal wastes the rating channel entirely
     for gamma in (0.3, 0.5, 0.7):
@@ -422,32 +436,94 @@ def test_near_zero_attack_cost_is_feasible():
     assert oracle.feasible and abs(oracle.utility - outcome.utility) < 1e-3
 
 
-@pytest.mark.parametrize(
-    "r, cells",
-    # cells sets both _SEARCH_CELLS (cells per margin call, in whole grid
-    # rows) and _MASK_CELLS (cells per mask slab). None keeps the defaults:
-    # at 37 one search chunk and one mask slab; at 100 an 80-row search
-    # chunk and a 20-row tail, and 26-row mask slabs. 10 at 300: one search
-    # chunk, 3-row mask slabs and a 1-row tail. 23 at 1: a row per search
-    # chunk, 23 columns per column chunk and a row per mask slab. 23 at
-    # 1955: 3-row mask slabs at gamma0 = 0, 5-row slabs on the 17-point
-    # prize suffix above gamma0 = 0.3, and one slab on the 1-point suffix
-    # above 0.995.
-    [(37, None), (100, None), (10, 300), (23, 1), (23, 1955)],
-)
-def test_oracle_slabs_equal_the_whole_grid(monkeypatch, r, cells):
+# (r, cells): cells sets both _SEARCH_CELLS (cells per margin call, in whole
+# grid rows) and _MASK_CELLS (cells per mask slab). None keeps the defaults:
+# at 37 one search chunk and one mask slab; at 100 an 80-row search chunk and
+# a 20-row tail, and 26-row mask slabs. 10 at 300: one search chunk, 3-row
+# mask slabs and a 1-row tail. 23 at 1: a row per search chunk, 23 columns
+# per column chunk and a row per mask slab. 23 at 1955: 3-row mask slabs at
+# gamma0 = 0, 5-row slabs on the 17-point prize suffix above gamma0 = 0.3,
+# and one slab on the 1-point suffix above 0.995.
+_SLAB_CASES = [(37, None), (100, None), (10, 300), (23, 1), (23, 1955)]
+
+
+@functools.cache
+def _whole_grid_reprs(r):
+    # repr(whole_grid_oracle) at grid r on each (environment, gamma0) the slab tests check
+    config = DesignerConfig(oracle_grid_r=r)
+    return {
+        (p, gamma0): repr(whole_grid_oracle(p, config, gamma0=gamma0))
+        for p in _edge_weighted_environments(14 if r == 100 else 70, seed=1618)
+        # 0.995 leaves a one-point prize suffix (gamma1 = 1), 1.0 none
+        for gamma0 in (0.0, 0.3, 0.995, 1.0)
+    }
+
+
+def _oracle_equals_the_whole_grid(monkeypatch, r, cells):
     if cells is not None:
         monkeypatch.setattr(designer, "_SEARCH_CELLS", cells)
         monkeypatch.setattr(designer, "_MASK_CELLS", cells)
     config = DesignerConfig(oracle_grid_r=r)
     seen = Counter()  # (feasible, perfect monitoring)
-    for p in _edge_weighted_environments(14 if r == 100 else 70, seed=1618):
-        # 0.995 leaves a one-point prize suffix (gamma1 = 1), 1.0 none
-        for gamma0 in (0.0, 0.3, 0.995, 1.0):
-            res = brute_force_oracle(p, config, gamma0=gamma0)
-            assert repr(res) == repr(whole_grid_oracle(p, config, gamma0=gamma0)), (p, gamma0)
-            seen[res.feasible, p.error_any == 0.0] += 1
+    for (p, gamma0), expected in _whole_grid_reprs(r).items():
+        res = brute_force_oracle(p, config, gamma0=gamma0)
+        assert repr(res) == expected, (p, gamma0)
+        seen[res.feasible, p.error_any == 0.0] += 1
     assert seen[True, False] and seen[False, False] and seen[True, True], seen
+
+
+@pytest.mark.parametrize("r, cells", _SLAB_CASES)
+def test_oracle_slabs_equal_the_whole_grid(monkeypatch, r, cells):
+    _oracle_equals_the_whole_grid(monkeypatch, r, cells)
+
+
+@pytest.mark.parametrize("r, cells", _SLAB_CASES)
+@pytest.mark.parametrize("guess", ["zeros", "size", "random"])
+def test_oracle_answer_rests_on_the_probes_not_the_guess(monkeypatch, r, cells, guess):
+    # the guess only picks where to probe first: with every search starting
+    # at 0, at the end, or at seeded random counts, the two probes and the
+    # binary lifting still give the whole grid's answer
+    rng = np.random.default_rng(4242)
+    counts = {
+        "zeros": lambda size, shape: np.zeros(shape, dtype=np.intp),
+        "size": lambda size, shape: np.full(shape, size, dtype=np.intp),
+        "random": lambda size, shape: rng.integers(0, size + 1, shape, dtype=np.intp),
+    }[guess]
+    monkeypatch.setattr(
+        designer, "_guess", lambda values, thresholds, side: counts(len(values), np.shape(thresholds))
+    )
+    _oracle_equals_the_whole_grid(monkeypatch, r, cells)
+
+
+def test_oracle_margin_calls_and_fallback_share(defaults, monkeypatch):
+    # the guesses settle almost every search entry with two probes, so the
+    # margin calls per oracle call stay a handful per search chunk (14 at
+    # r = 100 and 34 at r = 200 on the defaults), and the binary lifting
+    # runs on under 1% of the entries
+    margins, count_leading = designer.compliance_margins, designer._count_leading
+    calls, entries = [0], Counter()
+
+    def counting(*args):
+        calls[0] += 1
+        return margins(*args)
+
+    def tallying(fails, size, count, *axes):
+        guess = count.copy()
+        found = count_leading(fails, size, count, *axes)
+        entries["missed"] += int(np.count_nonzero(found != guess))
+        entries["all"] += found.size
+        return found
+
+    monkeypatch.setattr(designer, "compliance_margins", counting)
+    for r, bound in ((100, 16), (200, 40)):
+        calls[0] = 0
+        brute_force_oracle(defaults, DesignerConfig(oracle_grid_r=r))
+        assert calls[0] <= bound, (r, calls[0])
+    monkeypatch.setattr(designer, "_count_leading", tallying)
+    for p in _edge_weighted_environments(70, seed=1618):
+        for gamma0 in (0.0, 0.3):
+            brute_force_oracle(p, DesignerConfig(oracle_grid_r=100), gamma0=gamma0)
+    assert entries["missed"] < 0.01 * entries["all"], entries
 
 
 def test_utility_never_rises_along_gamma1_on_the_oracle_grid():
@@ -515,9 +591,9 @@ def test_oracle_memory_grows_with_one_slab(defaults):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # 1.00 MB measured: two 0.26 MB mask slabs and an 80-row search chunk's
-    # float temporaries (64 KB each); 1.45 MB with the slab walk of every
-    # cell, 55 MB for whole_grid_oracle
+    # 0.95 MB measured: two 0.26 MB mask slabs and an 80-row search chunk's
+    # float temporaries (64 KB each), the guesses' among them; 1.45 MB with
+    # the slab walk of every cell, 55 MB for whole_grid_oracle
     assert peak < 2e6
 
 

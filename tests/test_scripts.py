@@ -25,6 +25,18 @@ def test_bench_writes_the_next_unused_report(monkeypatch, tmp_path):
     assert bench.next_report_path() == tmp_path / "BENCH_3.json"
 
 
+def test_bench_counts_the_oracle_margin_calls(monkeypatch):
+    # the r = 40 oracle row records the compliance_margins calls of one call,
+    # and the count's wrapper is gone afterwards
+    bench = _load("bench", monkeypatch)
+    names, margins = [name for name, *_ in bench.FUNCTION_ROWS], bench.designer.compliance_margins
+    row = bench.time_function_row(names.index("brute_force_oracle, r=40"))
+    assert bench.designer.compliance_margins is margins
+    assert isinstance(row["margin_calls_per_call"], int)
+    assert 0 < row["margin_calls_per_call"] <= 12  # 10 at the defaults
+    assert "margin_calls_per_call" not in bench.time_function_row(names.index("is_sustainable"))
+
+
 def test_design_digest_runs_every_design_command(monkeypatch, capsys):
     digest = _load("design_digest", monkeypatch)
     run, outputs = digest.run, {"design": [], "sweep": [], "check": []}
