@@ -25,7 +25,9 @@ also times cli.main in this process, once per round right after the
 subprocess (after one untimed warm-up call), and records the same summary
 under "in_process". The oracle rows also record margin_calls_per_call:
 the compliance_margins calls of one untimed call, counted by wrapping the
-designer's reference to that function from this script. The file also
+designer's reference to that function from this script. The optimize row
+records coefficient_grid_calls_per_call the same way, wrapping
+incentives._coefficient_grid. The file also
 records the Tier-1 wall time and the line count of src/contest_rating.
 """
 
@@ -64,7 +66,7 @@ from contest_rating import (  # noqa: E402
     run_utility,
     zero_base_price_check,
 )
-from contest_rating import designer  # noqa: E402
+from contest_rating import designer, incentives  # noqa: E402
 from contest_rating.cli import main as cli_main  # noqa: E402
 
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
@@ -87,7 +89,12 @@ FUNCTION_ROWS = [
     ("run_utility, horizon 270", 15,
      lambda p: partial(run_utility, optimize(p).design(), p, SimConfig(periods=270))),
 ]
-MARGIN_COUNTED = ("brute_force_oracle", "zero_base_price_check")  # rows that count margin calls
+# row name prefix -> (field, module, function): the calls of that function one call of the row makes
+COUNTED = {
+    "brute_force_oracle": ("margin_calls_per_call", designer, "compliance_margins"),
+    "zero_base_price_check": ("margin_calls_per_call", designer, "compliance_margins"),
+    "optimize": ("coefficient_grid_calls_per_call", incentives, "_coefficient_grid"),
+}
 CLI_ROWS = [
     ("CLI design", ["design", "{cfg}"]),
     ("CLI design --oracle", ["design", "{cfg}", "--oracle"]),
@@ -135,24 +142,24 @@ def across_processes(children: list[dict]) -> dict:
         "process_medians_ms": [c["median_ms"] for c in children],
         "minflt_per_call": statistics.median(c["minflt_per_call"] for c in children),
     }
-    if "margin_calls_per_call" in children[0]:  # a count, the same in every process
-        row["margin_calls_per_call"] = children[0]["margin_calls_per_call"]
+    for field in {field for field, *_ in COUNTED.values()} & children[0].keys():
+        row[field] = children[0][field]  # a count, the same in every process
     return row
 
 
-def margin_calls(call) -> int:
-    """compliance_margins calls made by one call of `call`."""
-    margins, calls = designer.compliance_margins, [0]
+def counted_calls(module, name: str, call) -> int:
+    """Calls of module.<name> made by one call of `call`."""
+    function, calls = getattr(module, name), [0]
 
     def counting(*args, **kwargs):
         calls[0] += 1
-        return margins(*args, **kwargs)
+        return function(*args, **kwargs)
 
-    designer.compliance_margins = counting
+    setattr(module, name, counting)
     try:
         call()
     finally:
-        designer.compliance_margins = margins
+        setattr(module, name, function)
     return calls[0]
 
 
@@ -171,8 +178,9 @@ def time_function_row(index: int) -> dict:
         faults += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
         kernels.append(hostspeed.kernel())
     row = {**summary(seconds, kernels), "minflt_per_call": faults / calls}
-    if name.startswith(MARGIN_COUNTED):
-        row["margin_calls_per_call"] = margin_calls(call)
+    for prefix, (field, module, function) in COUNTED.items():
+        if name.startswith(prefix):
+            row[field] = counted_calls(module, function, call)
     return row
 
 

@@ -3,17 +3,17 @@
 Utility is monotone along the promotion/demotion axes, so the optimum sits
 on the boundary of the (alpha, beta) unit square and the search reduces to
 two one-dimensional boundary cases: pin beta = 1 and put alpha on the
-participation boundary, or pin alpha = 1 and put beta there. Each case
-reads the band's binding lines once over a uniform gamma1 grid, keeps the
-feasibility-qualified points, and takes the closed-form utility of the
-chosen one; the winner across cases is the design, certified by
-is_sustainable. A grid oracle over (alpha, beta, gamma1) re-derives
-everything from the primal margins as an independent check. Along gamma1
-the rating-0 and participation margins never fall, and along alpha the
-rating-1 margin never rises, so each verdict holds on a suffix of prizes or
-a prefix of alphas. The oracle guesses where each one turns from the
-margins solved along that axis, confirms the guess with two exact margin
-probes, and bisects only where the guess misses.
+participation boundary, or pin alpha = 1 and put beta there. optimize reads
+the band's binding lines once over a uniform gamma1 grid, and each case
+keeps its feasibility-qualified points from that one scan and takes the
+closed-form utility of the chosen one; the winner across cases is the
+design, certified by is_sustainable. A grid oracle over (alpha, beta,
+gamma1) re-derives everything from the primal margins as an independent
+check. Along gamma1 the rating-0 and participation margins never fall, and
+along alpha the rating-1 margin never rises, so each verdict holds on a
+suffix of prizes or a prefix of alphas. The oracle guesses where each one
+turns from the margins solved along that axis, confirms the guess with two
+exact margin probes, and bisects only where the guess misses.
 Every comparison that allows slack (tied case utilities, the certificate,
 the oracle's margins, the base-price verdict) allows incentives.TOLERANCE.
 """
@@ -144,33 +144,21 @@ def _corner_utility(case_id: str, gamma1: float, worker: int, params: IntrinsicP
     return z - numer / denom
 
 
-def boundary_case_optimum(
-    case_id: str, params: IntrinsicParams, config: DesignerConfig | None = None
-) -> CaseResult:
-    """Scan the gamma1 grid for one boundary case.
-
-    A grid point is feasible when the pinned-knob corner exists inside the
-    unit square and the rating-1 deviation line does not cut it off; both
-    predicates come straight from the combined band coefficients (largest
-    k2 lower line, smallest k3 upper line), evaluated over the whole grid
-    as arrays. Points where a coefficient's denominator vanishes are
-    dropped. Within the feasible set the case utility is monotone in
-    gamma1, so beta=1 wants the smallest feasible prize and alpha=1 the
-    largest; the chosen point's utility comes from the worker that owns
-    its participation line.
-    """
-    if case_id not in (CASE_BETA_ONE, CASE_ALPHA_ONE):
-        raise ValueError(f"unknown case id: {case_id!r}")
+def _gamma1_grid(config: DesignerConfig | None) -> np.ndarray:
     m = (config or DesignerConfig()).gamma_grid_m
-    gamma1 = np.arange(1, m + 1) / m
-    k2, b2, k3, b3, upper, live = binding_lines(gamma1, params)
+    return np.arange(1, m + 1) / m
+
+
+def _case_optimum(case_id: str, gamma1: np.ndarray, lines, params: IntrinsicParams) -> CaseResult:
+    # one boundary case read off binding_lines(gamma1, params), which both cases share
+    k2, b2, k3, b3, upper, live = lines
     with np.errstate(divide="ignore", invalid="ignore"):  # entries the masks drop
         if case_id == CASE_BETA_ONE:
-            alpha, beta = (1.0 - b3) / k3, np.ones(m)
+            alpha, beta = (1.0 - b3) / k3, np.ones(len(gamma1))
             corner = (k3 > 0.0) & (0.0 < alpha) & (alpha < 1.0)
             cut = (k2 > 0.0) & ((1.0 - b2) / k2 <= alpha)
         else:
-            alpha, beta = np.ones(m), k3 + b3
+            alpha, beta = np.ones(len(gamma1)), k3 + b3
             corner = (0.0 < beta) & (beta <= 1.0)
             cut = (k2 > 0.0) & (k2 + b2 > beta)
     feasible = np.flatnonzero(live & corner & ~cut)
@@ -188,6 +176,27 @@ def boundary_case_optimum(
     )
 
 
+def boundary_case_optimum(
+    case_id: str, params: IntrinsicParams, config: DesignerConfig | None = None
+) -> CaseResult:
+    """Scan the gamma1 grid for one boundary case.
+
+    A grid point is feasible when the pinned-knob corner exists inside the
+    unit square and the rating-1 deviation line does not cut it off; both
+    predicates come straight from the combined band coefficients (largest
+    k2 lower line, smallest k3 upper line), evaluated over the whole grid
+    as arrays. Points where a coefficient's denominator vanishes are
+    dropped. Within the feasible set the case utility is monotone in
+    gamma1, so beta=1 wants the smallest feasible prize and alpha=1 the
+    largest; the chosen point's utility comes from the worker that owns
+    its participation line.
+    """
+    if case_id not in (CASE_BETA_ONE, CASE_ALPHA_ONE):
+        raise ValueError(f"unknown case id: {case_id!r}")
+    gamma1 = _gamma1_grid(config)
+    return _case_optimum(case_id, gamma1, binding_lines(gamma1, params), params)
+
+
 def optimize(params: IntrinsicParams, config: DesignerConfig | None = None) -> DesignOutcome:
     """Best protocol across both boundary cases, with a sustainability certificate.
 
@@ -196,9 +205,10 @@ def optimize(params: IntrinsicParams, config: DesignerConfig | None = None) -> D
     then toward the beta=1 case.
     """
     config = config or DesignerConfig()
+    gamma1 = _gamma1_grid(config)
+    lines = binding_lines(gamma1, params)  # both cases read the one scan
     cases = tuple(
-        boundary_case_optimum(case_id, params, config)
-        for case_id in (CASE_BETA_ONE, CASE_ALPHA_ONE)
+        _case_optimum(case_id, gamma1, lines, params) for case_id in (CASE_BETA_ONE, CASE_ALPHA_ONE)
     )
     live = [c for c in cases if c.feasible]
     if not live:

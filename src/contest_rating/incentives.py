@@ -239,13 +239,15 @@ def _coefficient_grid(gamma1, params: IntrinsicParams):
     """Both workers' constraint coefficients over a gamma1 array, shape (2, n).
 
     Returns (coefficients, denominators): b1, k2, b2, k3 and the
-    denominators of the guarded ratios b1, k2, k3, in that order.
-    Each entry is computed in the order of operations of the scalar
+    denominators of the guarded ratios b1, k2, k3, in that order. Each
+    entry is computed in the order of operations of the scalar
     rearrangement, so it is the scalar result bit for bit; entries whose
-    denominator vanishes (below _VANISHES in size) carry no meaning.
+    denominator vanishes (below _VANISHES in size) carry no meaning. What
+    does not vary along the grid is left unbroadcast: b1 and its
+    denominator are scalars, k3's denominator is a (2, 1) column.
     """
     table = payoff_table(params)
-    cn, ca = [Strategy.CN.index], [Strategy.CA.index]  # each a (2, 1) column of the table
+    cn, ca = (slice(s.index, s.index + 1) for s in (Strategy.CN, Strategy.CA))  # (2, 1) columns
     cn_slope, cn_icept = table.slope[:, cn], table.intercept[:, cn]
     ca_slope, ca_icept = table.slope[:, ca], table.intercept[:, ca]
     gamma1 = np.asarray(gamma1, dtype=float)
@@ -255,17 +257,16 @@ def _coefficient_grid(gamma1, params: IntrinsicParams):
     edge = v_cn1 - v_cn0
     err_any, err_free = params.error_any, params.error_free
     detect, delta = params.detection_margin, params.delta
-    ratios = {
-        "b1": (1.0 - delta, delta * err_any),
+    ratios = {  # b1's numerator a numpy scalar, so that a zero denominator gives inf, not ZeroDivisionError
+        "b1": (np.float64(1.0 - delta), delta * err_any),
         "k2": (err_free * gain1, detect * edge - err_any * gain1),
         "k3": (-err_free * v_cn1, err_any * v_cn0),
     }
-    denominators = {name: np.broadcast_to(d, v_cn1.shape) for name, (_, d) in ratios.items()}
     with np.errstate(all="ignore"):  # where a denominator vanishes the entry is dropped
-        coefficients = {name: n / denominators[name] for name, (n, _) in ratios.items()}
+        coefficients = {name: n / d for name, (n, d) in ratios.items()}
         coefficients["b1"] = -coefficients["b1"]
         coefficients["b2"] = coefficients["k2"] * (1.0 - delta) / (delta * err_free)
-    return coefficients, denominators
+    return coefficients, {name: d for name, (_, d) in ratios.items()}
 
 
 def constraint_coefficients(
@@ -278,11 +279,14 @@ def constraint_coefficients(
     """
     check_worker(worker)
     coefficients, denominators = _coefficient_grid(np.array([gamma1]), params)
-    for name, denoms in denominators.items():
-        denom = float(denoms[worker - 1, 0])
-        if abs(denom) < _VANISHES:
-            raise DegenerateDenominator(f"{name} denominator vanished: {denom!r}")
-    c = {name: float(value[worker - 1, 0]) for name, value in coefficients.items()}
+
+    def at(value):  # this worker's entry of a (2, 1)-broadcastable value
+        return float(np.broadcast_to(value, (2, 1))[worker - 1, 0])
+
+    for name, denom in denominators.items():
+        if abs(at(denom)) < _VANISHES:
+            raise DegenerateDenominator(f"{name} denominator vanished: {at(denom)!r}")
+    c = {name: at(value) for name, value in coefficients.items()}
     return ConstraintCoefficients(worker=worker, gamma1=gamma1, b3=c["b1"], **c)
 
 
@@ -294,17 +298,18 @@ def binding_lines(gamma1, params: IntrinsicParams):
     (ties go to worker 1, as in feasibility_band), upper, the number (1 or
     2) of the worker whose participation line that is, and live, false
     where either worker's constraint_coefficients would raise
-    DegenerateDenominator.
+    DegenerateDenominator. b3 is one scalar for the whole grid.
     """
     coefficients, denominators = _coefficient_grid(gamma1, params)
-    live = ~np.any([np.abs(d) < _VANISHES for d in denominators.values()], axis=(0, 1))
+    vanishes = {name: np.abs(d) < _VANISHES for name, d in denominators.items()}
+    live = ~np.any(vanishes["k2"] | vanishes["k3"] | vanishes["b1"], axis=0)  # (2, n) -> (n,)
     k2, b2, k3 = coefficients["k2"], coefficients["b2"], coefficients["k3"]
     low, up = k2[1] > k2[0], k3[1] < k3[0]  # where worker 2 binds
     return (
         np.where(low, k2[1], k2[0]),
         np.where(low, b2[1], b2[0]),
         np.where(up, k3[1], k3[0]),
-        coefficients["b1"][0],  # b3 = b1, the same for both workers
+        coefficients["b1"],  # b3 = b1, the same for both workers and every gamma1
         np.where(up, 2, 1),
         live,
     )

@@ -220,7 +220,7 @@ def parse_config(text: str) -> IntrinsicParams:
             raise ConfigError(f"duplicate key: {key!r} (line {lineno})")
         if not _DECIMAL.match(value):
             raise ConfigError(f"value for {key} is not a plain decimal: {value!r} (line {lineno})")
-        seen[key] = float(value)
+        seen[key] = float(value) + 0.0  # -0.0 -> +0.0; every other float keeps its bits
     missing = [k for k in _CONFIG_KEYS if k not in seen]
     if missing:
         raise ConfigError(f"missing key: {missing[0]!r}" + (f" (and {len(missing) - 1} more)" if len(missing) > 1 else ""))

@@ -47,20 +47,26 @@ def perfect_monitoring_matrix(worker: int, gamma: float, params: IntrinsicParams
     # fmt: on
 
 
+@lru_cache(maxsize=512)
 def realized_mix(intended: Strategy, params: IntrinsicParams) -> np.ndarray:
-    """Distribution of the realized strategy given the intent.
+    """Distribution of the realized strategy given the intent, a read-only array.
 
     The two stages flip independently: eps1 swaps C/S, eps2 swaps N/A, so
     the mix is the outer product of the two stage channels, flattened in
-    the CN, CA, SN, SA order; entries sum to one exactly.
+    the CN, CA, SN, SA order; entries sum to one exactly. Built once per
+    intent and environment (the cache is bounded: four intents for each of
+    payoff_table's environments). An error rate of -0.0 is read as +0.0,
+    so environments that compare equal share one mix bit for bit.
     """
-    stage1 = [1.0 - params.eps1, params.eps1]  # realized C, S for an intended C
-    stage2 = [1.0 - params.eps2, params.eps2]  # realized N, A for an intended N
+    stage1 = [1.0 - params.eps1, params.eps1 + 0.0]  # realized C, S for an intended C
+    stage2 = [1.0 - params.eps2, params.eps2 + 0.0]  # realized N, A for an intended N
     if not intended.crowdsources:
         stage1.reverse()
     if intended.attacks:
         stage2.reverse()
-    return np.outer(stage1, stage2).ravel()
+    mix = np.outer(stage1, stage2).ravel()
+    mix.flags.writeable = False
+    return mix
 
 
 def expected_payoff(

@@ -256,6 +256,36 @@ def test_check_counts_in_house_deviation(tmp_path, capsys):
     assert lines[-1] == "sustainable=false"
 
 
+def test_negative_zero_error_rates_print_what_zero_prints(tmp_path, capsys):
+    # eps1 = eps2 = -0.0 compares equal to 0.0, so the two environments share
+    # the per-environment caches; both print the same bytes, whichever runs first
+    from contest_rating.payoffs import payoff_table, realized_mix
+
+    paths = {}
+    for zero in ("0.0", "-0.0"):
+        text = DEFAULT_CONFIG.replace("eps1 = 0.2", f"eps1 = {zero}").replace("eps2 = 0.05", f"eps2 = {zero}")
+        paths[zero] = tmp_path / f"eps{zero}.cfg"
+        paths[zero].write_text(text)
+    commands = (
+        ["design", "{cfg}", "--oracle", "--oracle-r", "20", "--grid-m", "20"],
+        ["check", "{cfg}", "--alpha", "1", "--beta", "0.9", "--gamma1", "0.5"],
+        ["simulate", "{cfg}", "--alpha", "1", "--beta", "0.9", "--gamma1", "0.5",
+         "--periods", "50", "--replicates", "2", "--population", "5"],
+    )
+    outputs = []
+    for order in (("0.0", "-0.0"), ("-0.0", "0.0")):
+        payoff_table.cache_clear()
+        realized_mix.cache_clear()
+        for zero in order:
+            for argv in commands:
+                code = main([str(paths[zero]) if a == "{cfg}" else a for a in argv])
+                outputs.append((argv[0], code, capsys.readouterr().out))
+    assert [code for _, code, _ in outputs[:3]] == [2, 0, 0]  # perfect monitoring: design infeasible
+    assert "eta0,0," in outputs[2][2]
+    for i in range(3, len(outputs)):
+        assert outputs[i] == outputs[i % 3]
+
+
 def test_check_rejects_bad_design(config_path, capsys):
     argv = ["check", config_path, "--alpha", "1.5", "--beta", "0.5", "--gamma1", "0.52"]
     assert main(argv) == 1

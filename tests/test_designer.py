@@ -394,9 +394,23 @@ def test_optimize_answers_lie_in_their_band():
     assert answers >= 200
 
 
-def test_optimize_evaluates_the_grid_twice(defaults, monkeypatch):
-    # one coefficient grid per boundary case: the chosen points' utilities
-    # and the certificate read nothing more from it
+def test_optimize_cases_equal_boundary_case_optimum():
+    # optimize reads both cases off one binding_lines scan; each case it
+    # reports is the one boundary_case_optimum finds on its own scan
+    for p in _edge_weighted_environments(400, seed=2718):
+        for m in (10, 37, 100):
+            config = DesignerConfig(gamma_grid_m=m)
+            try:
+                cases = optimize(p, config).cases
+            except Infeasible as exc:
+                cases = exc.cases
+            alone = tuple(boundary_case_optimum(c, p, config) for c in (CASE_BETA_ONE, CASE_ALPHA_ONE))
+            assert cases == alone, (m, p)
+
+
+def test_optimize_evaluates_the_grid_once(defaults, monkeypatch):
+    # one coefficient grid for both boundary cases: the chosen points'
+    # utilities and the certificate read nothing more from it
     grid, calls = incentives._coefficient_grid, []
 
     def counted(*args):
@@ -405,7 +419,7 @@ def test_optimize_evaluates_the_grid_twice(defaults, monkeypatch):
 
     monkeypatch.setattr(incentives, "_coefficient_grid", counted)
     optimize(defaults)
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_optimize_solves_no_deviation_values(defaults, monkeypatch):

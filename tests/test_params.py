@@ -177,6 +177,13 @@ def test_parse_config_inline_comment_and_spaces():
     assert parse_config(text).c1 == 0.1
 
 
+def test_parse_config_reads_negative_zero_as_zero():
+    text = CONFIG_TEXT.replace("eps1=0.2", "eps1=-0.0").replace("eps2=0.05", "eps2=-0")
+    p = parse_config(text.replace("delta=0.95", "delta=-.0"))
+    assert [math.copysign(1.0, x) for x in (p.eps1, p.eps2, p.delta)] == [1.0, 1.0, 1.0]
+    assert p == default_params(eps1=0.0, eps2=0.0, delta=0.0)
+
+
 def test_parse_config_missing_key():
     text = CONFIG_TEXT.replace("c2=0.2\n", "")
     with pytest.raises(ConfigError, match="missing key: 'c2'"):

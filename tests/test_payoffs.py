@@ -14,10 +14,12 @@ from contest_rating import (
     against_compliant,
     default_params,
     expected_payoff,
+    optimize,
     payoff_line,
     payoff_table,
     perfect_monitoring_matrix,
     realized_mix,
+    with_params,
 )
 
 
@@ -104,6 +106,40 @@ def test_mix_flip_structure(p):
     assert sn == pytest.approx([cn[2], cn[3], cn[0], cn[1]], abs=0)
     ca = realized_mix(Strategy.CA, p)
     assert ca == pytest.approx([cn[1], cn[0], cn[3], cn[2]], abs=0)
+
+
+def test_mix_is_read_only_and_shared_by_equal_environments(defaults):
+    mix = realized_mix(Strategy.CN, defaults)
+    assert realized_mix(Strategy.CN, with_params(defaults)) is mix
+    with pytest.raises(ValueError):
+        mix[0] = 1.0
+
+
+def test_mix_reads_a_negative_zero_error_rate_as_zero():
+    # equal environments share one cached mix, so it cannot carry the sign of a zero rate
+    p = default_params(c1=0.0123, eps1=-0.0, eps2=-0.0)
+    for intended in STRATEGIES:
+        assert not np.signbit(realized_mix(intended, p)).any()
+
+
+def test_second_optimize_builds_no_mix(defaults):
+    # a fresh but equal environment finds every mix of the first call cached
+    optimize(defaults)
+    before = realized_mix.cache_info()
+    optimize(with_params(defaults))
+    after = realized_mix.cache_info()
+    assert after.misses == before.misses
+    assert after.hits > before.hits
+
+
+def test_mix_cache_is_bounded():
+    maxsize = realized_mix.cache_info().maxsize
+    assert maxsize is not None
+    for k in range(maxsize // len(STRATEGIES) + 1):
+        p = default_params(c1=0.05 + k * 1e-4)
+        for intended in STRATEGIES:
+            realized_mix(intended, p)
+    assert realized_mix.cache_info().currsize == maxsize
 
 
 def test_expected_payoff_no_error_picks_matrix_entry():

@@ -37,6 +37,18 @@ def test_bench_counts_the_oracle_margin_calls(monkeypatch):
     assert "margin_calls_per_call" not in bench.time_function_row(names.index("is_sustainable"))
 
 
+def test_bench_counts_the_coefficient_grid_calls_of_optimize(monkeypatch):
+    # the optimize row records the _coefficient_grid calls of one call: one
+    # grid for both boundary cases; the count's wrapper is gone afterwards
+    bench = _load("bench", monkeypatch)
+    names, grid = [name for name, *_ in bench.FUNCTION_ROWS], bench.incentives._coefficient_grid
+    row = bench.time_function_row(names.index("optimize, default environment, m=100"))
+    assert bench.incentives._coefficient_grid is grid
+    assert row["coefficient_grid_calls_per_call"] == 1
+    assert "margin_calls_per_call" not in row
+    assert "coefficient_grid_calls_per_call" not in bench.time_function_row(names.index("is_sustainable"))
+
+
 def test_design_digest_runs_every_design_command(monkeypatch, capsys):
     digest = _load("design_digest", monkeypatch)
     run, outputs = digest.run, {"design": [], "sweep": [], "check": []}
