@@ -24,10 +24,10 @@ subprocess call is mostly interpreter start and import, so each CLI row
 also times cli.main in this process, once per round right after the
 subprocess (after one untimed warm-up call), and records the same summary
 under "in_process". The oracle rows also record margin_calls_per_call:
-the compliance_margins calls of one untimed call, counted by wrapping the
-designer's reference to that function from this script. The optimize row
-records coefficient_grid_calls_per_call the same way, wrapping
-incentives._coefficient_grid. The file also
+the calls of every margin function (MARGINS) that one untimed call makes,
+counted by wrapping the designer's references to those functions from this
+script. The optimize row records coefficient_grid_calls_per_call the same
+way, wrapping incentives._coefficient_grid. The file also
 records the Tier-1 wall time and the line count of src/contest_rating.
 """
 
@@ -89,11 +89,12 @@ FUNCTION_ROWS = [
     ("run_utility, horizon 270", 15,
      lambda p: partial(run_utility, optimize(p).design(), p, SimConfig(periods=270))),
 ]
-# row name prefix -> (field, module, function): the calls of that function one call of the row makes
+MARGINS = ("compliance_margins", "rating0_margins", "rating1_margin")  # the designer's margin functions
+# row name prefix -> (field, module, functions): the calls of those functions one call of the row makes
 COUNTED = {
-    "brute_force_oracle": ("margin_calls_per_call", designer, "compliance_margins"),
-    "zero_base_price_check": ("margin_calls_per_call", designer, "compliance_margins"),
-    "optimize": ("coefficient_grid_calls_per_call", incentives, "_coefficient_grid"),
+    "brute_force_oracle": ("margin_calls_per_call", designer, MARGINS),
+    "zero_base_price_check": ("margin_calls_per_call", designer, MARGINS),
+    "optimize": ("coefficient_grid_calls_per_call", incentives, ("_coefficient_grid",)),
 }
 CLI_ROWS = [
     ("CLI design", ["design", "{cfg}"]),
@@ -147,19 +148,24 @@ def across_processes(children: list[dict]) -> dict:
     return row
 
 
-def counted_calls(module, name: str, call) -> int:
-    """Calls of module.<name> made by one call of `call`."""
-    function, calls = getattr(module, name), [0]
+def counted_calls(module, names: tuple[str, ...], call) -> int:
+    """Calls of the functions module.<name>, for each of `names`, made by one call of `call`."""
+    functions, calls = {name: getattr(module, name) for name in names}, [0]
 
-    def counting(*args, **kwargs):
-        calls[0] += 1
-        return function(*args, **kwargs)
+    def counting(function):
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return function(*args, **kwargs)
 
-    setattr(module, name, counting)
+        return counted
+
+    for name, function in functions.items():
+        setattr(module, name, counting(function))
     try:
         call()
     finally:
-        setattr(module, name, function)
+        for name, function in functions.items():
+            setattr(module, name, function)
     return calls[0]
 
 
@@ -178,9 +184,9 @@ def time_function_row(index: int) -> dict:
         faults += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
         kernels.append(hostspeed.kernel())
     row = {**summary(seconds, kernels), "minflt_per_call": faults / calls}
-    for prefix, (field, module, function) in COUNTED.items():
+    for prefix, (field, module, functions) in COUNTED.items():
         if name.startswith(prefix):
-            row[field] = counted_calls(module, function, call)
+            row[field] = counted_calls(module, functions, call)
     return row
 
 

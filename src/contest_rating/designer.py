@@ -13,7 +13,10 @@ check. Along gamma1 the rating-0 and participation margins never fall, and
 along alpha the rating-1 margin never rises, so each verdict holds on a
 suffix of prizes or a prefix of alphas. The oracle guesses where each one
 turns from the margins solved along that axis, confirms the guess with two
-exact margin probes, and bisects only where the guess misses.
+exact margin probes, and bisects only where the guess misses; a probe
+computes only its own rating's margins. The feasibility mask covers only the
+box where a cell can be feasible, and is read only for rows whose first
+feasible prize is not the one where rating 0 first clears.
 Every comparison that allows slack (tied case utilities, the certificate,
 the oracle's margins, the base-price verdict) allows incentives.TOLERANCE.
 """
@@ -33,6 +36,8 @@ from .incentives import (
     compliance_margins,
     deviation_floor,
     is_sustainable,
+    rating0_margins,
+    rating1_margin,
 )
 from .params import DesignParams, IntrinsicParams, Strategy
 from .payoffs import payoff_line
@@ -278,6 +283,14 @@ def _count_leading(fails, size: int, count: np.ndarray, *axes) -> np.ndarray:
     return count
 
 
+def _rating1_at_low(top, lows, alphas) -> np.ndarray:
+    # Per (alpha, beta) row of a mask slab, whether it has a clearing prize low < n and rating 1
+    # holds there (alpha < top at that prize), in one gather: there low is the row's first
+    # feasible prize. Only where this holds is the mask not read.
+    n = top.shape[1]
+    return (lows < n) & (top.ravel().take(np.minimum(lows, n - 1) + np.arange(len(top)) * n) > alphas)
+
+
 def brute_force_oracle(
     params: IntrinsicParams,
     config: DesignerConfig | None = None,
@@ -291,19 +304,29 @@ def brute_force_oracle(
     its deviation_floor) and participation holds at rating 0. gamma0 can be
     pinned above 0 to probe the base price; only prizes above it count.
 
-    Each verdict is compliance_margins' own at its cell, found by a search
-    on two premises. They hold step by step in IEEE arithmetic when the CN
-    slopes, detection margin and error rates are >= 0 and 0 <= delta < 1
-    (DomainError otherwise). At fixed (alpha, beta), m0 and v0 never fall as
-    gamma1 rises, so rating 0 and participation hold from a first prize on.
+    Each verdict is the one its rating's margins give at its cell
+    (rating0_margins or rating1_margin, the halves of compliance_margins),
+    found by a search on two premises. They hold step by step in IEEE
+    arithmetic when the CN slopes, detection margin and error rates are
+    >= 0 and 0 <= delta < 1 (DomainError otherwise). At fixed (alpha,
+    beta), m0 and v0 never fall as gamma1 rises, so rating 0 and
+    participation hold from a first prize on.
     At fixed (beta, gamma1), m1 never rises as alpha rises, so rating 1
     holds below a first failing alpha. Both margins are affine in the prize
     gap over the turnover, so each search starts at their solved crossing;
     a probe just before that guess and one at it settle the entry, and only
     entries whose guess misses are bisected. The guess picks which cells to
-    probe and nothing else. Utility never rises along gamma1, so each
-    (alpha, beta) row is read at its first feasible prize; the first
-    maximum in C order wins (smallest alpha, beta, gamma1).
+    probe and nothing else.
+
+    A cell is feasible when gamma1 >= low (the first clearing prize of its
+    row) and alpha < top (the first failing alpha of its column). One-byte
+    masks of that test count the feasible cells in slabs of alpha rows,
+    cropped to prizes from the least low on and to alphas below the largest
+    top, outside which no cell can be feasible. Utility never rises along
+    gamma1, so each (alpha, beta) row is read at its first feasible prize:
+    its low itself where a gather of top shows rating 1 holding there, else
+    the first feasible cell of its mask row. The first maximum in C order
+    wins (smallest alpha, beta, gamma1).
     """
     cn_slopes = [payoff_line(w, Strategy.CN, params)[0] for w in (1, 2)]
     signs = (*cn_slopes, params.detection_margin, params.error_free, params.error_any, params.delta)
@@ -318,8 +341,11 @@ def brute_force_oracle(
     def holds(rating, alpha, beta, k):  # rating 0 and participation (rating = 0), or rating 1, at prizes[k]
         gamma1, ok = prizes.take(k, mode="clip"), []
         for worker, floor0, floor1 in floors:
-            m0, m1, v0 = compliance_margins(alpha, beta, gamma1, gamma0, params, worker)
-            ok.append((m1 >= floor1[k]) if rating else (m0 >= floor0) & (v0 >= -TOLERANCE))
+            if rating:
+                ok.append(rating1_margin(alpha, beta, gamma1, gamma0, params, worker) >= floor1[k])
+            else:
+                m0, v0 = rating0_margins(alpha, beta, gamma1, gamma0, params, worker)
+                ok.append((m0 >= floor0) & (v0 >= -TOLERANCE))
         return ok[0] & ok[1]
 
     # Each search starts at the margins' crossing, solved along its axis. At zero weights the
@@ -355,17 +381,28 @@ def brute_force_oracle(
         top[b[e], prize] = _count_leading(
             lambda i, beta, prize: holds(1, grid.take(i, mode="clip"), beta, prize), r, guess, beta, prize
         )
-    rows = max(1, _MASK_CELLS // (r * max(n, 1)))  # mask slabs of alpha rows
-    masks = np.empty((2, rows, r, n), dtype=bool)
+    # No cell is feasible at a prize below low.min(), nor at an alpha row from its beta column's
+    # largest top on, so at none from top.max() on: the masks cover only the box in between.
+    ceiling, start = top.max(axis=1, initial=0), int(low.min(initial=n))
+    stop = int(ceiling.max(initial=0))
+    rows = max(1, _MASK_CELLS // (r * max(n - start, 1)))  # mask slabs of alpha rows
+    masks = np.empty((2, rows, r, n - start), dtype=bool)
     n_feasible, best = 0, (-math.inf,)
-    for s in range(0, r if n else 0, rows):  # no slab when no prize is above gamma0
-        ok, cut = masks[:, : len(low[s : s + rows])]
-        np.less(np.arange(s, s + len(ok), dtype=index)[:, None, None], top, out=ok)
-        ok &= np.greater_equal(np.arange(n, dtype=index), low[s : s + rows, :, None], out=cut)
+    for s in range(0, stop, rows):
+        lows = low[s : min(s + rows, stop)]
+        alphas = np.arange(s, s + len(lows), dtype=index)[:, None]
+        ok, cut = masks[:, : len(lows)]
+        np.less(alphas[:, :, None], top[:, start:], out=ok)
+        ok &= np.greater_equal(np.arange(start, n, dtype=index), lows[:, :, None], out=cut)
         n_feasible += int(np.count_nonzero(ok))
-        cell = ok.argmax(axis=2)  # each row's first feasible gamma1
-        utility = social_utility_closed(grid[s : s + rows, None], grid, prizes[cell], gamma0, params)
-        utility[~np.take_along_axis(ok, cell[:, :, None], axis=2)[:, :, 0]] = -np.inf
+        cell, feasible = np.minimum(lows, n - 1), _rating1_at_low(top, lows, alphas)
+        miss = np.flatnonzero(~feasible & (lows < n) & (alphas < ceiling))  # rows left to the mask
+        if miss.size:
+            row = ok.reshape(-1, n - start)[miss]
+            first = row.argmax(axis=1)
+            cell.flat[miss], feasible.flat[miss] = first + start, row[np.arange(len(miss)), first]
+        utility = social_utility_closed(grid[s : s + len(lows), None], grid, prizes.take(cell), gamma0, params)
+        utility[~feasible] = -np.inf
         ia, ib = np.unravel_index(int(np.argmax(utility)), utility.shape)
         if utility[ia, ib] > best[0]:  # strictly, so the first maximum in C order wins
             best = (float(utility[ia, ib]), float(grid[s + ia]), float(grid[ib]), float(prizes[cell[ia, ib]]))

@@ -82,6 +82,31 @@ def _gain(lines: tuple[np.ndarray, np.ndarray], intended: Strategy, gamma):
     return (slopes[i] - slopes[cn]) * gamma + (intercepts[i] - intercepts[cn])
 
 
+def _compliant_gap(alpha, beta, gamma1, gamma0, params: IntrinsicParams, worker: int):
+    # (v_cn0, gap): the rating-0 compliant payoff and the lifetime rating gap v1 - v0
+    cn_slope, cn_icept = payoff_line(worker, Strategy.CN, params)
+    v_cn0 = cn_slope * gamma0 + cn_icept
+    v_cn1 = cn_slope * gamma1 + cn_icept
+    turnover = beta * params.error_any + alpha * params.error_free
+    return v_cn0, (v_cn1 - v_cn0) / (1.0 - params.delta * (1.0 - turnover))
+
+
+def rating0_margins(alpha, beta, gamma1, gamma0, params: IntrinsicParams, worker: int):
+    """(m0, v0) of compliance_margins: the rating-0 margin and participation value."""
+    v_cn0, gap = _compliant_gap(alpha, beta, gamma1, gamma0, params, worker)
+    gain0 = _gain(payoff_table(params).lines(worker), Strategy.CA, gamma0)
+    m0 = params.delta * params.detection_margin * alpha * gap - gain0
+    v0 = (v_cn0 + params.delta * alpha * params.error_free * gap) / (1.0 - params.delta)
+    return m0, v0
+
+
+def rating1_margin(alpha, beta, gamma1, gamma0, params: IntrinsicParams, worker: int):
+    """m1 of compliance_margins: the rating-1 margin."""
+    _, gap = _compliant_gap(alpha, beta, gamma1, gamma0, params, worker)
+    gain1 = _gain(payoff_table(params).lines(worker), Strategy.CA, gamma1)
+    return params.delta * params.detection_margin * beta * gap - gain1
+
+
 def compliance_margins(alpha, beta, gamma1, gamma0, params: IntrinsicParams, worker: int):
     """Deviation margins and participation value, numpy-broadcasting.
 
@@ -90,21 +115,12 @@ def compliance_margins(alpha, beta, gamma1, gamma0, params: IntrinsicParams, wor
     v0 the lifetime compliant value at the low rating. The margins are the
     one-shot-deviation inequalities cleared of their (possibly vanishing)
     denominators, so they stay finite at delta = 0 or beta = 0 and share
-    the sign of the textbook thresholds wherever those are defined.
+    the sign of the textbook thresholds wherever those are defined. Each
+    rating's part is its own function (rating0_margins, rating1_margin),
+    so a caller that reads one rating computes only that one.
     """
-    cn_slope, cn_icept = payoff_line(worker, Strategy.CN, params)
-    lines = payoff_table(params).lines(worker)
-    v_cn0 = cn_slope * gamma0 + cn_icept
-    v_cn1 = cn_slope * gamma1 + cn_icept
-    gain0 = _gain(lines, Strategy.CA, gamma0)
-    gain1 = _gain(lines, Strategy.CA, gamma1)
-    turnover = beta * params.error_any + alpha * params.error_free
-    gap = (v_cn1 - v_cn0) / (1.0 - params.delta * (1.0 - turnover))
-    detect = params.delta * params.detection_margin
-    m0 = detect * alpha * gap - gain0
-    m1 = detect * beta * gap - gain1
-    v0 = (v_cn0 + params.delta * alpha * params.error_free * gap) / (1.0 - params.delta)
-    return m0, m1, v0
+    m0, v0 = rating0_margins(alpha, beta, gamma1, gamma0, params, worker)
+    return m0, rating1_margin(alpha, beta, gamma1, gamma0, params, worker), v0
 
 
 def deviation_floor(gamma, params: IntrinsicParams, worker: int):

@@ -453,11 +453,13 @@ def test_near_zero_attack_cost_is_feasible():
 # (r, cells): cells sets both _SEARCH_CELLS (cells per margin call, in whole
 # grid rows) and _MASK_CELLS (cells per mask slab). None keeps the defaults:
 # at 37 one search chunk and one mask slab; at 100 an 80-row search chunk and
-# a 20-row tail, and 26-row mask slabs. 10 at 300: one search chunk, 3-row
-# mask slabs and a 1-row tail. 23 at 1: a row per search chunk, 23 columns
-# per column chunk and a row per mask slab. 23 at 1955: 3-row mask slabs at
-# gamma0 = 0, 5-row slabs on the 17-point prize suffix above gamma0 = 0.3,
-# and one slab on the 1-point suffix above 0.995.
+# a 20-row tail, and mask slabs of 26 or more rows, as the crop narrows the
+# prizes. 10 at 300: one search chunk and mask slabs of 3 or more rows. 23 at
+# 1: a row per search chunk, 23 columns per column chunk and a row per mask
+# slab. 23 at 1955: mask slabs of 3 or more rows at gamma0 = 0, 5 or more on
+# the 17-point prize suffix above gamma0 = 0.3, and one slab on the 1-point
+# suffix above 0.995. The mask covers only alpha rows below the largest top,
+# and at every r some case crops it to no cell at all.
 _SLAB_CASES = [(37, None), (100, None), (10, 300), (23, 1), (23, 1955)]
 
 
@@ -473,17 +475,36 @@ def _whole_grid_reprs(r):
     }
 
 
+def _recording_the_gather(monkeypatch):
+    # (top, lows, alphas, held) of each designer._rating1_at_low call, one per mask slab, from
+    # whatever that function is when this is called
+    calls, gather = [], designer._rating1_at_low
+
+    def recording(top, lows, alphas):
+        held = gather(top, lows, alphas)
+        calls.append((top, lows, alphas, held))
+        return held
+
+    monkeypatch.setattr(designer, "_rating1_at_low", recording)
+    return calls
+
+
 def _oracle_equals_the_whole_grid(monkeypatch, r, cells):
     if cells is not None:
         monkeypatch.setattr(designer, "_SEARCH_CELLS", cells)
         monkeypatch.setattr(designer, "_MASK_CELLS", cells)
     config = DesignerConfig(oracle_grid_r=r)
-    seen = Counter()  # (feasible, perfect monitoring)
+    seen, crops = Counter(), Counter()  # (feasible, perfect monitoring); how the mask was cropped
+    slabs = _recording_the_gather(monkeypatch)
     for (p, gamma0), expected in _whole_grid_reprs(r).items():
+        slabs.clear()
         res = brute_force_oracle(p, config, gamma0=gamma0)
         assert repr(res) == expected, (p, gamma0)
         seen[res.feasible, p.error_any == 0.0] += 1
+        stop = max((int(alphas[-1, 0]) + 1 for _, _, alphas, _ in slabs), default=0)
+        crops["no cell" if gamma0 < 1.0 and not slabs else "rows" if 0 < stop < r else "other"] += 1
     assert seen[True, False] and seen[False, False] and seen[True, True], seen
+    assert crops["no cell"] and crops["rows"], crops
 
 
 @pytest.mark.parametrize("r, cells", _SLAB_CASES)
@@ -509,17 +530,40 @@ def test_oracle_answer_rests_on_the_probes_not_the_guess(monkeypatch, r, cells, 
     _oracle_equals_the_whole_grid(monkeypatch, r, cells)
 
 
+@pytest.mark.parametrize("r, cells", _SLAB_CASES)
+def test_oracle_answer_rests_on_the_mask_not_the_gather(monkeypatch, r, cells):
+    # with the gather missing at every row, each row's first feasible prize
+    # comes from its mask row, and the answer is still the whole grid's
+    monkeypatch.setattr(designer, "_rating1_at_low", lambda top, lows, alphas: np.zeros(lows.shape, dtype=bool))
+    _oracle_equals_the_whole_grid(monkeypatch, r, cells)
+
+
+def test_oracle_mask_reads_the_rows_the_gather_misses(monkeypatch):
+    # unpatched, the gather settles most rows that can hold a feasible
+    # prize, and the mask still reads some on the edge-weighted set
+    slabs, rows = _recording_the_gather(monkeypatch), Counter()
+    for p in _edge_weighted_environments(70, seed=1618):
+        for gamma0 in (0.0, 0.3):
+            brute_force_oracle(p, DesignerConfig(oracle_grid_r=100), gamma0=gamma0)
+    for top, lows, alphas, held in slabs:  # the mask reads rows with no gather hit, a low prize and room below top
+        rows["mask"] += int(np.count_nonzero(~held & (lows < top.shape[1]) & (alphas < top.max(axis=1))))
+        rows["gather"] += int(np.count_nonzero(held))
+    assert 0 < rows["mask"] < rows["gather"], rows
+
+
 def test_oracle_margin_calls_and_fallback_share(defaults, monkeypatch):
     # the guesses settle almost every search entry with two probes, so the
-    # margin calls per oracle call stay a handful per search chunk (14 at
-    # r = 100 and 34 at r = 200 on the defaults), and the binary lifting
-    # runs on under 1% of the entries
-    margins, count_leading = designer.compliance_margins, designer._count_leading
-    calls, entries = [0], Counter()
+    # margin calls per oracle call, of every margin function, stay a handful
+    # per search chunk (14 at r = 100 and 34 at r = 200 on the defaults),
+    # and the binary lifting runs on under 1% of the entries
+    count_leading, calls, entries = designer._count_leading, Counter(), Counter()
 
-    def counting(*args):
-        calls[0] += 1
-        return margins(*args)
+    def counting(name, margins):
+        def counted(*args):
+            calls[name] += 1
+            return margins(*args)
+
+        return counted
 
     def tallying(fails, size, count, *axes):
         guess = count.copy()
@@ -528,11 +572,15 @@ def test_oracle_margin_calls_and_fallback_share(defaults, monkeypatch):
         entries["all"] += found.size
         return found
 
-    monkeypatch.setattr(designer, "compliance_margins", counting)
+    for name in ("compliance_margins", "rating0_margins", "rating1_margin"):
+        monkeypatch.setattr(designer, name, counting(name, getattr(designer, name)))
     for r, bound in ((100, 16), (200, 40)):
-        calls[0] = 0
+        calls.clear()
         brute_force_oracle(defaults, DesignerConfig(oracle_grid_r=r))
-        assert calls[0] <= bound, (r, calls[0])
+        # at least the two zero-weight calls, and two probes per worker in
+        # each chunk of the first search and in the second search's first
+        least = 2 + 4 * -(-r // (designer._SEARCH_CELLS // r)) + 4
+        assert least <= sum(calls.values()) <= bound, (r, calls)
     monkeypatch.setattr(designer, "_count_leading", tallying)
     for p in _edge_weighted_environments(70, seed=1618):
         for gamma0 in (0.0, 0.3):
@@ -557,14 +605,18 @@ def test_oracle_search_premises_hold_on_the_oracle_grid():
     # computed as the oracle computes them: at fixed (alpha, beta) rating 0
     # and participation never go from holding to failing as gamma1 rises,
     # and at fixed (beta, gamma1) rating 1 never goes from failing to
-    # holding as alpha rises
+    # holding as alpha rises. The oracle's probes call the per-rating
+    # halves of compliance_margins, and each half gives its bytes.
     grid = np.arange(1, 101) / 100
     for p in _edge_weighted_environments(70, seed=1618):
         for gamma0, worker in itertools.product((0.0, 0.3), (1, 2)):
-            gamma1 = grid[grid > gamma0 + 1e-12]
-            m0, m1, v0 = compliance_margins(grid[:, None, None], grid[None, :, None], gamma1, gamma0, p, worker)
+            args = (grid[:, None, None], grid[None, :, None], grid[grid > gamma0 + 1e-12], gamma0, p, worker)
+            m0, v0 = incentives.rating0_margins(*args)
+            m1 = incentives.rating1_margin(*args)
+            for x, y in zip((m0, m1, v0), compliance_margins(*args)):  # as integers, so each bit counts
+                assert x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64)), (p, gamma0, worker)
             rating0 = (m0 >= incentives.deviation_floor(gamma0, p, worker)) & (v0 >= -incentives.TOLERANCE)
-            rating1 = m1 >= incentives.deviation_floor(gamma1, p, worker)
+            rating1 = m1 >= incentives.deviation_floor(args[2], p, worker)
             assert (rating0[:, :, :-1] <= rating0[:, :, 1:]).all(), (p, gamma0, worker)
             assert (rating1[:-1] >= rating1[1:]).all(), (p, gamma0, worker)
 
@@ -590,9 +642,11 @@ def test_oracle_tie_across_slabs_keeps_the_first_cell(defaults, monkeypatch):
     monkeypatch.setattr(designer, "social_utility_closed", flat)
     monkeypatch.setattr(designer, "_SEARCH_CELLS", 1)
     monkeypatch.setattr(designer, "_MASK_CELLS", 1)
+    slabs = _recording_the_gather(monkeypatch)
     config = DesignerConfig(oracle_grid_r=10)
     res = brute_force_oracle(defaults, config)
     assert res.n_feasible > 10 * 10
+    assert len(slabs) > 1  # one mask slab per alpha row
     assert repr(res) == repr(whole_grid_oracle(defaults, config, utility_of=flat))
 
 

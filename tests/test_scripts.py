@@ -26,14 +26,17 @@ def test_bench_writes_the_next_unused_report(monkeypatch, tmp_path):
 
 
 def test_bench_counts_the_oracle_margin_calls(monkeypatch):
-    # the r = 40 oracle row records the compliance_margins calls of one call,
-    # and the count's wrapper is gone afterwards
+    # the r = 40 oracle row records the calls of every margin function one
+    # call makes, and the count's wrappers are gone afterwards
     bench = _load("bench", monkeypatch)
-    names, margins = [name for name, *_ in bench.FUNCTION_ROWS], bench.designer.compliance_margins
+    names = [name for name, *_ in bench.FUNCTION_ROWS]
+    margins = {name: getattr(bench.designer, name) for name in ("compliance_margins", "rating0_margins", "rating1_margin")}
     row = bench.time_function_row(names.index("brute_force_oracle, r=40"))
-    assert bench.designer.compliance_margins is margins
+    assert all(getattr(bench.designer, name) is function for name, function in margins.items())
     assert isinstance(row["margin_calls_per_call"], int)
-    assert 0 < row["margin_calls_per_call"] <= 12  # 10 at the defaults
+    # 10 at the defaults: two zero-weight calls, and two probes per worker in
+    # each search's one chunk, so leaving any margin function out reads fewer
+    assert 10 <= row["margin_calls_per_call"] <= 12
     assert "margin_calls_per_call" not in bench.time_function_row(names.index("is_sustainable"))
 
 
