@@ -32,6 +32,7 @@ from .errors import DegenerateDenominator, DomainError, Infeasible
 from .incentives import (
     TOLERANCE,
     SustainabilityReport,
+    _turnover,
     binding_lines,
     compliance_margins,
     deviation_floor,
@@ -42,7 +43,7 @@ from .incentives import (
 from .params import DesignParams, IntrinsicParams, Strategy
 from .payoffs import payoff_line
 from .requester import social_utility_closed
-from .tableio import csv_line
+from .tableio import csv_line, fmt
 
 CASE_BETA_ONE = "beta=1"
 CASE_ALPHA_ONE = "alpha=1"
@@ -90,8 +91,6 @@ class DesignOutcome:
         return DesignParams(self.alpha, self.beta, self.gamma1, self.gamma0)
 
     def key_value_lines(self) -> list[str]:
-        from .tableio import fmt
-
         lines = [
             f"feasible={fmt(self.feasible)}",
             f"case={self.case_id}",
@@ -154,31 +153,32 @@ def _gamma1_grid(config: DesignerConfig | None) -> np.ndarray:
     return np.arange(1, m + 1) / m
 
 
-def _case_optimum(case_id: str, gamma1: np.ndarray, lines, params: IntrinsicParams) -> CaseResult:
-    # one boundary case read off binding_lines(gamma1, params), which both cases share
-    k2, b2, k3, b3, upper, live = lines
+def _case_optima(case_ids, gamma1: np.ndarray, params: IntrinsicParams) -> tuple[CaseResult, ...]:
+    # the boundary cases case_ids, all read off one binding_lines scan, under one errstate
+    k2, b2, k3, b3, upper, live = binding_lines(gamma1, params)
+    cases = []
     with np.errstate(divide="ignore", invalid="ignore"):  # entries the masks drop
-        if case_id == CASE_BETA_ONE:
-            alpha, beta = (1.0 - b3) / k3, np.ones(len(gamma1))
-            corner = (k3 > 0.0) & (0.0 < alpha) & (alpha < 1.0)
-            cut = (k2 > 0.0) & ((1.0 - b2) / k2 <= alpha)
-        else:
-            alpha, beta = np.ones(len(gamma1)), k3 + b3
-            corner = (0.0 < beta) & (beta <= 1.0)
-            cut = (k2 > 0.0) & (k2 + b2 > beta)
-    feasible = np.flatnonzero(live & corner & ~cut)
-    if not feasible.size:
-        return CaseResult(case_id=case_id, feasible=False)
-    pick = feasible[0] if case_id == CASE_BETA_ONE else feasible[-1]
-    return CaseResult(
-        case_id=case_id,
-        feasible=True,
-        alpha=float(alpha[pick]),
-        beta=float(beta[pick]),
-        gamma1=float(gamma1[pick]),
-        utility=_corner_utility(case_id, float(gamma1[pick]), int(upper[pick]), params),
-        feasible_gamma1=tuple(gamma1[feasible].tolist()),
-    )
+        rising = k2 > 0.0  # where the rating-1 deviation line can cut the corner off
+        for case_id in case_ids:
+            beta_one = case_id == CASE_BETA_ONE
+            if beta_one:  # the free knob on the participation line: alpha at beta = 1
+                free = (1.0 - b3) / k3
+                corner = (k3 > 0.0) & (0.0 < free) & (free < 1.0)
+                cut = (1.0 - b2) / k2 <= free
+            else:  # beta at alpha = 1
+                free = k3 + b3
+                corner = (0.0 < free) & (free <= 1.0)
+                cut = k2 + b2 > free
+            feasible = np.flatnonzero(live & corner & ~(rising & cut))
+            if not feasible.size:
+                cases.append(CaseResult(case_id=case_id, feasible=False))
+                continue
+            pick = feasible[0] if beta_one else feasible[-1]
+            knob, gamma = float(free[pick]), float(gamma1[pick])
+            alpha, beta = (knob, 1.0) if beta_one else (1.0, knob)
+            utility = _corner_utility(case_id, gamma, int(upper[pick]), params)
+            cases.append(CaseResult(case_id, True, alpha, beta, gamma, utility, tuple(gamma1[feasible].tolist())))
+    return tuple(cases)
 
 
 def boundary_case_optimum(
@@ -198,8 +198,7 @@ def boundary_case_optimum(
     """
     if case_id not in (CASE_BETA_ONE, CASE_ALPHA_ONE):
         raise ValueError(f"unknown case id: {case_id!r}")
-    gamma1 = _gamma1_grid(config)
-    return _case_optimum(case_id, gamma1, binding_lines(gamma1, params), params)
+    return _case_optima((case_id,), _gamma1_grid(config), params)[0]
 
 
 def optimize(params: IntrinsicParams, config: DesignerConfig | None = None) -> DesignOutcome:
@@ -210,11 +209,7 @@ def optimize(params: IntrinsicParams, config: DesignerConfig | None = None) -> D
     then toward the beta=1 case.
     """
     config = config or DesignerConfig()
-    gamma1 = _gamma1_grid(config)
-    lines = binding_lines(gamma1, params)  # both cases read the one scan
-    cases = tuple(
-        _case_optimum(case_id, gamma1, lines, params) for case_id in (CASE_BETA_ONE, CASE_ALPHA_ONE)
-    )
+    cases = _case_optima((CASE_BETA_ONE, CASE_ALPHA_ONE), _gamma1_grid(config), params)  # one scan
     live = [c for c in cases if c.feasible]
     if not live:
         err = Infeasible(f"no feasible protocol on the gamma1 grid (m = {config.gamma_grid_m})")
@@ -353,12 +348,8 @@ def brute_force_oracle(
     # margins read m0 = -gain0, m1 = -gain1 and v0 = v_cn0 / (1 - delta) at every prize. So
     # rating 0 and participation clear from gamma1 = gamma0 + lead * turnover / alpha on, and
     # rating 1 holds while turnover <= beta * reach[k].
-    delta, error_any, error_free = params.delta, params.error_any, params.error_free
+    delta, error_free = params.delta, params.error_free
     detect, lead, reach = delta * params.detection_margin, -np.inf, np.inf
-
-    def turnover(alpha, beta):  # the positive denominator of the rating gap
-        return 1.0 - delta * (1.0 - (beta * error_any + alpha * error_free))
-
     with np.errstate(all="ignore"):  # a guess may be inf or nan: the probes settle any guess
         for (worker, floor0, floor1), slope in zip(floors, cn_slopes):
             m0, m1, v0 = compliance_margins(0.0, 0.0, prizes, gamma0, params, worker)
@@ -371,14 +362,14 @@ def brute_force_oracle(
     for s in range(0, r, rows):  # first prize at which each (alpha, beta) row clears
         a = grid[s : s + rows, None]
         with np.errstate(all="ignore"):
-            guess = _guess(prizes, gamma0 + lead * turnover(a, grid) / a, "left")
+            guess = _guess(prizes, gamma0 + lead * _turnover(a, grid, params) / a, "left")
         low[s : s + rows] = _count_leading(lambda k, alpha, beta: ~holds(0, alpha, beta, k), n, guess, a, grid)
     # first failing alpha per (beta, prize) column, searched where some row's low allows a feasible cell
     b, k = np.nonzero(np.arange(n) >= low.min(axis=0)[:, None])
     for e in (slice(s, s + rows * r) for s in range(0, len(b), rows * r)):
         beta, prize = grid[b[e]], k[e]
         with np.errstate(all="ignore"):
-            guess = _guess(grid, (beta * reach[prize] - turnover(0.0, beta)) / (delta * error_free), "right")
+            guess = _guess(grid, (beta * reach[prize] - _turnover(0.0, beta, params)) / (delta * error_free), "right")
         top[b[e], prize] = _count_leading(
             lambda i, beta, prize: holds(1, grid.take(i, mode="clip"), beta, prize), r, guess, beta, prize
         )

@@ -10,6 +10,11 @@ rating-0 CA line has a negative slope and intercept, so it never binds on
 the unit square and only its intercept (shared with participation) is kept.
 Every check allows the one slack TOLERANCE: a deviation may gain up to it,
 participation and the band's lines may miss by up to it.
+
+The margin formulas are private helpers of plain operators that take one
+worker's payoff lines and an already computed gap or gain: is_sustainable
+runs them on the payoff table's floats (its one numpy call is the lifetime
+solve), the grid oracle's probes on arrays.
 """
 
 from __future__ import annotations
@@ -20,11 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDenominator
-from .params import DesignParams, IntrinsicParams, Strategy, check_worker
-from .payoffs import against_compliant, payoff_line, payoff_table
+from .params import STRATEGIES, DesignParams, IntrinsicParams, Strategy, check_worker
+from .payoffs import against_compliant, payoff_table
 from .ratings import transition_kernel
 
 TOLERANCE = 1e-9  # slack of every sustainability, participation and band check
+_CN, _CA, _SN, _SA = (s.index for s in STRATEGIES)  # the intents' places in a worker's lines
 
 
 @dataclass(frozen=True)
@@ -52,6 +58,17 @@ def lifetime_values(design: DesignParams, params: IntrinsicParams, worker: int) 
     return LifetimeValues(v0=float(v[0]), v1=float(v[1]))
 
 
+def _turnover(alpha, beta, params: IntrinsicParams):
+    # 1 - delta + delta * (beta * error_any + alpha * error_free), as computed: the positive
+    # denominator of the lifetime rating gap, the same for both workers
+    return 1.0 - params.delta * (1.0 - (beta * params.error_any + alpha * params.error_free))
+
+
+def _rating_gap(lines, design: DesignParams, turnover: float) -> float:
+    # rating_gap from a worker's lines (payoff_table(params).lines(worker))
+    return lines[0][_CN] * (design.gamma1 - design.gamma0) / turnover
+
+
 def rating_gap(design: DesignParams, params: IntrinsicParams, worker: int) -> float:
     """Closed form of v1 - v0 for the compliant worker.
 
@@ -59,10 +76,8 @@ def rating_gap(design: DesignParams, params: IntrinsicParams, worker: int) -> fl
     advantage divided by one minus the discounted probability of keeping
     the current rating differential.
     """
-    slope, intercept = payoff_line(worker, Strategy.CN, params)
-    prize_edge = slope * (design.gamma1 - design.gamma0)
-    turnover = design.beta * params.error_any + design.alpha * params.error_free
-    return prize_edge / (1.0 - params.delta * (1.0 - turnover))
+    turnover = _turnover(design.alpha, design.beta, params)
+    return _rating_gap(payoff_table(params).lines(worker), design, turnover)
 
 
 def deviation_value(
@@ -75,36 +90,51 @@ def deviation_value(
     return stage + params.delta * (row[0] * values.v0 + row[1] * values.v1)
 
 
-def _gain(lines: tuple[np.ndarray, np.ndarray], intended: Strategy, gamma):
-    # one-period gain of intending `intended` instead of CN at prize gamma
+def _gain(lines, i: int, gamma):
+    # one-period gain of intending STRATEGIES[i] instead of CN at prize gamma; lines is one
+    # worker's (slopes, intercepts), from payoff_table(params).lines
     slopes, intercepts = lines
-    i, cn = intended.index, Strategy.CN.index
-    return (slopes[i] - slopes[cn]) * gamma + (intercepts[i] - intercepts[cn])
+    return (slopes[i] - slopes[_CN]) * gamma + (intercepts[i] - intercepts[_CN])
 
 
-def _compliant_gap(alpha, beta, gamma1, gamma0, params: IntrinsicParams, worker: int):
+def _compliant_gap(lines, gamma1, gamma0, turnover):
     # (v_cn0, gap): the rating-0 compliant payoff and the lifetime rating gap v1 - v0
-    cn_slope, cn_icept = payoff_line(worker, Strategy.CN, params)
+    cn_slope, cn_icept = lines[0][_CN], lines[1][_CN]
     v_cn0 = cn_slope * gamma0 + cn_icept
-    v_cn1 = cn_slope * gamma1 + cn_icept
-    turnover = beta * params.error_any + alpha * params.error_free
-    return v_cn0, (v_cn1 - v_cn0) / (1.0 - params.delta * (1.0 - turnover))
+    return v_cn0, (cn_slope * gamma1 + cn_icept - v_cn0) / turnover
+
+
+def _margin(detect, weight, gap, gain):
+    # a CA margin: delta * D * weight * gap - gain, with detect = delta * D
+    return detect * weight * gap - gain
+
+
+def _participation(v_cn0, gap, alpha, params: IntrinsicParams):
+    # v0, the lifetime compliant value at the low rating
+    return (v_cn0 + params.delta * alpha * params.error_free * gap) / (1.0 - params.delta)
+
+
+def _deviation_floor(lines, drop_ratio, gamma, gain_ca):
+    # deviation_floor from a worker's lines, the table's drop ratios and the CA gain at gamma
+    sn, sa = (drop_ratio[i] * (_gain(lines, i, gamma) - TOLERANCE) - gain_ca for i in (_SN, _SA))
+    if isinstance(gamma, np.ndarray):
+        return np.maximum(np.maximum(-TOLERANCE, sn), sa)
+    return max(sn, sa, -TOLERANCE) if sa == sa else sa  # a nan bound wins, as in np.maximum
 
 
 def rating0_margins(alpha, beta, gamma1, gamma0, params: IntrinsicParams, worker: int):
     """(m0, v0) of compliance_margins: the rating-0 margin and participation value."""
-    v_cn0, gap = _compliant_gap(alpha, beta, gamma1, gamma0, params, worker)
-    gain0 = _gain(payoff_table(params).lines(worker), Strategy.CA, gamma0)
-    m0 = params.delta * params.detection_margin * alpha * gap - gain0
-    v0 = (v_cn0 + params.delta * alpha * params.error_free * gap) / (1.0 - params.delta)
-    return m0, v0
+    lines = payoff_table(params).lines(worker)
+    v_cn0, gap = _compliant_gap(lines, gamma1, gamma0, _turnover(alpha, beta, params))
+    m0 = _margin(params.delta * params.detection_margin, alpha, gap, _gain(lines, _CA, gamma0))
+    return m0, _participation(v_cn0, gap, alpha, params)
 
 
 def rating1_margin(alpha, beta, gamma1, gamma0, params: IntrinsicParams, worker: int):
     """m1 of compliance_margins: the rating-1 margin."""
-    _, gap = _compliant_gap(alpha, beta, gamma1, gamma0, params, worker)
-    gain1 = _gain(payoff_table(params).lines(worker), Strategy.CA, gamma1)
-    return params.delta * params.detection_margin * beta * gap - gain1
+    lines = payoff_table(params).lines(worker)
+    _, gap = _compliant_gap(lines, gamma1, gamma0, _turnover(alpha, beta, params))
+    return _margin(params.delta * params.detection_margin, beta, gap, _gain(lines, _CA, gamma1))
 
 
 def compliance_margins(alpha, beta, gamma1, gamma0, params: IntrinsicParams, worker: int):
@@ -115,12 +145,17 @@ def compliance_margins(alpha, beta, gamma1, gamma0, params: IntrinsicParams, wor
     v0 the lifetime compliant value at the low rating. The margins are the
     one-shot-deviation inequalities cleared of their (possibly vanishing)
     denominators, so they stay finite at delta = 0 or beta = 0 and share
-    the sign of the textbook thresholds wherever those are defined. Each
-    rating's part is its own function (rating0_margins, rating1_margin),
-    so a caller that reads one rating computes only that one.
+    the sign of the textbook thresholds wherever those are defined. The
+    rating gap is computed once for both ratings; each rating's part is
+    also its own function (rating0_margins, rating1_margin), so a caller
+    that reads one rating computes only that one.
     """
-    m0, v0 = rating0_margins(alpha, beta, gamma1, gamma0, params, worker)
-    return m0, rating1_margin(alpha, beta, gamma1, gamma0, params, worker), v0
+    lines = payoff_table(params).lines(worker)
+    v_cn0, gap = _compliant_gap(lines, gamma1, gamma0, _turnover(alpha, beta, params))
+    detect = params.delta * params.detection_margin
+    m0 = _margin(detect, alpha, gap, _gain(lines, _CA, gamma0))
+    m1 = _margin(detect, beta, gap, _gain(lines, _CA, gamma1))
+    return m0, m1, _participation(v_cn0, gap, alpha, params)
 
 
 def deviation_floor(gamma, params: IntrinsicParams, worker: int):
@@ -132,17 +167,13 @@ def deviation_floor(gamma, params: IntrinsicParams, worker: int):
     SA on the validated domain. So m_X = (dq_X / dq_CA) * (m_CA + gain_CA) -
     gain_X, and m_X >= -TOLERANCE holds exactly when m_CA >= (dq_CA / dq_X)
     * (gain_X - TOLERANCE) - gain_CA. Returns the largest of the SN and SA
-    bounds and -TOLERANCE (CA's own check), numpy-broadcasting over gamma:
-    one value per prize, however many (alpha, beta) cells share it.
+    bounds and -TOLERANCE (CA's own check): one float for a scalar prize,
+    and for a prize array one value per prize, however many (alpha, beta)
+    cells share it.
     """
     table = payoff_table(params)
-    lines, drop = table.lines(worker), table.detection_drop
-    gain_ca = _gain(lines, Strategy.CA, gamma)
-    floor = -TOLERANCE
-    for intended in (Strategy.SN, Strategy.SA):
-        ratio = drop[Strategy.CA.index] / drop[intended.index]
-        floor = np.maximum(floor, ratio * (_gain(lines, intended, gamma) - TOLERANCE) - gain_ca)
-    return floor
+    lines = table.lines(worker)
+    return _deviation_floor(lines, table.drop_ratio, gamma, _gain(lines, _CA, gamma))
 
 
 def _gap_threshold(gain: float, weight: float) -> float:
@@ -195,38 +226,25 @@ def is_sustainable(design: DesignParams, params: IntrinsicParams) -> Sustainabil
     (infinite when the corresponding correction channel is shut) and the
     lifetime compliant values.
     """
+    table = payoff_table(params)
+    alpha, beta, gamma1, gamma0 = design.alpha, design.beta, design.gamma1, design.gamma0
+    turnover = _turnover(alpha, beta, params)
+    detect = params.delta * params.detection_margin
     workers = []
-    for worker in (1, 2):
-        m0, m1, _ = compliance_margins(
-            design.alpha, design.beta, design.gamma1, design.gamma0, params, worker
-        )
-        gap = rating_gap(design, params, worker)
-        lines = payoff_table(params).lines(worker)
-        gain0, gain1 = (float(_gain(lines, Strategy.CA, g)) for g in (design.gamma0, design.gamma1))
-        detect = params.delta * params.detection_margin
-        th0 = _gap_threshold(gain0, detect * design.alpha)
-        th1 = _gap_threshold(gain1, detect * design.beta)
-        floor0, floor1 = deviation_floor(np.array([design.gamma0, design.gamma1]), params, worker)
-        workers.append(
-            WorkerIncentives(
-                worker=worker,
-                gap=gap,
-                gain0=gain0,
-                gain1=gain1,
-                threshold0=th0,
-                threshold1=th1,
-                margin_combined=gap - max(th0, th1),
-                margin0=float(m0),
-                margin1=float(m1),
-                lifetime=lifetime_values(design, params, worker),
-                sustainable=bool(m0 >= floor0 and m1 >= floor1),
-            )
-        )
-    return SustainabilityReport(
-        design=design,
-        workers=tuple(workers),
-        sustainable=all(w.sustainable for w in workers),
-    )
+    for worker, lines in enumerate(table.worker_lines, start=1):
+        _, gap = _compliant_gap(lines, gamma1, gamma0, turnover)
+        gain0, gain1 = float(_gain(lines, _CA, gamma0)), float(_gain(lines, _CA, gamma1))
+        m0, m1 = _margin(detect, alpha, gap, gain0), _margin(detect, beta, gap, gain1)
+        floor0 = _deviation_floor(lines, table.drop_ratio, gamma0, gain0)
+        floor1 = _deviation_floor(lines, table.drop_ratio, gamma1, gain1)
+        th0, th1 = _gap_threshold(gain0, detect * alpha), _gap_threshold(gain1, detect * beta)
+        report_gap = _rating_gap(lines, design, turnover)
+        workers.append(WorkerIncentives(
+            worker=worker, gap=report_gap, gain0=gain0, gain1=gain1, threshold0=th0, threshold1=th1,
+            margin_combined=report_gap - max(th0, th1), margin0=float(m0), margin1=float(m1),
+            lifetime=lifetime_values(design, params, worker), sustainable=bool(m0 >= floor0 and m1 >= floor1),
+        ))
+    return SustainabilityReport(design=design, workers=tuple(workers), sustainable=all(w.sustainable for w in workers))
 
 
 @dataclass(frozen=True)
@@ -263,7 +281,7 @@ def _coefficient_grid(gamma1, params: IntrinsicParams):
     denominator are scalars, k3's denominator is a (2, 1) column.
     """
     table = payoff_table(params)
-    cn, ca = (slice(s.index, s.index + 1) for s in (Strategy.CN, Strategy.CA))  # (2, 1) columns
+    cn, ca = slice(_CN, _CN + 1), slice(_CA, _CA + 1)  # (2, 1) columns
     cn_slope, cn_icept = table.slope[:, cn], table.intercept[:, cn]
     ca_slope, ca_icept = table.slope[:, ca], table.intercept[:, ca]
     gamma1 = np.asarray(gamma1, dtype=float)
@@ -317,8 +335,9 @@ def binding_lines(gamma1, params: IntrinsicParams):
     DegenerateDenominator. b3 is one scalar for the whole grid.
     """
     coefficients, denominators = _coefficient_grid(gamma1, params)
-    vanishes = {name: np.abs(d) < _VANISHES for name, d in denominators.items()}
-    live = ~np.any(vanishes["k2"] | vanishes["k3"] | vanishes["b1"], axis=0)  # (2, n) -> (n,)
+    # k2's denominators vary along the grid, (2, n); k3's are a (2, 1) column, b1's one scalar
+    vanishes = (np.abs(denominators["k2"]) < _VANISHES) | (np.abs(denominators["k3"]) < _VANISHES)
+    live = ~(vanishes.any(axis=0) | (abs(denominators["b1"]) < _VANISHES))  # (n,)
     k2, b2, k3 = coefficients["k2"], coefficients["b2"], coefficients["k3"]
     low, up = k2[1] > k2[0], k3[1] < k3[0]  # where worker 2 binds
     return (

@@ -41,10 +41,7 @@ class Strategy(Enum):
     def attacks(self) -> bool:
         return self.value[1] == "A"
 
-    @property
-    def index(self) -> int:
-        """Position in the fixed CN, CA, SN, SA matrix order."""
-        return STRATEGIES.index(self)
+    index: int  # position in the fixed CN, CA, SN, SA matrix order (set below)
 
 
 STRATEGIES: tuple[Strategy, ...] = (
@@ -53,6 +50,8 @@ STRATEGIES: tuple[Strategy, ...] = (
     Strategy.SN,
     Strategy.SA,
 )
+for _position, _strategy in enumerate(STRATEGIES):
+    _strategy.index = _position  # a plain attribute, read on every payoff and margin call
 
 
 @dataclass(frozen=True)

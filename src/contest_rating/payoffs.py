@@ -93,21 +93,26 @@ def against_compliant(worker: int, intended: Strategy, gamma: float, params: Int
 
 @dataclass(frozen=True)
 class PayoffTable:
-    """The eight payoff lines of one environment, read-only arrays.
+    """The eight payoff lines of one environment, as read-only arrays and as floats.
 
     slope[w - 1, i] and intercept[w - 1, i] give worker w's line for the
     intent STRATEGIES[i]; detection_drop[i] is how much less likely that
-    intent is read as CN than CN itself (worker-independent).
+    intent is read as CN than CN itself (worker-independent). For scalar
+    callers, worker_lines[w - 1] holds worker w's (slopes, intercepts) as
+    tuples of floats, and drop_ratio[i] = detection_drop[CA] /
+    detection_drop[i] as numpy divides it (inf or nan where a drop vanishes).
     """
 
     slope: np.ndarray
     intercept: np.ndarray
     detection_drop: np.ndarray
+    worker_lines: tuple[tuple[tuple[float, ...], tuple[float, ...]], ...]
+    drop_ratio: tuple[float, ...]
 
-    def lines(self, worker: int) -> tuple[np.ndarray, np.ndarray]:
-        """(slopes, intercepts) of one worker's four lines, in STRATEGIES order."""
+    def lines(self, worker: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """(slopes, intercepts) of one worker's four lines, in STRATEGIES order, as floats."""
         check_worker(worker)
-        return self.slope[worker - 1], self.intercept[worker - 1]
+        return self.worker_lines[worker - 1]
 
 
 @lru_cache(maxsize=128)
@@ -126,12 +131,15 @@ def payoff_table(params: IntrinsicParams) -> PayoffTable:
     arrays = (at1 - at0, at0, seen_cn[Strategy.CN.index] - seen_cn)
     for a in arrays:
         a.flags.writeable = False
-    return PayoffTable(*arrays)
+    slope, intercept, drop = arrays
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = drop[Strategy.CA.index] / drop
+    worker_lines = tuple((tuple(s), tuple(i)) for s, i in zip(slope.tolist(), intercept.tolist()))
+    return PayoffTable(*arrays, worker_lines, tuple(ratio.tolist()))
 
 
 def payoff_line(worker: int, intended: Strategy, params: IntrinsicParams) -> tuple[float, float]:
     """(slope, intercept) of gamma -> expected payoff against a compliant opponent."""
     slopes, intercepts = payoff_table(params).lines(worker)
     i = intended.index
-    return float(slopes[i]), float(intercepts[i])
-
+    return slopes[i], intercepts[i]

@@ -7,9 +7,10 @@ explicitly instead.
 """
 
 import pytest
+from hypothesis import assume
 from hypothesis import strategies as st
 
-from contest_rating import DesignParams, IntrinsicParams, default_params, optimize
+from contest_rating import DesignParams, IntrinsicParams, default_params, optimize, validate
 
 
 def _floats(lo, hi):
@@ -29,6 +30,42 @@ def intrinsic_params(draw, delta_min=0.0, delta_max=0.98, eps_min=0.0, eps_max=0
         eps1=draw(_floats(eps_min, eps_max)),
         eps2=draw(_floats(eps_min, eps_max)),
     )
+
+
+@st.composite
+def edge_environments(draw):
+    """A validated environment with its fields pushed to the domain's edges
+
+    about half the time: eps1 = eps2 = 0 together, delta = 0 or near 1,
+    c_i + d near 1, attack costs near 0. Draws that validate() rejects are
+    discarded.
+    """
+    def field(lo, hi, *edges):
+        return draw(st.one_of(_floats(lo, hi), st.sampled_from(edges)))
+
+    perfect = draw(st.booleans())
+    p = IntrinsicParams(
+        c1=field(0.01, 0.95, 1e-9, 0.5),
+        c2=field(0.01, 0.95, 1e-9, 0.5),
+        s1=field(0.01, 0.95, 1e-13),
+        s2=field(0.01, 0.95, 1e-13),
+        d=field(0.01, 0.95, 0.4999999, 0.999),
+        delta=field(0.0, 0.99, 0.0, 0.999999),
+        eps1=0.0 if perfect else field(0.0, 0.49, 0.0, 0.4999),
+        eps2=0.0 if perfect else field(0.0, 0.49, 0.0, 0.4999),
+    )
+    assume(validate(p).ok)
+    return p
+
+
+@st.composite
+def edge_designs(draw):
+    """A protocol with alpha, beta and both prizes in [0, 1], often at 0 or 1, gamma0 > 0 half the time."""
+    def unit():
+        return draw(st.one_of(_floats(0.0, 1.0), st.sampled_from((0.0, 1.0))))
+
+    gamma0 = unit() if draw(st.booleans()) else 0.0
+    return DesignParams(alpha=unit(), beta=unit(), gamma1=unit(), gamma0=gamma0)
 
 
 @st.composite

@@ -19,6 +19,11 @@
   `simulate.run_chain` and `simulate.run_utility`, which read each cell as
   one packed event code and look payoffs up in per-code tables, must return
   an equal `SimResult`, float for float.
+- `is_sustainable_arrays`: the certificate computed with numpy scalars
+  and arrays read from the payoff table's arrays, the gap and the CA gains
+  computed once per margin and once more for the report, and both floors
+  from one prize array. `is_sustainable`, which reads each worker's lines
+  once as floats, must return an equal report, field for field by `repr`.
 - `whole_grid_oracle`: the grid oracle evaluated over all r**3 cells at
   once. `brute_force_oracle`, which finds each row's first clearing prize
   and each column's first failing alpha by bisection on the margins (the
@@ -40,6 +45,7 @@ from contest_rating import (
     OracleResult,
     SimResult,
     Strategy,
+    SustainabilityReport,
     against_compliant,
     compliance_margins,
     constraint_coefficients,
@@ -48,12 +54,13 @@ from contest_rating import (
     lifetime_values,
     one_period_values,
     payoff_line,
+    payoff_table,
     social_utility,
     social_utility_closed,
     stationary_distribution,
     transition_kernel,
 )
-from contest_rating.incentives import TOLERANCE
+from contest_rating.incentives import TOLERANCE, WorkerIncentives, _gap_threshold
 from contest_rating.simulate import _estimate
 
 
@@ -376,3 +383,52 @@ def whole_grid_oracle(params, config=None, gamma0=0.0, utility_of=social_utility
         n_feasible=n_feasible,
         grid_r=r,
     )
+
+
+def is_sustainable_arrays(design, params):
+    """incentives.is_sustainable with numpy scalars and a prize array for the floors."""
+    table = payoff_table(params)
+    cn, ca = Strategy.CN.index, Strategy.CA.index
+    alpha, beta, gamma1, gamma0 = design.alpha, design.beta, design.gamma1, design.gamma0
+    turnover = beta * params.error_any + alpha * params.error_free
+    detect = params.delta * params.detection_margin
+    workers = []
+    for worker in (1, 2):
+        slopes, intercepts = table.slope[worker - 1], table.intercept[worker - 1]
+
+        def gain(intended, gamma):
+            i = intended.index
+            return (slopes[i] - slopes[cn]) * gamma + (intercepts[i] - intercepts[cn])
+
+        cn_slope, cn_icept = payoff_line(worker, Strategy.CN, params)
+        v_cn0 = cn_slope * gamma0 + cn_icept
+        v_cn1 = cn_slope * gamma1 + cn_icept
+        margin_gap = (v_cn1 - v_cn0) / (1.0 - params.delta * (1.0 - turnover))
+        m0 = params.delta * params.detection_margin * alpha * margin_gap - gain(Strategy.CA, gamma0)
+        m1 = params.delta * params.detection_margin * beta * margin_gap - gain(Strategy.CA, gamma1)
+        gap = cn_slope * (gamma1 - gamma0) / (1.0 - params.delta * (1.0 - turnover))
+        gain0, gain1 = (float(gain(Strategy.CA, g)) for g in (gamma0, gamma1))
+        th0 = _gap_threshold(gain0, detect * alpha)
+        th1 = _gap_threshold(gain1, detect * beta)
+        prizes = np.array([gamma0, gamma1])
+        floor = -TOLERANCE
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for intended in (Strategy.SN, Strategy.SA):
+                ratio = table.detection_drop[ca] / table.detection_drop[intended.index]
+                floor = np.maximum(floor, ratio * (gain(intended, prizes) - TOLERANCE) - gain(Strategy.CA, prizes))
+        workers.append(
+            WorkerIncentives(
+                worker=worker,
+                gap=gap,
+                gain0=gain0,
+                gain1=gain1,
+                threshold0=th0,
+                threshold1=th1,
+                margin_combined=gap - max(th0, th1),
+                margin0=float(m0),
+                margin1=float(m1),
+                lifetime=lifetime_values(design, params, worker),
+                sustainable=bool(m0 >= floor[0] and m1 >= floor[1]),
+            )
+        )
+    return SustainabilityReport(design, tuple(workers), all(w.sustainable for w in workers))

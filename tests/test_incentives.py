@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import design_params, intrinsic_params
+from conftest import design_params, edge_designs, edge_environments, intrinsic_params
 from four_intent import DEVIATIONS, deviation_gain
-from scalar_reference import lifetime_values_iterative
+from scalar_reference import is_sustainable_arrays, lifetime_values_iterative
 from contest_rating import (
     DegenerateDenominator,
     DesignParams,
@@ -27,6 +27,7 @@ from contest_rating import (
     transition_kernel,
     validate,
 )
+from contest_rating.incentives import deviation_floor, rating0_margins, rating1_margin
 
 
 def test_lifetime_solve_matches_iteration(defaults):
@@ -168,6 +169,52 @@ def test_verdict_matches_four_intent_certificate():
         ca_worst = max(g for (_, _, s), g in gains.items() if s is Strategy.CA)
         in_house_only += ca_worst <= 1e-9 < worst
     assert in_house_only >= 50
+
+
+@settings(max_examples=400, deadline=None)
+@given(edge_environments(), edge_designs())
+def test_certificate_equals_the_array_reference(p, design):
+    # the float certificate reads each worker's lines once and computes the
+    # gap and both CA gains once; the numpy one computes them per margin and
+    # the floors over one prize array. Field for field, the reports agree.
+    assert repr(is_sustainable(design, p)) == repr(is_sustainable_arrays(design, p))
+
+
+@pytest.mark.parametrize("eps1, eps2", [(0.5, 0.5), (1.0, 0.0), (0.25, 0.75), (0.2, 0.5)])
+def test_certificate_equals_the_array_reference_where_a_detection_drop_vanishes(eps1, eps2):
+    # outside the validated domain a drop ratio divides by zero: the floats
+    # take numpy's inf or nan, and a nan SN or SA bound fails the verdict
+    # as numpy's maximum does
+    p = default_params(eps1=eps1, eps2=eps2)
+    for design in (DesignParams(1.0, 1.0, 0.5), DesignParams(0.5, 0.2, 0.9, 0.3), DesignParams(0.0, 0.0, 0.0)):
+        assert repr(is_sustainable(design, p)) == repr(is_sustainable_arrays(design, p))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(edge_environments(), edge_designs())
+def test_margins_on_a_prize_array_equal_their_float_calls(p, design):
+    # the margin helpers run on floats in the certificate and on arrays in
+    # the grid oracle's probes: on an array of prizes each element has the
+    # bits of the call on that prize as a Python float
+    prizes = np.append(np.linspace(0.0, 1.0, 11), [design.gamma0, design.gamma1])
+    alpha, beta, gamma0 = design.alpha, design.beta, design.gamma0
+    for worker in (1, 2):
+        each = [
+            (*rating0_margins(alpha, beta, g, gamma0, p, worker), rating1_margin(alpha, beta, g, gamma0, p, worker),
+             *rating0_margins(alpha, beta, design.gamma1, g, p, worker), deviation_floor(g, p, worker))
+            for g in prizes.tolist()
+        ]
+        assert all(type(x) is float for row in each for x in row)
+        whole = (
+            *rating0_margins(alpha, beta, prizes, gamma0, p, worker), rating1_margin(alpha, beta, prizes, gamma0, p, worker),
+            *rating0_margins(alpha, beta, design.gamma1, prizes, p, worker), deviation_floor(prizes, p, worker),
+        )
+        for column, array in zip(zip(*each), whole):
+            assert np.array_equal(_bits(column), _bits(array)), (p, design, worker)
 
 
 def test_margins_broadcast(defaults):

@@ -1,6 +1,9 @@
 """The committed scripts: the bench report's file name and the digests' coverage."""
 
 import importlib.util
+import json
+import shutil
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -112,3 +115,33 @@ def test_sim_digest_runs_every_simulate_op(monkeypatch, capsys):
     with tempfile.TemporaryDirectory() as tmp:
         ops = [digest.workloads.build_ops(w, 0, Path(tmp)) for w in ("sim_long", "sim_wide")]
     assert len(codes) == sum(map(len, ops)) and set(codes) == {0}
+
+
+def test_ab_pairs_two_copies_of_one_tree_and_fails_when_they_differ(tmp_path):
+    # two copies of src/ time alike and give the same results; a copy whose
+    # default environment and case name differ fails a function row and a
+    # workload alike
+    for side in ("a", "b"):
+        shutil.copytree(SCRIPTS.parent / "src" / "contest_rating", tmp_path / side / "src" / "contest_rating",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+
+    def ab(row, pairs):
+        proc = subprocess.run([sys.executable, str(SCRIPTS / "ab.py"), str(tmp_path / "a"), str(tmp_path / "b"),
+                               row, "--pairs", str(pairs)], capture_output=True, text=True, timeout=300)
+        return proc.returncode, json.loads(proc.stdout)
+
+    code, report = ab("is_sustainable", 4)
+    assert code == 0 and report["row"] == "is_sustainable" and report["pairs"] == 4
+    low, high = report["ratio_interval"]
+    assert low <= report["ratio_median"] <= high and report["differing_results"] == 0
+    code, report = ab("design_sweep", 1)
+    assert code == 0 and report["per_block"] == 96 and report["differing_results"] == 0
+
+    package = tmp_path / "b" / "src" / "contest_rating"
+    for name, old, new in (("params.py", "c1=0.1,", "c1=0.11,"), ("designer.py", '"alpha=1"', '"alpha=one"')):
+        text = (package / name).read_text()
+        assert old in text
+        (package / name).write_text(text.replace(old, new))
+    for row in ("optimize", "design_sweep"):  # every design output names both cases
+        code, report = ab(row, 1)
+        assert code == 1 and report["differing_results"] == 2 * report["per_block"]  # the warm-up's and the pair's
