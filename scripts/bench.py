@@ -27,8 +27,10 @@ under "in_process". The oracle rows also record margin_calls_per_call:
 the calls of every margin function (MARGINS) that one untimed call makes,
 counted by wrapping the designer's references to those functions from this
 script. The optimize row records coefficient_grid_calls_per_call the same
-way, wrapping incentives._coefficient_grid. The file also
-records the Tier-1 wall time and the line count of src/contest_rating.
+way, wrapping incentives._coefficient_grid. The productivity_mc row times
+the stage game's Monte-Carlo oracle, which lives in tests/oracles.py. The
+file also records the Tier-1 wall time and the line count of
+src/contest_rating.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
-sys.path[:0] = [str(SRC), str(ROOT / "benchmark")]
+sys.path[:0] = [str(SRC), str(ROOT / "benchmark"), str(ROOT / "tests")]
 
 import hostspeed  # noqa: E402  (benchmark/hostspeed.py, imported read-only)
 import numpy  # noqa: E402
@@ -61,13 +63,13 @@ from contest_rating import (  # noqa: E402
     default_params,
     is_sustainable,
     optimize,
-    productivity_mc,
     run_chain,
     run_utility,
     zero_base_price_check,
 )
 from contest_rating import designer, incentives  # noqa: E402
 from contest_rating.cli import main as cli_main  # noqa: E402
+from oracles import productivity_mc  # noqa: E402  (tests/oracles.py, the Monte-Carlo test oracle)
 
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
 DESIGNED = ("1.0", "0.947368421053", "0.52")  # optimize(default_params()) at m = 100

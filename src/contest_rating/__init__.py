@@ -18,7 +18,6 @@ from .designer import (
     DesignOutcome,
     OUTCOME_CSV_HEADER,
     OracleResult,
-    boundary_case_optimum,
     brute_force_oracle,
     optimize,
     outcome_csv_row,
@@ -51,7 +50,6 @@ from .incentives import (
 from .params import (
     DesignParams,
     IntrinsicParams,
-    Rating,
     STRATEGIES,
     Strategy,
     ValidationReport,
@@ -72,27 +70,17 @@ from .payoffs import (
 )
 from .ratings import (
     StationaryDistribution,
-    evolve,
     observed_compliant_prob,
-    rating_update_rule,
     stationary_distribution,
     transition_kernel,
 )
-from .requester import (
-    SocialUtility,
-    pair_utility,
-    per_winner_utility,
-    social_utility,
-    social_utility_closed,
-)
+from .requester import social_utility_closed
 from .simulate import Estimate, SimConfig, SimResult, run_chain, run_utility, utility_horizon
 from .stage_game import (
     CASES,
-    McStagePayoffs,
     even_match_payoff,
     first_stage_matrix,
     first_stage_payoffs,
-    productivity_mc,
     solo_effort_payoff,
 )
 

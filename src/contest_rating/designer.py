@@ -148,18 +148,21 @@ def _corner_utility(case_id: str, gamma1: float, worker: int, params: IntrinsicP
     return z - numer / denom
 
 
-def _gamma1_grid(config: DesignerConfig | None) -> np.ndarray:
-    m = (config or DesignerConfig()).gamma_grid_m
-    return np.arange(1, m + 1) / m
+def _case_optima(gamma1: np.ndarray, params: IntrinsicParams) -> tuple[CaseResult, ...]:
+    """Both boundary cases, read off one binding_lines scan of the gamma1 grid.
 
-
-def _case_optima(case_ids, gamma1: np.ndarray, params: IntrinsicParams) -> tuple[CaseResult, ...]:
-    # the boundary cases case_ids, all read off one binding_lines scan, under one errstate
+    A grid point is feasible when the pinned-knob corner exists inside the
+    unit square and the rating-1 deviation line does not cut it off; points
+    where a coefficient's denominator vanishes are dropped. Within the
+    feasible set the case utility is monotone in gamma1, so beta=1 takes the
+    smallest feasible prize and alpha=1 the largest; the chosen point's
+    utility comes from the worker that owns its participation line.
+    """
     k2, b2, k3, b3, upper, live = binding_lines(gamma1, params)
     cases = []
     with np.errstate(divide="ignore", invalid="ignore"):  # entries the masks drop
         rising = k2 > 0.0  # where the rating-1 deviation line can cut the corner off
-        for case_id in case_ids:
+        for case_id in (CASE_BETA_ONE, CASE_ALPHA_ONE):
             beta_one = case_id == CASE_BETA_ONE
             if beta_one:  # the free knob on the participation line: alpha at beta = 1
                 free = (1.0 - b3) / k3
@@ -181,26 +184,6 @@ def _case_optima(case_ids, gamma1: np.ndarray, params: IntrinsicParams) -> tuple
     return tuple(cases)
 
 
-def boundary_case_optimum(
-    case_id: str, params: IntrinsicParams, config: DesignerConfig | None = None
-) -> CaseResult:
-    """Scan the gamma1 grid for one boundary case.
-
-    A grid point is feasible when the pinned-knob corner exists inside the
-    unit square and the rating-1 deviation line does not cut it off; both
-    predicates come straight from the combined band coefficients (largest
-    k2 lower line, smallest k3 upper line), evaluated over the whole grid
-    as arrays. Points where a coefficient's denominator vanishes are
-    dropped. Within the feasible set the case utility is monotone in
-    gamma1, so beta=1 wants the smallest feasible prize and alpha=1 the
-    largest; the chosen point's utility comes from the worker that owns
-    its participation line.
-    """
-    if case_id not in (CASE_BETA_ONE, CASE_ALPHA_ONE):
-        raise ValueError(f"unknown case id: {case_id!r}")
-    return _case_optima((case_id,), _gamma1_grid(config), params)[0]
-
-
 def optimize(params: IntrinsicParams, config: DesignerConfig | None = None) -> DesignOutcome:
     """Best protocol across both boundary cases, with a sustainability certificate.
 
@@ -209,10 +192,11 @@ def optimize(params: IntrinsicParams, config: DesignerConfig | None = None) -> D
     then toward the beta=1 case.
     """
     config = config or DesignerConfig()
-    cases = _case_optima((CASE_BETA_ONE, CASE_ALPHA_ONE), _gamma1_grid(config), params)  # one scan
+    m = config.gamma_grid_m
+    cases = _case_optima(np.arange(1, m + 1) / m, params)
     live = [c for c in cases if c.feasible]
     if not live:
-        err = Infeasible(f"no feasible protocol on the gamma1 grid (m = {config.gamma_grid_m})")
+        err = Infeasible(f"no feasible protocol on the gamma1 grid (m = {m})")
         err.cases = cases
         err.params = params
         raise err

@@ -13,16 +13,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from enum import Enum, IntEnum
+from enum import Enum
 
 from .errors import ConfigError
-
-
-class Rating(IntEnum):
-    """Binary public rating; GOOD earns the high prize."""
-
-    BAD = 0
-    GOOD = 1
 
 
 class Strategy(Enum):

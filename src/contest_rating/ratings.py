@@ -1,4 +1,4 @@
-"""Rating evolution: update rule, strategy-conditional kernels, stationary law.
+"""Rating evolution: strategy-conditional kernels and the stationary law.
 
 Ratings are binary. Each period the platform observes a worker's realized
 strategy (post flip-noise) and applies a one-sided update: a worker seen
@@ -16,17 +16,6 @@ import numpy as np
 
 from .errors import DegenerateChain, UnsupportedStrategy
 from .params import DesignParams, IntrinsicParams, Strategy
-
-
-def rating_update_rule(rating: int, observed: Strategy, design: DesignParams) -> np.ndarray:
-    """Next-rating distribution [p(0), p(1)] given the observed strategy."""
-    if observed is Strategy.CN:
-        if rating == 1:
-            return np.array([0.0, 1.0])
-        return np.array([1.0 - design.alpha, design.alpha])
-    if rating == 1:
-        return np.array([design.beta, 1.0 - design.beta])
-    return np.array([1.0, 0.0])
 
 
 def observed_compliant_prob(intended: Strategy, params: IntrinsicParams) -> float:
@@ -49,14 +38,6 @@ def transition_kernel(intended: Strategy, design: DesignParams, params: Intrinsi
     return np.array([[1.0 - promote, promote], [demote, 1.0 - demote]])
 
 
-def evolve(dist, design: DesignParams, params: IntrinsicParams) -> np.ndarray:
-    """One-period push-forward of a rating distribution under compliant play."""
-    dist = np.asarray(dist, dtype=float)
-    if dist.shape != (2,) or abs(float(dist.sum()) - 1.0) > 1e-9 or (dist < 0).any():
-        raise ValueError(f"not a rating distribution: {dist!r}")
-    return dist @ transition_kernel(Strategy.CN, design, params)
-
-
 @dataclass(frozen=True)
 class StationaryDistribution:
     eta0: float
@@ -64,9 +45,6 @@ class StationaryDistribution:
 
     def __getitem__(self, rating: int) -> float:
         return self.eta1 if rating else self.eta0
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.eta0, self.eta1])
 
 
 def stationary_distribution(design: DesignParams, params: IntrinsicParams) -> StationaryDistribution:

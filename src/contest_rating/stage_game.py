@@ -6,15 +6,10 @@ cost as a handicap relative to an in-house opponent, or stay in-house (S).
 The stronger solution wins the unit prize; a worker leading by no more
 than the attack damage d secures the win by attacking, at its own attack
 cost s_i. Losing events pay zero. All expressions below are ex ante over
-the productivity draws; productivity_mc re-derives them by seeded Monte
-Carlo over the same event accounting.
+the productivity draws.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError
 from .params import IntrinsicParams
@@ -72,82 +67,3 @@ def first_stage_payoffs(
 def first_stage_matrix(params: IntrinsicParams) -> dict[tuple[str, str], tuple[float, float]]:
     """All four ex-ante payoff pairs keyed by (action1, action2)."""
     return {case: first_stage_payoffs(*case, params) for case in CASES}
-
-
-@dataclass(frozen=True)
-class McStagePayoffs:
-    case: tuple[str, str]
-    v1: float
-    v2: float
-    stderr1: float
-    stderr2: float
-    samples: int
-    seed: int
-
-    CSV_HEADER = "case,v1,v2,stderr,samples,seed"
-
-    def csv_row(self) -> str:
-        from .tableio import csv_line
-
-        return csv_line(
-            [
-                "".join(self.case),
-                self.v1,
-                self.v2,
-                max(self.stderr1, self.stderr2),
-                self.samples,
-                self.seed,
-            ]
-        )
-
-
-def productivity_mc(
-    action1: str,
-    action2: str,
-    params: IntrinsicParams,
-    samples: int = 1_000_000,
-    seed: int = 0,
-) -> McStagePayoffs:
-    """Monte-Carlo ex-ante payoffs under iid uniform productivity draws.
-
-    Event accounting mirrors the closed forms case by case. In symmetric
-    profiles the contest is even: a lead above d wins cleanly for 1 - cost,
-    a lead in (0, d] wins by attacking for 1 - cost - s, losing pays 0 (the
-    crowdsourcing fee is a prize share, so it is only paid on wins). In
-    mixed profiles only the crowdsourcing side can win the prize, and it
-    must clear the in-house benchmark by its own fee c before the same
-    clean/attack split applies; the in-house side is paid 0 identically.
-    """
-    if samples < 10_000:
-        raise ValueError(f"samples too small for a meaningful estimate: {samples}")
-    if (action1, action2) not in CASES:
-        raise ValueError(f"unknown first-stage profile: {(action1, action2)!r}")
-    rng = np.random.default_rng(seed)
-    p1 = rng.random(samples)
-    p2 = rng.random(samples)
-    d = params.d
-    if action1 == action2:
-        cost1 = params.c1 if action1 == "C" else 0.0
-        cost2 = params.c2 if action2 == "C" else 0.0
-        lead = p1 - p2
-        pay1 = _event_payoffs(lead, d, cost1, params.s1)
-        pay2 = _event_payoffs(-lead, d, cost2, params.s2)
-    elif action1 == "C":
-        pay1 = _event_payoffs(p1 - p2 - params.c1, d, params.c1, params.s1)
-        pay2 = np.zeros_like(p2)
-    else:
-        pay2 = _event_payoffs(p2 - p1 - params.c2, d, params.c2, params.s2)
-        pay1 = np.zeros_like(p1)
-    v1, se1 = float(pay1.mean()), float(pay1.std(ddof=1) / np.sqrt(samples))
-    v2, se2 = float(pay2.mean()), float(pay2.std(ddof=1) / np.sqrt(samples))
-    return McStagePayoffs((action1, action2), v1, v2, se1, se2, samples, seed)
-
-
-def _event_payoffs(lead: np.ndarray, d: float, cost: float, s: float) -> np.ndarray:
-    # Losing events pay exactly zero, matching the closed-form accounting.
-    win_clean = lead > d
-    win_attack = (lead > 0.0) & ~win_clean
-    out = np.zeros_like(lead)
-    out[win_clean] = 1.0 - cost
-    out[win_attack] = 1.0 - cost - s
-    return out

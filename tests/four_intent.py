@@ -10,10 +10,10 @@ compliant lifetime value at rating 0.
 """
 
 import numpy as np
+from oracles import rating_update_rule
 
 from contest_rating import STRATEGIES, Strategy, lifetime_values
 from contest_rating.payoffs import against_compliant, realized_mix
-from contest_rating.ratings import rating_update_rule
 
 DEVIATIONS = tuple(s for s in STRATEGIES if s is not Strategy.CN)
 

@@ -8,8 +8,8 @@
   grid point and one worker at a time, with the constraint coefficients
   rearranged from payoff lines that are built directly from
   `against_compliant` at gamma = 0 and gamma = 1, and the chosen point's
-  utility from `closed_form_case_utility`. `boundary_case_optimum` must
-  return an equal `CaseResult`, float for float.
+  utility from `closed_form_case_utility`. Each case that `optimize`
+  reports, feasible or not, must be an equal `CaseResult`, float for float.
 - `rating_paths_loop`: the simulator's rating recurrence stepped one period
   at a time. `simulate._rating_paths` must return equal rating paths and
   equal promotion and demotion counts.
@@ -55,7 +55,6 @@ from contest_rating import (
     one_period_values,
     payoff_line,
     payoff_table,
-    social_utility,
     social_utility_closed,
     stationary_distribution,
     transition_kernel,
@@ -280,7 +279,7 @@ def worker_pay(ev, theta1, theta2, win1, design, params):
 def run_chain_channels(design, params, config):
     """simulate.run_chain computed channel by channel."""
     eta = stationary_distribution(design, params)
-    analytic_social = social_utility(design, params).value
+    analytic_social = social_utility_closed(design.alpha, design.beta, design.gamma1, design.gamma0, params)
     children = np.random.SeedSequence([config.seed, 0]).spawn(config.replicates)
     pairs = config.population
     periods = config.periods

@@ -13,6 +13,7 @@ import time
 
 import numpy as np
 from four_intent import violations
+from oracles import evolve, productivity_mc, social_utility
 from scalar_reference import lifetime_values_iterative
 
 from contest_rating import (
@@ -23,16 +24,13 @@ from contest_rating import (
     brute_force_oracle,
     compliance_margins,
     default_params,
-    evolve,
     feasibility_band,
     first_stage_payoffs,
     lifetime_values,
     optimize,
-    productivity_mc,
     rating_gap,
     run_chain,
     run_utility,
-    social_utility,
     stationary_distribution,
     with_params,
 )

@@ -32,7 +32,6 @@ from contest_rating import (
     OUTCOME_CSV_HEADER,
     Strategy,
     binding_lines,
-    boundary_case_optimum,
     brute_force_oracle,
     compliance_margins,
     constraint_coefficients,
@@ -47,6 +46,15 @@ from contest_rating import (
     with_params,
     zero_base_price_check,
 )
+
+
+def _cases(p, config=None):
+    """Both boundary cases by id, as optimize reports them, feasible or not."""
+    try:
+        cases = optimize(p, config).cases
+    except Infeasible as exc:
+        cases = exc.cases
+    return {case.case_id: case for case in cases}
 
 
 def test_config_validation():
@@ -123,7 +131,7 @@ def test_no_future_is_infeasible(defaults):
 
 def test_generous_symmetric_case_corner():
     p = default_params(c1=0.05, c2=0.05, s1=0.05, s2=0.05, delta=0.99)
-    case = boundary_case_optimum(CASE_ALPHA_ONE, p)
+    case = _cases(p)[CASE_ALPHA_ONE]
     assert case.feasible
     assert case.alpha == 1.0
     assert 0.0 < case.beta <= 1.0
@@ -173,11 +181,11 @@ def test_case_utility_equals_stationary_utility(defaults):
             eps1=rng.uniform(0.05, 0.3),
             eps2=rng.uniform(0.01, 0.2),
         )
-        for case_id in (CASE_BETA_ONE, CASE_ALPHA_ONE):
-            try:
-                case = boundary_case_optimum(case_id, p, DesignerConfig(gamma_grid_m=40))
-            except DegenerateDenominator:
-                continue
+        try:
+            cases = _cases(p, DesignerConfig(gamma_grid_m=40))
+        except DegenerateDenominator:
+            continue
+        for case in cases.values():
             if not case.feasible:
                 continue
             direct = social_utility_closed(case.alpha, case.beta, case.gamma1, 0.0, p)
@@ -191,10 +199,7 @@ def test_small_prize_payment_bound():
     # under either corner is bounded by that prize
     p = default_params(c1=0.02, c2=0.02, s1=0.02, s2=0.02, d=0.3, delta=0.99, eps1=0.05, eps2=0.02)
     z = p.error_free
-    cases = {
-        case_id: boundary_case_optimum(case_id, p, DesignerConfig(gamma_grid_m=200))
-        for case_id in (CASE_BETA_ONE, CASE_ALPHA_ONE)
-    }
+    cases = _cases(p, DesignerConfig(gamma_grid_m=200))
     feasible_points = 0
     for k in range(1, 25):
         gamma1 = k / 200.0
@@ -365,9 +370,9 @@ def test_case_scan_equals_scalar_reference():
             tiny_attack_cost += 1
             assert binding_lines(np.arange(1, 101) / 100, p)[-1].all(), p
         for m in (10, 37, 100):
-            config = DesignerConfig(gamma_grid_m=m)
+            cases = _cases(p, DesignerConfig(gamma_grid_m=m))
             for case_id in (CASE_BETA_ONE, CASE_ALPHA_ONE):
-                fast = boundary_case_optimum(case_id, p, config)
+                fast = cases[case_id]
                 assert fast == scalar_case_optimum(case_id, p, m), (case_id, m, p)
                 assert all(type(x) is float for x in (fast.alpha, fast.beta, fast.gamma1))
                 feasible[case_id] += fast.feasible
@@ -392,20 +397,6 @@ def test_optimize_answers_lie_in_their_band():
             assert outcome.certificate.sustainable, (m, p)
             answers += 1
     assert answers >= 200
-
-
-def test_optimize_cases_equal_boundary_case_optimum():
-    # optimize reads both cases off one binding_lines scan; each case it
-    # reports is the one boundary_case_optimum finds on its own scan
-    for p in _edge_weighted_environments(400, seed=2718):
-        for m in (10, 37, 100):
-            config = DesignerConfig(gamma_grid_m=m)
-            try:
-                cases = optimize(p, config).cases
-            except Infeasible as exc:
-                cases = exc.cases
-            alone = tuple(boundary_case_optimum(c, p, config) for c in (CASE_BETA_ONE, CASE_ALPHA_ONE))
-            assert cases == alone, (m, p)
 
 
 def test_optimize_evaluates_the_grid_once(defaults, monkeypatch):
@@ -665,11 +656,6 @@ def test_oracle_memory_grows_with_one_slab(defaults):
     assert peak < 2e6
 
 
-def test_case_scan_rejects_unknown_case(defaults):
-    with pytest.raises(ValueError, match="unknown case id"):
-        boundary_case_optimum("beta=0", defaults)
-
-
 def test_case_scan_drops_a_degenerate_point_alone():
     # Outside the validated domain (eps1 > 0.5) worker 1's k2 denominator
     # changes sign inside the grid; s1 is tuned so that it vanishes at
@@ -682,7 +668,8 @@ def test_case_scan_drops_a_degenerate_point_alone():
         gamma1 = np.arange(1, m + 1) / m
         live = binding_lines(gamma1, p)[-1]
         assert list(gamma1[~live]) == [0.5]
+        cases = _cases(p, DesignerConfig(gamma_grid_m=m))
         for case_id in (CASE_BETA_ONE, CASE_ALPHA_ONE):
-            fast = boundary_case_optimum(case_id, p, DesignerConfig(gamma_grid_m=m))
+            fast = cases[case_id]
             assert fast == scalar_case_optimum(case_id, p, m)
         assert fast.feasible

@@ -11,7 +11,6 @@ from contest_rating import (
     ConfigError,
     DesignParams,
     IntrinsicParams,
-    Rating,
     STRATEGIES,
     Strategy,
     default_params,
@@ -143,14 +142,9 @@ def test_strategy_order_and_flags():
     assert [s.index for s in STRATEGIES] == [0, 1, 2, 3]
 
 
-def test_rating_labels():
-    assert int(Rating.BAD) == 0
-    assert int(Rating.GOOD) == 1
-
-
 def test_design_price():
     design = DesignParams(0.5, 0.5, 0.7, 0.1)
-    assert design.price(Rating.GOOD) == 0.7
+    assert design.price(1) == 0.7
     assert design.price(0) == 0.1
 
 

@@ -6,15 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import intrinsic_params
+from oracles import evolve, rating_update_rule
 from contest_rating import (
     DegenerateChain,
     DesignParams,
     Strategy,
     UnsupportedStrategy,
     default_params,
-    evolve,
     observed_compliant_prob,
-    rating_update_rule,
     stationary_distribution,
     transition_kernel,
 )
@@ -105,8 +104,8 @@ def test_kernel_is_update_rule_mixed_over_observations():
 def test_evolve_fixed_point(defaults):
     design = DesignParams(0.6, 0.3, 0.5, 0.0)
     eta = stationary_distribution(design, defaults)
-    out = evolve(eta.as_array(), design, defaults)
-    assert np.allclose(out, eta.as_array(), atol=1e-14)
+    out = evolve([eta.eta0, eta.eta1], design, defaults)
+    assert np.allclose(out, [eta.eta0, eta.eta1], atol=1e-14)
 
 
 def test_evolve_single_step_from_all_bad(defaults):
@@ -134,7 +133,7 @@ def test_stationary_equal_update_rates(defaults):
     eta = stationary_distribution(DesignParams(0.5, 0.5, 0.5, 0.0), defaults)
     assert eta.eta0 == pytest.approx(0.24, abs=1e-15)
     assert eta[1] == pytest.approx(0.76, abs=1e-15)
-    assert eta.as_array().sum() == pytest.approx(1.0, abs=1e-15)
+    assert eta.eta0 + eta.eta1 == pytest.approx(1.0, abs=1e-15)
 
 
 def test_stationary_absorbing_cases(defaults):
@@ -156,7 +155,7 @@ def test_stationary_matches_power_iteration(p, alpha, beta):
     dist = np.array([0.5, 0.5])
     for _ in range(10_000):
         dist = evolve(dist, design, p)
-    assert np.allclose(dist, eta.as_array(), atol=1e-10)
+    assert np.allclose(dist, [eta.eta0, eta.eta1], atol=1e-10)
 
 
 def test_stationary_monotone_in_update_rates(defaults):

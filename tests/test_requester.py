@@ -6,14 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import design_params, intrinsic_params
+from oracles import pair_utility, per_winner_utility, social_utility
 from contest_rating import (
     DegenerateChain,
     DegenerateDenominator,
     DesignParams,
     default_params,
-    pair_utility,
-    per_winner_utility,
-    social_utility,
     social_utility_closed,
     stationary_distribution,
 )

@@ -1,10 +1,9 @@
 """Closed-form first-stage payoffs and the uniform-draw Monte-Carlo oracle."""
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import productivity_mc
 
 from contest_rating import (
     CASES,
@@ -13,7 +12,6 @@ from contest_rating import (
     even_match_payoff,
     first_stage_matrix,
     first_stage_payoffs,
-    productivity_mc,
     solo_effort_payoff,
 )
 
@@ -139,13 +137,3 @@ def test_mc_mirrored_solo_case(defaults):
     assert est.v1 == 0.0
     assert abs(est.v2 - (closed + offset)) <= 4 * est.stderr2
 
-
-def test_mc_csv_row(defaults):
-    est = productivity_mc("C", "C", defaults, samples=20_000, seed=7)
-    row = est.csv_row()
-    fields = row.split(",")
-    assert fields[0] == "CC"
-    assert fields[4] == "20000"
-    assert fields[5] == "7"
-    assert len(fields) == len(est.CSV_HEADER.split(","))
-    assert not math.isnan(float(fields[1]))
