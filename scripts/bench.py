@@ -26,11 +26,13 @@ subprocess (after one untimed warm-up call), and records the same summary
 under "in_process". The oracle rows also record margin_calls_per_call:
 the calls of every margin function (MARGINS) that one untimed call makes,
 counted by wrapping the designer's references to those functions from this
-script. The optimize row records coefficient_grid_calls_per_call the same
-way, wrapping incentives._coefficient_grid. The productivity_mc row times
-the stage game's Monte-Carlo oracle, which lives in tests/oracles.py. The
-file also records the Tier-1 wall time and the line count of
-src/contest_rating.
+script. The brute_force_oracle rows also record tracemalloc_peak_mb: the
+tracemalloc peak of one more untimed call, the median over the processes.
+The optimize row records coefficient_grid_calls_per_call the same way as
+the margin calls, wrapping incentives._coefficient_grid. The
+productivity_mc row times the stage game's Monte-Carlo oracle, which lives
+in tests/oracles.py. The file also records the Tier-1 wall time and the
+line count of src/contest_rating.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from functools import partial
 from pathlib import Path
 
@@ -153,6 +156,8 @@ def across_processes(children: list[dict]) -> dict:
         "process_medians_ms": [c["median_ms"] for c in children],
         "minflt_per_call": statistics.median(c["minflt_per_call"] for c in children),
     }
+    if "tracemalloc_peak_mb" in children[0]:
+        row["tracemalloc_peak_mb"] = statistics.median(c["tracemalloc_peak_mb"] for c in children)
     for field in {field for field, *_ in COUNTED.values()} & children[0].keys():
         row[field] = children[0][field]  # a count, the same in every process
     return row
@@ -179,6 +184,16 @@ def counted_calls(module, names: tuple[str, ...], call) -> int:
     return calls[0]
 
 
+def traced_peak_mb(call) -> float:
+    """The tracemalloc peak, in MB, of one call of `call`."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
 def time_function_row(index: int) -> dict:
     """Run in a fresh process: time one function row after one untimed warm-up call."""
     name, calls, factory = FUNCTION_ROWS[index]
@@ -197,6 +212,8 @@ def time_function_row(index: int) -> dict:
     for prefix, (field, module, functions) in COUNTED.items():
         if name.startswith(prefix):
             row[field] = counted_calls(module, functions, call)
+    if name.startswith("brute_force_oracle"):
+        row["tracemalloc_peak_mb"] = traced_peak_mb(call)
     return row
 
 

@@ -142,7 +142,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_check(args) -> int:
     params = load_config(args.config)
     design = DesignParams(args.alpha, args.beta, args.gamma1, args.gamma0)
-    problems = design_violations(design, require_price_gap=False)
+    problems = design_violations(design)
     if problems:
         return _fail("; ".join(problems))
     report = is_sustainable(design, params)
@@ -157,7 +157,7 @@ def _cmd_check(args) -> int:
 def _cmd_simulate(args) -> int:
     params = load_config(args.config)
     design = DesignParams(args.alpha, args.beta, args.gamma1, args.gamma0)
-    problems = design_violations(design, require_price_gap=False)
+    problems = design_violations(design)
     if problems:
         return _fail("; ".join(problems))
     chain_cfg = SimConfig(periods=args.periods, replicates=args.replicates,

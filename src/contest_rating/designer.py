@@ -14,9 +14,9 @@ along alpha the rating-1 margin never rises, so each verdict holds on a
 suffix of prizes or a prefix of alphas. The oracle guesses where each one
 turns from the margins solved along that axis, confirms the guess with two
 exact margin probes, and bisects only where the guess misses; a probe
-computes only its own rating's margins. The feasibility mask covers only the
-box where a cell can be feasible, and is read only for rows whose first
-feasible prize is not the one where rating 0 first clears.
+computes only its own rating's margins. Each (alpha, beta) row's first
+feasible prize is where rating 0 first clears if rating 1 holds there, and
+is otherwise read off a mask of that one row.
 Every comparison that allows slack (tied case utilities, the certificate,
 the oracle's margins, the base-price verdict) allows incentives.TOLERANCE.
 """
@@ -228,12 +228,9 @@ class OracleResult:
     gamma1: float
     gamma0: float
     utility: float
-    n_feasible: int
-    grid_r: int
 
 
 _SEARCH_CELLS = 8000  # cells per margin call (whole grid rows): each float temporary stays under 64 KiB
-_MASK_CELLS = 1 << 18  # cells per slab of the one-byte feasibility mask
 
 
 def _guess(values, thresholds, side: str) -> np.ndarray:
@@ -264,9 +261,9 @@ def _count_leading(fails, size: int, count: np.ndarray, *axes) -> np.ndarray:
 
 
 def _rating1_at_low(top, lows, alphas) -> np.ndarray:
-    # Per (alpha, beta) row of a mask slab, whether it has a clearing prize low < n and rating 1
+    # Per (alpha, beta) row of a chunk, whether it has a clearing prize low < n and rating 1
     # holds there (alpha < top at that prize), in one gather: there low is the row's first
-    # feasible prize. Only where this holds is the mask not read.
+    # feasible prize. Only where this fails is the row's own mask built.
     n = top.shape[1]
     return (lows < n) & (top.ravel().take(np.minimum(lows, n - 1) + np.arange(len(top)) * n) > alphas)
 
@@ -299,14 +296,14 @@ def brute_force_oracle(
     probe and nothing else.
 
     A cell is feasible when gamma1 >= low (the first clearing prize of its
-    row) and alpha < top (the first failing alpha of its column). One-byte
-    masks of that test count the feasible cells in slabs of alpha rows,
-    cropped to prizes from the least low on and to alphas below the largest
-    top, outside which no cell can be feasible. Utility never rises along
+    row) and alpha < top (the first failing alpha of its column), so no
+    alpha row from the largest top on holds one. Utility never rises along
     gamma1, so each (alpha, beta) row is read at its first feasible prize:
     its low itself where a gather of top shows rating 1 holding there, else
-    the first feasible cell of its mask row. The first maximum in C order
-    wins (smallest alpha, beta, gamma1).
+    the first cell of its row mask: prizes from low on where its beta's
+    line of top exceeds alpha. The first maximum in C order wins (smallest
+    alpha, beta, gamma1); the oracle is feasible when some row has a
+    feasible prize.
     """
     cn_slopes = [payoff_line(w, Strategy.CN, params)[0] for w in (1, 2)]
     signs = (*cn_slopes, params.detection_margin, params.error_free, params.error_any, params.delta)
@@ -357,35 +354,30 @@ def brute_force_oracle(
         top[b[e], prize] = _count_leading(
             lambda i, beta, prize: holds(1, grid.take(i, mode="clip"), beta, prize), r, guess, beta, prize
         )
-    # No cell is feasible at a prize below low.min(), nor at an alpha row from its beta column's
-    # largest top on, so at none from top.max() on: the masks cover only the box in between.
-    ceiling, start = top.max(axis=1, initial=0), int(low.min(initial=n))
-    stop = int(ceiling.max(initial=0))
-    rows = max(1, _MASK_CELLS // (r * max(n - start, 1)))  # mask slabs of alpha rows
-    masks = np.empty((2, rows, r, n - start), dtype=bool)
-    n_feasible, best = 0, (-math.inf,)
+    # A row holds a feasible prize only at an alpha below its beta column's largest top, so the
+    # walk stops at top.max(). Each row's first feasible prize is its low where rating 1 holds
+    # there; every other row that can hold one reads it off its mask, from its beta's line of top.
+    ceiling = top.max(axis=1, initial=0)
+    stop, best = int(ceiling.max(initial=0)), None
     for s in range(0, stop, rows):
         lows = low[s : min(s + rows, stop)]
         alphas = np.arange(s, s + len(lows), dtype=index)[:, None]
-        ok, cut = masks[:, : len(lows)]
-        np.less(alphas[:, :, None], top[:, start:], out=ok)
-        ok &= np.greater_equal(np.arange(start, n, dtype=index), lows[:, :, None], out=cut)
-        n_feasible += int(np.count_nonzero(ok))
         cell, feasible = np.minimum(lows, n - 1), _rating1_at_low(top, lows, alphas)
-        miss = np.flatnonzero(~feasible & (lows < n) & (alphas < ceiling))  # rows left to the mask
+        miss = np.flatnonzero(~feasible & (lows < n) & (alphas < ceiling))  # rows left to their masks
         if miss.size:
-            row = ok.reshape(-1, n - start)[miss]
+            a, b = np.divmod(miss, r)
+            row = (top[b] > alphas[a]) & (np.arange(n) >= lows.ravel()[miss, None])
             first = row.argmax(axis=1)
-            cell.flat[miss], feasible.flat[miss] = first + start, row[np.arange(len(miss)), first]
+            cell.flat[miss], feasible.flat[miss] = first, row[np.arange(len(miss)), first]
         utility = social_utility_closed(grid[s : s + len(lows), None], grid, prizes.take(cell), gamma0, params)
         utility[~feasible] = -np.inf
         ia, ib = np.unravel_index(int(np.argmax(utility)), utility.shape)
-        if utility[ia, ib] > best[0]:  # strictly, so the first maximum in C order wins
+        if feasible[ia, ib] and (best is None or utility[ia, ib] > best[0]):  # strictly: first maximum wins
             best = (float(utility[ia, ib]), float(grid[s + ia]), float(grid[ib]), float(prizes[cell[ia, ib]]))
-    if n_feasible == 0:
-        return OracleResult(False, math.nan, math.nan, math.nan, gamma0, math.nan, 0, r)
+    if best is None:
+        return OracleResult(False, math.nan, math.nan, math.nan, gamma0, math.nan)
     utility, alpha, beta, gamma1 = best
-    return OracleResult(True, alpha, beta, gamma1, gamma0, utility, n_feasible, r)
+    return OracleResult(True, alpha, beta, gamma1, gamma0, utility)
 
 
 @dataclass(frozen=True)

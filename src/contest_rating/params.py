@@ -90,8 +90,8 @@ class DesignParams:
     """Protocol knobs. Deliberately unvalidated at construction: diagnostic
 
     paths evaluate boundary settings (beta = 0, gamma0 = gamma1) that the
-    optimizer itself would reject. Use design_violations() before trusting
-    a point as an actual design.
+    optimizer itself would reject. design_violations() checks only that the
+    knobs lie in the closed unit square.
     """
 
     alpha: float
@@ -157,30 +157,13 @@ def validate(params: IntrinsicParams) -> ValidationReport:
     return ValidationReport(tuple(bad), tuple(warn))
 
 
-def design_violations(design: DesignParams, require_price_gap: bool = True) -> tuple[str, ...]:
-    """Constraint check for an actual protocol design.
-
-    With require_price_gap the prizes must satisfy 0 <= gamma0 < gamma1 <= 1
-    (a rating scheme with no prize gap cannot reward anything); without it
-    only the closed unit square is enforced, which is what the diagnostic
-    CLI paths accept.
-    """
+def design_violations(design: DesignParams) -> tuple[str, ...]:
+    """Closed unit square check for a protocol design, as the diagnostic CLI paths accept it."""
     bad: list[str] = []
-    if require_price_gap:
-        for name in ("alpha", "beta"):
-            x = getattr(design, name)
-            if not 0.0 < x <= 1.0:
-                bad.append(f"{name} out of range: {x!r} not in (0, 1]")
-        if not 0.0 <= design.gamma0 < design.gamma1 <= 1.0:
-            bad.append(
-                f"prizes out of order: need 0 <= gamma0 < gamma1 <= 1, "
-                f"got gamma0={design.gamma0!r}, gamma1={design.gamma1!r}"
-            )
-    else:
-        for name in ("alpha", "beta", "gamma1", "gamma0"):
-            x = getattr(design, name)
-            if not 0.0 <= x <= 1.0:
-                bad.append(f"{name} out of range: {x!r} not in [0, 1]")
+    for name in ("alpha", "beta", "gamma1", "gamma0"):
+        x = getattr(design, name)
+        if not 0.0 <= x <= 1.0:
+            bad.append(f"{name} out of range: {x!r} not in [0, 1]")
     return tuple(bad)
 
 

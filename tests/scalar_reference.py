@@ -365,9 +365,8 @@ def whole_grid_oracle(params, config=None, gamma0=0.0, utility_of=social_utility
         floor0 = deviation_floor(gamma0, params, worker)
         floor1 = deviation_floor(gamma1, params, worker)
         ok &= (m0 >= floor0) & (m1 >= floor1) & (v0 >= -TOLERANCE)
-    n_feasible = int(ok.sum())
-    if n_feasible == 0:
-        return OracleResult(False, math.nan, math.nan, math.nan, gamma0, math.nan, 0, r)
+    if not ok.any():
+        return OracleResult(False, math.nan, math.nan, math.nan, gamma0, math.nan)
     utility = utility_of(alpha, beta, gamma1, gamma0, params)
     utility = np.where(ok, utility, -np.inf)
     flat = int(np.argmax(utility))  # first max in C order: smallest alpha, beta, gamma1
@@ -379,8 +378,6 @@ def whole_grid_oracle(params, config=None, gamma0=0.0, utility_of=social_utility
         gamma1=float(grid[ig]),
         gamma0=gamma0,
         utility=float(utility[ia, ib, ig]),
-        n_feasible=n_feasible,
-        grid_r=r,
     )
 
 

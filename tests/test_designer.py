@@ -126,7 +126,6 @@ def test_no_future_is_infeasible(defaults):
     assert not any(c.feasible for c in exc.value.cases)
     res = brute_force_oracle(p, DesignerConfig(oracle_grid_r=50))
     assert not res.feasible
-    assert res.n_feasible == 0
 
 
 def test_generous_symmetric_case_corner():
@@ -153,8 +152,6 @@ def test_symmetric_workers_share_constraints():
 def test_oracle_frozen_at_defaults(defaults, optimum):
     res = brute_force_oracle(defaults, DesignerConfig(oracle_grid_r=50))
     assert res.feasible
-    assert res.grid_r == 50
-    assert res.n_feasible == 31617
     assert (res.alpha, res.beta, res.gamma1) == (1.0, 0.94, 0.52)
     assert abs(res.utility - optimum.utility) <= 0.02
     # the oracle's winner re-validates through the primal margins
@@ -441,16 +438,13 @@ def test_near_zero_attack_cost_is_feasible():
     assert oracle.feasible and abs(oracle.utility - outcome.utility) < 1e-3
 
 
-# (r, cells): cells sets both _SEARCH_CELLS (cells per margin call, in whole
-# grid rows) and _MASK_CELLS (cells per mask slab). None keeps the defaults:
-# at 37 one search chunk and one mask slab; at 100 an 80-row search chunk and
-# a 20-row tail, and mask slabs of 26 or more rows, as the crop narrows the
-# prizes. 10 at 300: one search chunk and mask slabs of 3 or more rows. 23 at
-# 1: a row per search chunk, 23 columns per column chunk and a row per mask
-# slab. 23 at 1955: mask slabs of 3 or more rows at gamma0 = 0, 5 or more on
-# the 17-point prize suffix above gamma0 = 0.3, and one slab on the 1-point
-# suffix above 0.995. The mask covers only alpha rows below the largest top,
-# and at every r some case crops it to no cell at all.
+# (r, cells): cells sets _SEARCH_CELLS (cells per margin call and per row
+# chunk, in whole grid rows). None keeps the defaults: at 37 one chunk; at
+# 100 an 80-row chunk and a 20-row tail. 10 at 300: one 30-row chunk. 23 at
+# 1: a row per chunk and 23 columns per column chunk. 23 at 1955: one 85-row
+# chunk, on the 17-point prize suffix above gamma0 = 0.3 and the 1-point
+# suffix above 0.995 too. The walk stops below the largest top, and at every
+# r some case reads no chunk at all.
 _SLAB_CASES = [(37, None), (100, None), (10, 300), (23, 1), (23, 1955)]
 
 
@@ -467,7 +461,7 @@ def _whole_grid_reprs(r):
 
 
 def _recording_the_gather(monkeypatch):
-    # (top, lows, alphas, held) of each designer._rating1_at_low call, one per mask slab, from
+    # (top, lows, alphas, held) of each designer._rating1_at_low call, one per row chunk, from
     # whatever that function is when this is called
     calls, gather = [], designer._rating1_at_low
 
@@ -483,9 +477,8 @@ def _recording_the_gather(monkeypatch):
 def _oracle_equals_the_whole_grid(monkeypatch, r, cells):
     if cells is not None:
         monkeypatch.setattr(designer, "_SEARCH_CELLS", cells)
-        monkeypatch.setattr(designer, "_MASK_CELLS", cells)
     config = DesignerConfig(oracle_grid_r=r)
-    seen, crops = Counter(), Counter()  # (feasible, perfect monitoring); how the mask was cropped
+    seen, walks = Counter(), Counter()  # (feasible, perfect monitoring); where the row walk stopped
     slabs = _recording_the_gather(monkeypatch)
     for (p, gamma0), expected in _whole_grid_reprs(r).items():
         slabs.clear()
@@ -493,9 +486,9 @@ def _oracle_equals_the_whole_grid(monkeypatch, r, cells):
         assert repr(res) == expected, (p, gamma0)
         seen[res.feasible, p.error_any == 0.0] += 1
         stop = max((int(alphas[-1, 0]) + 1 for _, _, alphas, _ in slabs), default=0)
-        crops["no cell" if gamma0 < 1.0 and not slabs else "rows" if 0 < stop < r else "other"] += 1
+        walks["no chunk" if gamma0 < 1.0 and not slabs else "below r" if 0 < stop < r else "other"] += 1
     assert seen[True, False] and seen[False, False] and seen[True, True], seen
-    assert crops["no cell"] and crops["rows"], crops
+    assert walks["no chunk"] and walks["below r"], walks
 
 
 @pytest.mark.parametrize("r, cells", _SLAB_CASES)
@@ -523,20 +516,23 @@ def test_oracle_answer_rests_on_the_probes_not_the_guess(monkeypatch, r, cells, 
 
 @pytest.mark.parametrize("r, cells", _SLAB_CASES)
 def test_oracle_answer_rests_on_the_mask_not_the_gather(monkeypatch, r, cells):
-    # with the gather missing at every row, each row's first feasible prize
-    # comes from its mask row, and the answer is still the whole grid's
+    # with the gather at low missing at every row, each candidate row's
+    # first feasible prize comes from its row mask (its beta's line of top,
+    # gathered and compared with alpha and low), and the answer is still the
+    # whole grid's
     monkeypatch.setattr(designer, "_rating1_at_low", lambda top, lows, alphas: np.zeros(lows.shape, dtype=bool))
     _oracle_equals_the_whole_grid(monkeypatch, r, cells)
 
 
 def test_oracle_mask_reads_the_rows_the_gather_misses(monkeypatch):
-    # unpatched, the gather settles most rows that can hold a feasible
-    # prize, and the mask still reads some on the edge-weighted set
+    # unpatched, the gather at low settles most rows that can hold a
+    # feasible prize, and the row masks still read some on the
+    # edge-weighted set
     slabs, rows = _recording_the_gather(monkeypatch), Counter()
     for p in _edge_weighted_environments(70, seed=1618):
         for gamma0 in (0.0, 0.3):
             brute_force_oracle(p, DesignerConfig(oracle_grid_r=100), gamma0=gamma0)
-    for top, lows, alphas, held in slabs:  # the mask reads rows with no gather hit, a low prize and room below top
+    for top, lows, alphas, held in slabs:  # a row mask reads rows with no gather hit, a low prize and room below top
         rows["mask"] += int(np.count_nonzero(~held & (lows < top.shape[1]) & (alphas < top.max(axis=1))))
         rows["gather"] += int(np.count_nonzero(held))
     assert 0 < rows["mask"] < rows["gather"], rows
@@ -624,36 +620,34 @@ def test_oracle_refuses_a_domain_outside_its_premises(defaults):
 
 
 def test_oracle_tie_across_slabs_keeps_the_first_cell(defaults, monkeypatch):
-    # a flat utility ties every feasible cell; with one alpha row per mask
-    # slab and per search chunk the feasible cells span several slabs, and
-    # the first in C order wins
+    # a flat utility ties every feasible cell; with one alpha row per chunk
+    # the feasible rows span several chunks, and the first in C order wins
     def flat(alpha, beta, gamma1, gamma0, params):
         return 0.0 * alpha + 0.0 * beta + 0.0 * gamma1
 
     monkeypatch.setattr(designer, "social_utility_closed", flat)
     monkeypatch.setattr(designer, "_SEARCH_CELLS", 1)
-    monkeypatch.setattr(designer, "_MASK_CELLS", 1)
     slabs = _recording_the_gather(monkeypatch)
     config = DesignerConfig(oracle_grid_r=10)
     res = brute_force_oracle(defaults, config)
-    assert res.n_feasible > 10 * 10
-    assert len(slabs) > 1  # one mask slab per alpha row
+    assert sum(bool(held.any()) for *_, held in slabs) > 1  # feasible rows in several one-row chunks
     assert repr(res) == repr(whole_grid_oracle(defaults, config, utility_of=flat))
 
 
 def test_oracle_memory_grows_with_one_slab(defaults):
-    config = DesignerConfig(oracle_grid_r=100)
-    brute_force_oracle(defaults, config)  # the payoff table is built outside the trace
-    tracemalloc.start()
-    try:
-        brute_force_oracle(defaults, config)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # 0.95 MB measured: two 0.26 MB mask slabs and an 80-row search chunk's
-    # float temporaries (64 KB each), the guesses' among them; 1.45 MB with
-    # the slab walk of every cell, 55 MB for whole_grid_oracle
-    assert peak < 2e6
+    for r in (100, 200):
+        config = DesignerConfig(oracle_grid_r=r)
+        brute_force_oracle(defaults, config)  # the payoff table is built outside the trace
+        tracemalloc.start()
+        try:
+            brute_force_oracle(defaults, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 0.62 MB and 1.03 MB measured: a chunk of alpha rows' float
+        # temporaries (64 KB each), the guesses' among them, and its row
+        # masks; 57 MB and 456 MB for whole_grid_oracle
+        assert peak < 2e6, (r, peak)
 
 
 def test_case_scan_drops_a_degenerate_point_alone():

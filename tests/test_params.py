@@ -148,18 +148,11 @@ def test_design_price():
     assert design.price(0) == 0.1
 
 
-def test_design_violations_optimizer_rules():
-    assert design_violations(DesignParams(1.0, 0.5, 0.5, 0.0)) == ()
-    assert design_violations(DesignParams(0.0, 0.5, 0.5, 0.0)) != ()
-    assert design_violations(DesignParams(0.5, 0.5, 0.5, 0.5)) != ()
-    assert design_violations(DesignParams(0.5, 0.5, 1.2, 0.0)) != ()
-
-
 def test_design_violations_closed_square():
     # check/simulate accept the closed unit square, including beta=0 and
     # a flat price schedule
-    assert design_violations(DesignParams(0.5, 0.0, 0.5, 0.5), require_price_gap=False) == ()
-    assert design_violations(DesignParams(1.5, 0.5, 0.5, 0.0), require_price_gap=False) != ()
+    assert design_violations(DesignParams(0.5, 0.0, 0.5, 0.5)) == ()
+    assert design_violations(DesignParams(1.5, 0.5, 0.5, 0.0)) != ()
 
 
 def test_parse_config_round_trip(defaults):

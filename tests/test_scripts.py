@@ -45,6 +45,18 @@ def test_bench_counts_the_oracle_margin_calls(monkeypatch):
     assert "margin_calls_per_call" not in bench.time_function_row(names.index("is_sustainable"))
 
 
+def test_bench_records_the_oracle_tracemalloc_peak(monkeypatch):
+    # each oracle row records the tracemalloc peak of one untimed call,
+    # in MB; a row of another function records none
+    bench = _load("bench", monkeypatch)
+    names = [name for name, *_ in bench.FUNCTION_ROWS]
+    row = bench.time_function_row(names.index("brute_force_oracle, r=40"))
+    assert 0.0 < row["tracemalloc_peak_mb"] < 2.0
+    assert "tracemalloc_peak_mb" not in bench.time_function_row(names.index("is_sustainable"))
+    summary = bench.across_processes([row, {**row, "tracemalloc_peak_mb": 1.0}, row])
+    assert summary["tracemalloc_peak_mb"] == row["tracemalloc_peak_mb"]
+
+
 def test_bench_counts_the_coefficient_grid_calls_of_optimize(monkeypatch):
     # the optimize row records the _coefficient_grid calls of one call: one
     # grid for both boundary cases; the count's wrapper is gone afterwards
