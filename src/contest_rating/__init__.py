@@ -33,7 +33,6 @@ from .errors import (
 )
 from .incentives import (
     ConstraintCoefficients,
-    FeasibilityBand,
     LifetimeValues,
     SustainabilityReport,
     binding_lines,
@@ -41,7 +40,6 @@ from .incentives import (
     constraint_coefficients,
     deviation_floor,
     deviation_value,
-    feasibility_band,
     is_sustainable,
     lifetime_values,
     one_period_values,

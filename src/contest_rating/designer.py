@@ -31,6 +31,7 @@ import numpy as np
 from .errors import DegenerateDenominator, DomainError, Infeasible
 from .incentives import (
     TOLERANCE,
+    _VANISHES,
     SustainabilityReport,
     _turnover,
     binding_lines,
@@ -143,7 +144,7 @@ def _corner_utility(case_id: str, gamma1: float, worker: int, params: IntrinsicP
     else:
         denom = (delta - 1.0) * v0 + delta * z * (v0 - v1)
         numer = delta * gamma1 * z * v0
-    if abs(denom) < 1e-12:
+    if abs(denom) < _VANISHES:
         raise DegenerateDenominator(f"case utility denominator vanished: {denom!r}")
     return z - numer / denom
 

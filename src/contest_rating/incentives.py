@@ -4,17 +4,19 @@ A compliant worker intends CN at every rating. Its lifetime discounted
 value solves a two-state fixed point in the own-rating chain; the protocol
 is sustainable when no one-shot switch to CA, SN or SA is profitable at
 either rating. The CA inequalities, rearranged at gamma0 = 0, become affine
-constraints on (alpha, beta) whose intersection is the designer's feasible
-band; SN and SA enter as floors on the CA margins (deviation_floor). The
-rating-0 CA line has a negative slope and intercept, so it never binds on
-the unit square and only its intercept (shared with participation) is kept.
-Every check allows the one slack TOLERANCE: a deviation may gain up to it,
-participation and the band's lines may miss by up to it.
+constraints on (alpha, beta) whose intersection, read by binding_lines
+alone, is the designer's feasible band; SN and SA enter as floors on the CA
+margins (deviation_floor). The rating-0 CA line has a negative slope and
+intercept, so it never binds on the unit square and only its intercept
+(shared with participation) is kept. Every check allows the one slack
+TOLERANCE: a deviation may gain up to it, participation and the band's
+lines may miss by up to it.
 
 The margin formulas are private helpers of plain operators that take one
 worker's payoff lines and an already computed gap or gain: is_sustainable
 runs them on the payoff table's floats (its one numpy call is the lifetime
-solve), the grid oracle's probes on arrays.
+solve), the grid oracle's probes on arrays. The rating gap has one formula,
+_compliant_gap.
 """
 
 from __future__ import annotations
@@ -64,11 +66,6 @@ def _turnover(alpha, beta, params: IntrinsicParams):
     return 1.0 - params.delta * (1.0 - (beta * params.error_any + alpha * params.error_free))
 
 
-def _rating_gap(lines, design: DesignParams, turnover: float) -> float:
-    # rating_gap from a worker's lines (payoff_table(params).lines(worker))
-    return lines[0][_CN] * (design.gamma1 - design.gamma0) / turnover
-
-
 def rating_gap(design: DesignParams, params: IntrinsicParams, worker: int) -> float:
     """Closed form of v1 - v0 for the compliant worker.
 
@@ -76,8 +73,8 @@ def rating_gap(design: DesignParams, params: IntrinsicParams, worker: int) -> fl
     advantage divided by one minus the discounted probability of keeping
     the current rating differential.
     """
-    turnover = _turnover(design.alpha, design.beta, params)
-    return _rating_gap(payoff_table(params).lines(worker), design, turnover)
+    return _compliant_gap(payoff_table(params).lines(worker), design.gamma1, design.gamma0,
+                          _turnover(design.alpha, design.beta, params))[1]
 
 
 def deviation_value(
@@ -145,17 +142,12 @@ def compliance_margins(alpha, beta, gamma1, gamma0, params: IntrinsicParams, wor
     v0 the lifetime compliant value at the low rating. The margins are the
     one-shot-deviation inequalities cleared of their (possibly vanishing)
     denominators, so they stay finite at delta = 0 or beta = 0 and share
-    the sign of the textbook thresholds wherever those are defined. The
-    rating gap is computed once for both ratings; each rating's part is
-    also its own function (rating0_margins, rating1_margin), so a caller
-    that reads one rating computes only that one.
+    the sign of the textbook thresholds wherever those are defined. It
+    returns its halves, rating0_margins and rating1_margin, which each
+    compute the rating gap, so a caller of one rating computes only that.
     """
-    lines = payoff_table(params).lines(worker)
-    v_cn0, gap = _compliant_gap(lines, gamma1, gamma0, _turnover(alpha, beta, params))
-    detect = params.delta * params.detection_margin
-    m0 = _margin(detect, alpha, gap, _gain(lines, _CA, gamma0))
-    m1 = _margin(detect, beta, gap, _gain(lines, _CA, gamma1))
-    return m0, m1, _participation(v_cn0, gap, alpha, params)
+    m0, v0 = rating0_margins(alpha, beta, gamma1, gamma0, params, worker)
+    return m0, rating1_margin(alpha, beta, gamma1, gamma0, params, worker), v0
 
 
 def deviation_floor(gamma, params: IntrinsicParams, worker: int):
@@ -238,10 +230,9 @@ def is_sustainable(design: DesignParams, params: IntrinsicParams) -> Sustainabil
         floor0 = _deviation_floor(lines, table.drop_ratio, gamma0, gain0)
         floor1 = _deviation_floor(lines, table.drop_ratio, gamma1, gain1)
         th0, th1 = _gap_threshold(gain0, detect * alpha), _gap_threshold(gain1, detect * beta)
-        report_gap = _rating_gap(lines, design, turnover)
         workers.append(WorkerIncentives(
-            worker=worker, gap=report_gap, gain0=gain0, gain1=gain1, threshold0=th0, threshold1=th1,
-            margin_combined=report_gap - max(th0, th1), margin0=float(m0), margin1=float(m1),
+            worker=worker, gap=gap, gain0=gain0, gain1=gain1, threshold0=th0, threshold1=th1,
+            margin_combined=gap - max(th0, th1), margin0=float(m0), margin1=float(m1),
             lifetime=lifetime_values(design, params, worker), sustainable=bool(m0 >= floor0 and m1 >= floor1),
         ))
     return SustainabilityReport(design=design, workers=tuple(workers), sustainable=all(w.sustainable for w in workers))
@@ -329,10 +320,12 @@ def binding_lines(gamma1, params: IntrinsicParams):
 
     Returns (k2, b2, k3, b3, upper, live): the lower line of the worker
     with the larger k2 and the upper line of the worker with the smaller k3
-    (ties go to worker 1, as in feasibility_band), upper, the number (1 or
-    2) of the worker whose participation line that is, and live, false
-    where either worker's constraint_coefficients would raise
-    DegenerateDenominator. b3 is one scalar for the whole grid.
+    (ties go to worker 1), upper, the number (1 or 2) of the worker whose
+    participation line that is, and live, false where either worker's
+    constraint_coefficients would raise DegenerateDenominator. b3 is one
+    scalar for the whole grid. These workers bind on the whole square: b2
+    is k2 times a common positive factor and b3 is worker-independent, so
+    no two workers' lines cross inside it.
     """
     coefficients, denominators = _coefficient_grid(gamma1, params)
     # k2's denominators vary along the grid, (2, n); k3's are a (2, 1) column, b1's one scalar
@@ -347,79 +340,4 @@ def binding_lines(gamma1, params: IntrinsicParams):
         coefficients["b1"],  # b3 = b1, the same for both workers and every gamma1
         np.where(up, 2, 1),
         live,
-    )
-
-
-def _linear_interval(a: float, b: float, lo: float, hi: float) -> tuple[float, float]:
-    """Clip [lo, hi] to the solutions of a*x <= b; empty -> (inf, -inf)."""
-    if a > 0.0:
-        return lo, min(hi, b / a)
-    if a < 0.0:
-        return max(lo, b / a), hi
-    return (lo, hi) if b >= 0.0 else (math.inf, -math.inf)
-
-
-@dataclass(frozen=True)
-class FeasibilityBand:
-    """Affine feasible region in the (alpha, beta) unit square at gamma0 = 0.
-
-    Membership: beta between the binding lower line (largest k2, the
-    rating-1 deviation constraint) and the binding upper line (smallest
-    k3, participation), inside (0, 1]^2. alpha_interval is the projection
-    onto the alpha axis; the band is empty iff the interval is.
-    """
-
-    gamma1: float
-    coefficients: tuple[ConstraintCoefficients, ConstraintCoefficients]
-    lower_worker: int
-    upper_worker: int
-    alpha_interval: tuple[float, float] | None
-
-    @property
-    def lower(self) -> tuple[float, float]:
-        c = self.coefficients[self.lower_worker - 1]
-        return c.k2, c.b2
-
-    @property
-    def upper(self) -> tuple[float, float]:
-        c = self.coefficients[self.upper_worker - 1]
-        return c.k3, c.b3
-
-    @property
-    def empty(self) -> bool:
-        return self.alpha_interval is None
-
-    def contains(self, alpha: float, beta: float) -> bool:
-        if not (0.0 < alpha <= 1.0 and 0.0 < beta <= 1.0):
-            return False
-        k2, b2 = self.lower
-        k3, b3 = self.upper
-        return not (beta < k2 * alpha + b2 - TOLERANCE or beta > k3 * alpha + b3 + TOLERANCE)
-
-
-def feasibility_band(gamma1: float, params: IntrinsicParams) -> FeasibilityBand:
-    """Combine both workers' constraints into one band at gamma0 = 0.
-
-    b2 is proportional to k2 with a common positive factor and b3 is
-    worker-independent, so the worker with the larger k2 owns the pointwise
-    highest lower line and the worker with the smaller k3 the lowest upper
-    line; no crossing inside the square can change the binding worker.
-    """
-    coeffs = tuple(constraint_coefficients(gamma1, params, w) for w in (1, 2))
-    low = max(coeffs, key=lambda c: c.k2)
-    up = min(coeffs, key=lambda c: c.k3)
-    # lower line <= upper line, lower line <= 1, upper line > 0 (so that
-    # some beta in (0, 1] fits); each is linear in alpha.
-    limits = [(low.k2 - up.k3, up.b3 - low.b2), (low.k2, 1.0 - low.b2), (-up.k3, up.b3 - 1e-15)]
-    intervals = [_linear_interval(a, b, 0.0, 1.0) for a, b in limits]
-    lo = max(lo for lo, _ in intervals)
-    hi = min(hi for _, hi in intervals)
-    # alpha itself must be strictly positive; an interval pinched to {0} is empty
-    interval = (lo, hi) if (lo <= hi and hi > 0.0) else None
-    return FeasibilityBand(
-        gamma1=gamma1,
-        coefficients=coeffs,
-        lower_worker=low.worker,
-        upper_worker=up.worker,
-        alpha_interval=interval,
     )

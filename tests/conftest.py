@@ -6,11 +6,13 @@ magnitudes); tests that exercise degenerate edges construct those points
 explicitly instead.
 """
 
+import numpy as np
 import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from contest_rating import DesignParams, IntrinsicParams, default_params, optimize, validate
+from contest_rating import DesignParams, IntrinsicParams, binding_lines, default_params, optimize, validate
+from contest_rating.incentives import TOLERANCE
 
 
 def _floats(lo, hi):
@@ -79,6 +81,19 @@ def design_params(draw, gamma0_max=0.0):
         gamma1=gamma1,
         gamma0=gamma0,
     )
+
+
+def in_band(gamma1, alpha, beta, params):
+    """Whether (alpha, beta) lies in the band of binding_lines at one gamma1.
+
+    Inside (0, 1]^2, beta may miss the binding lines, the rating-1
+    deviation line below and the participation line above, by TOLERANCE.
+    """
+    k2, b2, k3, b3, _, live = binding_lines(np.array([gamma1]), params)
+    assert live[0], f"a coefficient denominator vanishes at gamma1 = {gamma1!r}"
+    if not (0.0 < alpha <= 1.0 and 0.0 < beta <= 1.0):
+        return False
+    return not (beta < k2[0] * alpha + b2[0] - TOLERANCE or beta > k3[0] * alpha + b3 + TOLERANCE)
 
 
 @pytest.fixture(scope="session")

@@ -20,10 +20,11 @@
   one packed event code and look payoffs up in per-code tables, must return
   an equal `SimResult`, float for float.
 - `is_sustainable_arrays`: the certificate computed with numpy scalars
-  and arrays read from the payoff table's arrays, the gap and the CA gains
-  computed once per margin and once more for the report, and both floors
-  from one prize array. `is_sustainable`, which reads each worker's lines
-  once as floats, must return an equal report, field for field by `repr`.
+  and arrays read from the payoff table's arrays, one gap for the margins
+  and the report, the CA gains computed once per margin and once more for
+  the report, and both floors from one prize array. `is_sustainable`,
+  which reads each worker's lines once as floats, must return an equal
+  report, field for field by `repr`.
 - `whole_grid_oracle`: the grid oracle evaluated over all r**3 cells at
   once. `brute_force_oracle`, which finds each row's first clearing prize
   and each column's first failing alpha by bisection on the margins (the
@@ -399,10 +400,9 @@ def is_sustainable_arrays(design, params):
         cn_slope, cn_icept = payoff_line(worker, Strategy.CN, params)
         v_cn0 = cn_slope * gamma0 + cn_icept
         v_cn1 = cn_slope * gamma1 + cn_icept
-        margin_gap = (v_cn1 - v_cn0) / (1.0 - params.delta * (1.0 - turnover))
-        m0 = params.delta * params.detection_margin * alpha * margin_gap - gain(Strategy.CA, gamma0)
-        m1 = params.delta * params.detection_margin * beta * margin_gap - gain(Strategy.CA, gamma1)
-        gap = cn_slope * (gamma1 - gamma0) / (1.0 - params.delta * (1.0 - turnover))
+        gap = (v_cn1 - v_cn0) / (1.0 - params.delta * (1.0 - turnover))
+        m0 = params.delta * params.detection_margin * alpha * gap - gain(Strategy.CA, gamma0)
+        m1 = params.delta * params.detection_margin * beta * gap - gain(Strategy.CA, gamma1)
         gain0, gain1 = (float(gain(Strategy.CA, g)) for g in (gamma0, gamma1))
         th0 = _gap_threshold(gain0, detect * alpha)
         th1 = _gap_threshold(gain1, detect * beta)

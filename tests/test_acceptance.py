@@ -12,6 +12,7 @@ non-increasing in d with it.
 import time
 
 import numpy as np
+from conftest import in_band
 from four_intent import violations
 from oracles import evolve, productivity_mc, social_utility
 from scalar_reference import lifetime_values_iterative
@@ -24,7 +25,6 @@ from contest_rating import (
     brute_force_oracle,
     compliance_margins,
     default_params,
-    feasibility_band,
     first_stage_payoffs,
     lifetime_values,
     optimize,
@@ -164,7 +164,6 @@ def test_criterion_05_feasibility_band_equals_primal_margins(defaults):
     mismatches = 0
     total = 0
     for gamma1 in (0.2, 0.45, 0.55, 0.7, 0.9):
-        band = feasibility_band(gamma1, defaults)
         primal_ok = np.ones((50, 50), dtype=bool)
         for worker in (1, 2):
             m0, m1, v0 = compliance_margins(
@@ -174,7 +173,7 @@ def test_criterion_05_feasibility_band_equals_primal_margins(defaults):
         for i, alpha in enumerate(grid):
             for j, beta in enumerate(grid):
                 total += 1
-                if band.contains(float(alpha), float(beta)) != bool(primal_ok[i, j]):
+                if in_band(gamma1, float(alpha), float(beta), defaults) != bool(primal_ok[i, j]):
                     mismatches += 1
     ok = mismatches == 0
     _report(5, ok, f"{mismatches} misclassifications over {total} (alpha, beta, gamma1) points")
@@ -228,8 +227,7 @@ def test_criterion_07_optimizer_matches_brute_force(defaults):
             problems.append(f"c1={c1:.2f}: oracle infeasible, optimizer found a point")
             continue
         worst = max(worst, abs(outcome.utility - oracle.utility))
-        band = feasibility_band(outcome.gamma1, point)
-        if not band.contains(outcome.alpha, outcome.beta):
+        if not in_band(outcome.gamma1, outcome.alpha, outcome.beta, point):
             problems.append(f"c1={c1:.2f}: returned design outside its band")
         for worker in (1, 2):
             m0, m1, v0 = compliance_margins(

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import design_params, edge_designs, edge_environments, intrinsic_params
+from conftest import design_params, edge_designs, edge_environments, in_band, intrinsic_params
 from four_intent import DEVIATIONS, deviation_gain
 from scalar_reference import is_sustainable_arrays, lifetime_values_iterative
 from contest_rating import (
@@ -15,11 +15,11 @@ from contest_rating import (
     DesignParams,
     Strategy,
     against_compliant,
+    binding_lines,
     compliance_margins,
     constraint_coefficients,
     default_params,
     deviation_value,
-    feasibility_band,
     is_sustainable,
     lifetime_values,
     payoff_line,
@@ -175,8 +175,9 @@ def test_verdict_matches_four_intent_certificate():
 @given(edge_environments(), edge_designs())
 def test_certificate_equals_the_array_reference(p, design):
     # the float certificate reads each worker's lines once and computes the
-    # gap and both CA gains once; the numpy one computes them per margin and
-    # the floors over one prize array. Field for field, the reports agree.
+    # gap and both CA gains once; the numpy one computes the gains per
+    # margin and the floors over one prize array. Both report the gap that
+    # the margins use. Field for field, the reports agree.
     assert repr(is_sustainable(design, p)) == repr(is_sustainable_arrays(design, p))
 
 
@@ -354,36 +355,43 @@ def test_coefficients_degenerate_denominator():
 
 
 def test_band_symmetric_workers():
+    # identical workers have identical constraint lines, and the band's
+    # binding lines are those lines
     p = default_params(c1=0.15, c2=0.15, s1=0.12, s2=0.12)
-    band = feasibility_band(0.6, p)
-    c1, c2 = band.coefficients
+    c1, c2 = (constraint_coefficients(0.6, p, w) for w in (1, 2))
     assert c1.k2 == pytest.approx(c2.k2, abs=1e-15)
     assert c1.k3 == pytest.approx(c2.k3, abs=1e-15)
     assert c1.b2 == pytest.approx(c2.b2, abs=1e-15)
+    k2, b2, k3, b3, _, live = binding_lines(np.array([0.6]), p)
+    assert live[0]
+    assert (k2[0], b2[0], k3[0], b3) == pytest.approx((c1.k2, c1.b2, c1.k3, c1.b3), abs=1e-15)
 
 
 def test_band_binding_workers_at_defaults(defaults):
     # the costlier worker needs the stronger demotion threat, so it owns
     # the lower boundary; it also has the tighter participation ceiling
-    band = feasibility_band(0.52, defaults)
-    assert band.lower_worker == 2
-    assert band.upper_worker == 2
-    assert not band.empty
+    k2, b2, k3, b3, upper, live = binding_lines(np.array([0.52]), defaults)
+    c1, c2 = (constraint_coefficients(0.52, defaults, w) for w in (1, 2))
+    assert live[0] and upper[0] == 2
+    assert c2.k2 > c1.k2
+    assert (k2[0], b2[0], k3[0], b3) == (c2.k2, c2.b2, c2.k3, c2.b3)
+    assert in_band(0.52, 1.0, k3[0] + b3, defaults)  # the band is not empty
 
 
 def test_band_boundary_hits_designed_beta(defaults, optimum):
-    band = feasibility_band(optimum.gamma1, defaults)
-    k3, b3 = band.upper
-    assert k3 * 1.0 + b3 == pytest.approx(optimum.beta, abs=1e-12)
-    assert band.contains(optimum.alpha, optimum.beta)
+    # at alpha = 1 the binding participation line passes through the designed beta
+    _, _, k3, b3, _, _ = binding_lines(np.array([optimum.gamma1]), defaults)
+    assert optimum.alpha == 1.0
+    assert k3[0] + b3 == optimum.beta
+    assert in_band(optimum.gamma1, optimum.alpha, optimum.beta, defaults)
 
 
 def test_band_low_prize_is_empty(defaults):
     # below the participation threshold of the costlier worker no protocol
     # can pay: the ceiling line is negative over the whole alpha range
-    band = feasibility_band(0.2, defaults)
-    assert band.empty
-    assert not band.contains(0.5, 0.5)
+    _, _, k3, b3, _, _ = binding_lines(np.array([0.2]), defaults)
+    assert b3 < 0.0 and k3[0] + b3 < 0.0
+    assert not in_band(0.2, 0.5, 0.5, defaults)
 
 
 def test_band_membership_equals_direct_margins(defaults):
@@ -391,11 +399,10 @@ def test_band_membership_equals_direct_margins(defaults):
     # repeats this at 50x50 over five prize levels
     grid = np.arange(1, 21) / 20.0
     for gamma1 in (0.45, 0.6, 0.9):
-        band = feasibility_band(gamma1, defaults)
         for alpha in grid:
             for beta in grid:
                 ok = True
                 for worker in (1, 2):
                     m0, m1, v0 = compliance_margins(alpha, beta, gamma1, 0.0, defaults, worker)
                     ok &= bool(m0 >= -1e-9 and m1 >= -1e-9 and v0 >= -1e-9)
-                assert band.contains(alpha, beta) == ok, (gamma1, alpha, beta)
+                assert in_band(gamma1, alpha, beta, defaults) == ok, (gamma1, alpha, beta)

@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 import contest_rating
-from contest_rating import designer, params, ratings, requester, stage_game
+from contest_rating import designer, incentives, params, ratings, requester, stage_game
 
 TESTS = Path(__file__).resolve().parent
 
@@ -17,6 +17,7 @@ GONE = {
     ratings: ("evolve", "rating_update_rule"),
     designer: ("boundary_case_optimum",),
     params: ("Rating",),
+    incentives: ("feasibility_band", "FeasibilityBand", "_linear_interval", "_rating_gap"),
 }
 
 

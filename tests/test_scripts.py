@@ -121,6 +121,14 @@ def test_design_digest_runs_every_design_command(monkeypatch, capsys):
     assert all(o.endswith("sustainable=true\n") for o in outputs["check"])
 
 
+def test_design_digest_keeps_the_seed_0_bytes(monkeypatch, capsys):
+    # the design, sweep and check bytes of seed 0, pinned: the check rows
+    # print the certificate, which no benchmark reference covers
+    digest = _load("design_digest", monkeypatch)
+    assert digest.main(["--seeds", "0"]) == 0
+    assert capsys.readouterr().out == "0e5027fd46196df3b099ab0b8971e616084fdfa4738b6cecadbd13790db64493\n"
+
+
 def test_sim_digest_runs_every_simulate_op(monkeypatch, capsys):
     digest = _load("sim_digest", monkeypatch)
     monkeypatch.setattr(digest, "SHAPES", ((270, 2, 2),))  # the least horizon at delta = 0.95
