@@ -29,10 +29,8 @@ counted by wrapping the designer's references to those functions from this
 script. The brute_force_oracle rows also record tracemalloc_peak_mb: the
 tracemalloc peak of one more untimed call, the median over the processes.
 The optimize row records coefficient_grid_calls_per_call the same way as
-the margin calls, wrapping incentives._coefficient_grid. The
-productivity_mc row times the stage game's Monte-Carlo oracle, which lives
-in tests/oracles.py. The file also records the Tier-1 wall time and the
-line count of src/contest_rating.
+the margin calls, wrapping incentives._coefficient_grid. The file also
+records the Tier-1 wall time and the line count of src/contest_rating.
 """
 
 from __future__ import annotations
@@ -55,7 +53,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
-sys.path[:0] = [str(SRC), str(ROOT / "benchmark"), str(ROOT / "tests")]
+sys.path[:0] = [str(SRC), str(ROOT / "benchmark")]
 
 import hostspeed  # noqa: E402  (benchmark/hostspeed.py, imported read-only)
 import numpy  # noqa: E402
@@ -72,7 +70,6 @@ from contest_rating import (  # noqa: E402
 )
 from contest_rating import designer, incentives  # noqa: E402
 from contest_rating.cli import main as cli_main  # noqa: E402
-from oracles import productivity_mc  # noqa: E402  (tests/oracles.py, the Monte-Carlo test oracle)
 
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
 DESIGNED = ("1.0", "0.947368421053", "0.52")  # optimize(default_params()) at m = 100
@@ -93,7 +90,6 @@ FUNCTION_ROWS = [
     ("brute_force_oracle, r=200", 7, lambda p: partial(brute_force_oracle, p, DesignerConfig(oracle_grid_r=200))),
     ("zero_base_price_check, r=40", 7,
      lambda p: partial(zero_base_price_check, p, config=DesignerConfig(oracle_grid_r=40))),
-    ("productivity_mc, 1e6 samples", 15, lambda p: partial(productivity_mc, "C", "C", p, samples=1_000_000)),
     ("run_chain, defaults (2000 periods x 16 x 50)", 9,
      lambda p: partial(run_chain, optimize(p).design(), p, SimConfig())),
     ("run_utility, horizon 270", 15,

@@ -42,15 +42,12 @@ from .incentives import (
     deviation_value,
     is_sustainable,
     lifetime_values,
-    one_period_values,
-    rating_gap,
 )
 from .params import (
     DesignParams,
     IntrinsicParams,
     STRATEGIES,
     Strategy,
-    ValidationReport,
     default_params,
     design_violations,
     load_config,
@@ -60,7 +57,6 @@ from .params import (
 )
 from .payoffs import (
     against_compliant,
-    expected_payoff,
     payoff_line,
     payoff_table,
     perfect_monitoring_matrix,

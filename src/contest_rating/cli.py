@@ -127,7 +127,7 @@ def _cmd_sweep(args) -> int:
             break
         k += 1
         point = with_params(params, **{args.vary: value})
-        if not validate(point).ok:
+        if validate(point):
             lines.append(outcome_csv_row(DesignOutcome(params=point, feasible=False), invalid=True))
             continue
         try:

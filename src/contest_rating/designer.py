@@ -199,7 +199,6 @@ def optimize(params: IntrinsicParams, config: DesignerConfig | None = None) -> D
     if not live:
         err = Infeasible(f"no feasible protocol on the gamma1 grid (m = {m})")
         err.cases = cases
-        err.params = params
         raise err
     live.sort(key=lambda c: (-c.utility, c.gamma1, c.case_id != CASE_BETA_ONE))
     best = live[0]

@@ -46,16 +46,13 @@ class LifetimeValues:
         return self.v1 if rating else self.v0
 
 
-def one_period_values(design: DesignParams, params: IntrinsicParams, worker: int) -> np.ndarray:
-    """Per-rating compliant payoffs [v_CN(gamma0), v_CN(gamma1)]."""
-    prizes = (design.gamma0, design.gamma1)
-    return np.array([against_compliant(worker, Strategy.CN, g, params) for g in prizes])
-
-
 def lifetime_values(design: DesignParams, params: IntrinsicParams, worker: int) -> LifetimeValues:
-    """Solve (I - delta*K) v = r for the compliant two-state value function."""
+    """Solve (I - delta*K) v = r for the compliant two-state value function.
+
+    r holds the per-rating compliant payoffs [v_CN(gamma0), v_CN(gamma1)].
+    """
     kernel = transition_kernel(Strategy.CN, design, params)
-    reward = one_period_values(design, params, worker)
+    reward = np.array([against_compliant(worker, Strategy.CN, g, params) for g in (design.gamma0, design.gamma1)])
     v = np.linalg.solve(np.eye(2) - params.delta * kernel, reward)
     return LifetimeValues(v0=float(v[0]), v1=float(v[1]))
 
@@ -64,17 +61,6 @@ def _turnover(alpha, beta, params: IntrinsicParams):
     # 1 - delta + delta * (beta * error_any + alpha * error_free), as computed: the positive
     # denominator of the lifetime rating gap, the same for both workers
     return 1.0 - params.delta * (1.0 - (beta * params.error_any + alpha * params.error_free))
-
-
-def rating_gap(design: DesignParams, params: IntrinsicParams, worker: int) -> float:
-    """Closed form of v1 - v0 for the compliant worker.
-
-    The two-state fixed point collapses: the gap is the per-period prize
-    advantage divided by one minus the discounted probability of keeping
-    the current rating differential.
-    """
-    return _compliant_gap(payoff_table(params).lines(worker), design.gamma1, design.gamma0,
-                          _turnover(design.alpha, design.beta, params))[1]
 
 
 def deviation_value(

@@ -103,16 +103,6 @@ class DesignParams:
         return self.gamma1 if rating else self.gamma0
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[str, ...]
-    warnings: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 def default_params(**overrides) -> IntrinsicParams:
     """Baseline environment used throughout the experiments."""
     base = dict(c1=0.1, c2=0.2, s1=0.2, s2=0.1, d=0.5, delta=0.95, eps1=0.2, eps2=0.05)
@@ -125,14 +115,13 @@ def with_params(params: IntrinsicParams, **overrides) -> IntrinsicParams:
     return replace(params, **overrides)
 
 
-def validate(params: IntrinsicParams) -> ValidationReport:
+def validate(params: IntrinsicParams) -> tuple[str, ...]:
     """Range-check every field and the derived detection margin.
 
-    Returns a report rather than raising so callers can surface all
-    problems at once; warnings flag legal but odd corners.
+    Returns the violations, empty when the environment is valid, rather
+    than raising, so callers can surface all problems at once.
     """
     bad: list[str] = []
-    warn: list[str] = []
     for name in ("c1", "c2", "s1", "s2", "d"):
         x = getattr(params, name)
         if not 0.0 < x < 1.0:
@@ -148,13 +137,7 @@ def validate(params: IntrinsicParams) -> ValidationReport:
             "detection margin nonpositive: "
             f"(1-eps1)*(1-2*eps2) = {params.detection_margin!r} must be > 0"
         )
-    if not bad:
-        for worker in (1, 2):
-            if params.attack_cost(worker) > params.d:
-                warn.append(
-                    f"s{worker} exceeds the damage d: attacking costs more than it hurts"
-                )
-    return ValidationReport(tuple(bad), tuple(warn))
+    return tuple(bad)
 
 
 def design_violations(design: DesignParams) -> tuple[str, ...]:
@@ -200,9 +183,9 @@ def parse_config(text: str) -> IntrinsicParams:
     if missing:
         raise ConfigError(f"missing key: {missing[0]!r}" + (f" (and {len(missing) - 1} more)" if len(missing) > 1 else ""))
     params = IntrinsicParams(**seen)
-    report = validate(params)
-    if not report.ok:
-        raise ConfigError("; ".join(report.violations))
+    violations = validate(params)
+    if violations:
+        raise ConfigError("; ".join(violations))
     return params
 
 

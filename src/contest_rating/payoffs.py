@@ -4,13 +4,13 @@ The platform pays the contest winner the prize attached to its rating
 (gamma0 or gamma1) instead of the unit prize. A worker's intent is pushed
 through two independent flip channels before it lands: the first stage
 (crowdsource/in-house) flips with probability eps1, the second (attack/not)
-with probability eps2. Expected payoffs therefore mix a perfect-monitoring
-payoff matrix over both workers' realized strategies.
+with probability eps2. The opponent is always compliant (intends CN), so
+the one expected payoff, against_compliant, mixes a perfect-monitoring
+payoff matrix over both workers' realized strategies for that opponent.
 
-Against a compliant (CN-intending) opponent every strategy's expected
-payoff is affine in the prize gamma. payoff_table builds the eight
-(slope, intercept) pairs of an environment once; payoff_line and the
-incentive and design layers read them from there.
+Every strategy's expected payoff is affine in the prize gamma.
+payoff_table builds the eight (slope, intercept) pairs of an environment
+once; payoff_line and the incentive and design layers read them from there.
 """
 
 from __future__ import annotations
@@ -69,26 +69,15 @@ def realized_mix(intended: Strategy, params: IntrinsicParams) -> np.ndarray:
     return mix
 
 
-def expected_payoff(
-    worker: int,
-    intended: Strategy,
-    opponent: Strategy,
-    gamma: float,
-    params: IntrinsicParams,
-) -> float:
-    """Expected one-period payoff of `worker` with prize gamma on its rating.
+def against_compliant(worker: int, intended: Strategy, gamma: float, params: IntrinsicParams) -> float:
+    """Expected one-period payoff of `worker` with prize gamma on its rating, opponent intending CN.
 
     Both intents are mixed through the flip channels; the prize depends only
     on this worker's own rating, so gamma enters as a scalar here.
     """
     own = realized_mix(intended, params)
-    opp = realized_mix(opponent, params)
+    opp = realized_mix(Strategy.CN, params)
     return float(own @ perfect_monitoring_matrix(worker, gamma, params) @ opp)
-
-
-def against_compliant(worker: int, intended: Strategy, gamma: float, params: IntrinsicParams) -> float:
-    """Expected payoff against an opponent intending CN."""
-    return expected_payoff(worker, intended, Strategy.CN, gamma, params)
 
 
 @dataclass(frozen=True)

@@ -43,9 +43,6 @@ class StationaryDistribution:
     eta0: float
     eta1: float
 
-    def __getitem__(self, rating: int) -> float:
-        return self.eta1 if rating else self.eta0
-
 
 def stationary_distribution(design: DesignParams, params: IntrinsicParams) -> StationaryDistribution:
     """Unique stationary law of the compliant-play kernel.

@@ -205,19 +205,17 @@ def _rating_paths(code: np.ndarray, promote, demote, start):
     in force (updates land next period) in its UPDATE bit. A period without
     an event keeps the rating, so the rating in force is the verdict of the
     last earlier event, or the start rating: a running maximum over the
-    event keys finds that event. Each rise of the rating is a promotion and
-    each fall a demotion. The keys' temporaries are freed before the scan,
-    which keeps the batch's peak memory low.
+    event keys finds that event. The maximum is taken in doubling steps,
+    log2(periods + 1) whole-array passes in place. Each rise of the rating
+    is a promotion and each fall a demotion. The keys' temporaries are
+    freed before the scan, which keeps the batch's peak memory low.
     """
     keys = _event_keys(code, promote, demote, start)
-    replicates, periods, pairs = code.shape
-    if replicates * pairs < 32:  # accumulate is one scalar recurrence per column
-        keys = np.maximum.accumulate(keys, axis=2)
-    else:  # doubling steps: log2(periods + 1) whole-array passes
-        step = 1
-        while step <= periods:  # until each row spans back to row 0
-            np.maximum(keys[:, :, step:], keys[:, :, :-step], out=keys[:, :, step:])  # reads old values
-            step *= 2
+    periods = code.shape[1]
+    step = 1
+    while step <= periods:  # until each row spans back to row 0
+        np.maximum(keys[:, :, step:], keys[:, :, :-step], out=keys[:, :, step:])  # reads old values
+        step *= 2
     rating = np.bitwise_and(keys, 1, out=keys)  # in force in each period, and after the last
     promotions = int(np.count_nonzero(rating[:, :, 1:] > rating[:, :, :-1]))
     demotions = int(np.count_nonzero(rating[:, :, 1:] < rating[:, :, :-1]))

@@ -56,7 +56,7 @@ def edge_environments(draw):
         eps1=0.0 if perfect else field(0.0, 0.49, 0.0, 0.4999),
         eps2=0.0 if perfect else field(0.0, 0.49, 0.0, 0.4999),
     )
-    assume(validate(p).ok)
+    assume(not validate(p))
     return p
 
 

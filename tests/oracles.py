@@ -112,7 +112,8 @@ def pair_utility(
         per_winner_utility(rating_a, design, params)
         + per_winner_utility(rating_b, design, params)
     )
-    return eta[rating_a] * eta[rating_b] * half
+    share = (eta.eta0, eta.eta1)
+    return share[rating_a] * share[rating_b] * half
 
 
 @dataclass(frozen=True)

@@ -53,7 +53,6 @@ from contest_rating import (
     deviation_floor,
     deviation_value,
     lifetime_values,
-    one_period_values,
     payoff_line,
     payoff_table,
     social_utility_closed,
@@ -67,7 +66,7 @@ from contest_rating.simulate import _estimate
 def lifetime_values_iterative(design, params, worker, steps=1000):
     """Value iteration from zero; converges geometrically at rate delta."""
     kernel = transition_kernel(Strategy.CN, design, params)
-    reward = one_period_values(design, params, worker)
+    reward = np.array([against_compliant(worker, Strategy.CN, g, params) for g in (design.gamma0, design.gamma1)])
     v = np.zeros(2)
     for _ in range(steps):
         v = reward + params.delta * (kernel @ v)

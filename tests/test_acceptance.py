@@ -26,9 +26,9 @@ from contest_rating import (
     compliance_margins,
     default_params,
     first_stage_payoffs,
+    is_sustainable,
     lifetime_values,
     optimize,
-    rating_gap,
     run_chain,
     run_utility,
     stationary_distribution,
@@ -119,7 +119,8 @@ def test_criterion_03_lifetime_values_bellman_gap_and_simulation(defaults, optim
             solved = lifetime_values(d, params, worker)
             iterated = lifetime_values_iterative(d, params, worker, steps=1000)
             worst_solve = max(worst_solve, abs(solved.v0 - iterated.v0), abs(solved.v1 - iterated.v1))
-            worst_gap = max(worst_gap, abs((solved.v1 - solved.v0) - rating_gap(d, params, worker)))
+            gap = is_sustainable(d, params).workers[worker - 1].gap
+            worst_gap = max(worst_gap, abs((solved.v1 - solved.v0) - gap))
     sim = run_utility(design, defaults, SimConfig(periods=270, replicates=30, population=250, seed=7))
     worst_rel = 0.0
     for e in sim.estimates:

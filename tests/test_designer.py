@@ -346,7 +346,7 @@ def _edge_weighted_environments(count, seed):
         elif edge == 6:
             tiny = float(10.0 ** rng.uniform(-15, -9))
             p = with_params(p, **{key: tiny for key in _one_or_both(rng, "s")})
-        if validate(p).ok:
+        if not validate(p):
             envs.append(p)
     return envs
 
@@ -609,7 +609,7 @@ def test_oracle_refuses_a_domain_outside_its_premises(defaults):
     # eps2 > 0.5 makes the detection margin negative, so m0 could fall as
     # gamma1 rises and the bisection could miss a feasible cell
     p = with_params(defaults, eps2=0.6)
-    assert p.detection_margin < 0.0 and not validate(p).ok
+    assert p.detection_margin < 0.0 and validate(p)
     with pytest.raises(DomainError, match="oracle premises"):
         brute_force_oracle(p, DesignerConfig(oracle_grid_r=10))
     with pytest.raises(DomainError, match="oracle premises"):

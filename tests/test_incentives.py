@@ -23,7 +23,6 @@ from contest_rating import (
     is_sustainable,
     lifetime_values,
     payoff_line,
-    rating_gap,
     transition_kernel,
     validate,
 )
@@ -68,14 +67,14 @@ def test_lifetime_fixed_point_residual(defaults):
 
 def test_gap_flat_prices(defaults):
     design = DesignParams(0.5, 0.5, 0.5, 0.5)
-    assert rating_gap(design, defaults, 1) == pytest.approx(0.0, abs=1e-15)
+    assert is_sustainable(design, defaults).workers[0].gap == pytest.approx(0.0, abs=1e-15)
 
 
 def test_gap_no_future():
     p = default_params(delta=0.0)
     design = DesignParams(0.5, 0.5, 0.5, 0.0)
     slope, icept = payoff_line(1, Strategy.CN, p)
-    assert rating_gap(design, p, 1) == pytest.approx(slope * 0.5, abs=1e-15)
+    assert is_sustainable(design, p).workers[0].gap == pytest.approx(slope * 0.5, abs=1e-15)
     del icept
 
 
@@ -83,7 +82,8 @@ def test_gap_no_future():
 @given(intrinsic_params(), design_params(gamma0_max=0.4), st.sampled_from([1, 2]))
 def test_gap_identity_random(p, design, worker):
     values = lifetime_values(design, p, worker)
-    assert rating_gap(design, p, worker) == pytest.approx(values.v1 - values.v0, abs=1e-12)
+    gap = is_sustainable(design, p).workers[worker - 1].gap
+    assert gap == pytest.approx(values.v1 - values.v0, abs=1e-12)
 
 
 def test_gap_identity_bulk(defaults):
@@ -96,7 +96,7 @@ def test_gap_identity_bulk(defaults):
             gamma0=rng.uniform(0.0, 0.29),
         )
         values = lifetime_values(design, defaults, 1)
-        gap = rating_gap(design, defaults, 1)
+        gap = is_sustainable(design, defaults).workers[0].gap
         assert abs(gap - (values.v1 - values.v0)) <= 1e-12
 
 
@@ -155,7 +155,7 @@ def test_verdict_matches_four_intent_certificate():
         design = DesignParams(
             rng.uniform(0.01, 1.0), rng.uniform(0.01, 1.0), rng.uniform(gamma0 + 0.01, 1.0), gamma0
         )
-        if not validate(p).ok:
+        if validate(p):
             continue
         gains = {
             (w, r, s): deviation_gain(w, r, s, design, p)

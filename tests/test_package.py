@@ -6,18 +6,21 @@ import sys
 from pathlib import Path
 
 import contest_rating
-from contest_rating import designer, incentives, params, ratings, requester, stage_game
+from contest_rating import designer, incentives, params, payoffs, ratings, requester, stage_game
 
 TESTS = Path(__file__).resolve().parent
 
-# names that left the package: moved to tests/oracles.py, or deleted because only tests read them
+# names that left the package: moved to tests/oracles.py, deleted because only tests read them,
+# or folded into the one function that computes the same quantity
 GONE = {
     stage_game: ("productivity_mc", "McStagePayoffs", "_event_payoffs"),
     requester: ("social_utility", "SocialUtility", "pair_utility", "per_winner_utility"),
     ratings: ("evolve", "rating_update_rule"),
     designer: ("boundary_case_optimum",),
-    params: ("Rating",),
-    incentives: ("feasibility_band", "FeasibilityBand", "_linear_interval", "_rating_gap"),
+    params: ("Rating", "ValidationReport"),
+    payoffs: ("expected_payoff",),
+    incentives: ("feasibility_band", "FeasibilityBand", "_linear_interval", "_rating_gap", "one_period_values",
+                 "rating_gap"),
 }
 
 
@@ -27,6 +30,7 @@ def test_test_only_names_are_not_in_the_package():
             assert not hasattr(module, name), f"{module.__name__}.{name}"
             assert name not in contest_rating.__all__, name
     assert not hasattr(ratings.StationaryDistribution, "as_array")
+    assert not hasattr(ratings.StationaryDistribution, "__getitem__")
 
 
 def test_importing_the_package_loads_no_module_from_tests():

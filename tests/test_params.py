@@ -36,10 +36,7 @@ eps2=0.05
 
 
 def test_defaults_validate_clean(defaults):
-    report = validate(defaults)
-    assert report.ok
-    assert report.violations == ()
-    assert report.warnings == ()
+    assert validate(defaults) == ()
 
 
 def test_default_values(defaults):
@@ -74,7 +71,7 @@ def test_error_split_sums_to_one_exactly(p):
 
 @given(intrinsic_params())
 def test_validate_accepts_strategy_range(p):
-    assert validate(p).ok
+    assert validate(p) == ()
 
 
 def test_validate_is_idempotent(defaults):
@@ -97,20 +94,12 @@ def test_validate_is_idempotent(defaults):
     ],
 )
 def test_validate_rejects_boundaries(overrides):
-    report = validate(default_params(**overrides))
-    assert not report.ok
-    assert len(report.violations) == 1
+    violations = validate(default_params(**overrides))
+    assert type(violations) is tuple and len(violations) == 1
 
 
 def test_validate_delta_message():
-    report = validate(default_params(delta=1.0))
-    assert any("delta" in v and "[0, 1)" in v for v in report.violations)
-
-
-def test_attack_cost_above_damage_warns():
-    report = validate(default_params(s1=0.6))
-    assert report.ok  # warning, not a violation
-    assert any("s1" in w and "damage" in w for w in report.warnings)
+    assert any("delta" in v and "[0, 1)" in v for v in validate(default_params(delta=1.0)))
 
 
 def test_params_are_frozen(defaults):

@@ -13,7 +13,6 @@ from contest_rating import (
     Strategy,
     against_compliant,
     default_params,
-    expected_payoff,
     optimize,
     payoff_line,
     payoff_table,
@@ -31,8 +30,8 @@ def rating_payoff(worker, intended, rating, design, eta, params):
     own-rating payoff averaged over the opponent-rating distribution.
     """
     total = 0.0
-    for opp_rating in (0, 1):
-        total += eta[opp_rating] * against_compliant(worker, intended, design.price(rating), params)
+    for weight in (eta.eta0, eta.eta1):
+        total += weight * against_compliant(worker, intended, design.price(rating), params)
     return total
 
 
@@ -144,46 +143,40 @@ def test_mix_cache_is_bounded():
 
 def test_expected_payoff_no_error_picks_matrix_entry():
     p = default_params(eps1=0.0, eps2=0.0)
-    assert expected_payoff(1, Strategy.CN, Strategy.CN, 0.5, p) == pytest.approx(0.15, abs=1e-15)
-    assert expected_payoff(1, Strategy.CA, Strategy.CN, 0.5, p) == pytest.approx(0.2, abs=1e-15)
+    assert against_compliant(1, Strategy.CN, 0.5, p) == pytest.approx(0.15, abs=1e-15)
+    assert against_compliant(1, Strategy.CA, 0.5, p) == pytest.approx(0.2, abs=1e-15)
+    assert against_compliant(1, Strategy.SN, 0.5, p) == pytest.approx(0.0, abs=1e-15)
+    assert against_compliant(1, Strategy.SA, 0.5, p) == pytest.approx(-0.2, abs=1e-15)
 
 
-@given(st.sampled_from(STRATEGIES), st.sampled_from(STRATEGIES), st.floats(0.0, 1.0))
-def test_expected_payoff_no_error_equals_matrix(intended, opp, gamma):
+@given(st.sampled_from(STRATEGIES), st.floats(0.0, 1.0))
+def test_expected_payoff_no_error_equals_matrix(intended, gamma):
+    # without errors the payoff against a compliant opponent is the matrix's CN column
     p = default_params(eps1=0.0, eps2=0.0)
     m = perfect_monitoring_matrix(1, gamma, p)
-    got = expected_payoff(1, intended, opp, gamma, p)
-    assert got == pytest.approx(m[intended.index, opp.index], abs=1e-15)
+    got = against_compliant(1, intended, gamma, p)
+    assert got == pytest.approx(m[intended.index, Strategy.CN.index], abs=1e-15)
 
 
 def test_expected_payoff_sixteen_term_expansion(defaults):
-    # independent summation oracle over all realized-pair combinations
-    for intended, opp, gamma in [
-        (Strategy.CN, Strategy.CN, 0.5),
-        (Strategy.CA, Strategy.CN, 0.3),
-        (Strategy.CN, Strategy.SA, 0.8),
-    ]:
+    # independent summation oracle over all realized-pair combinations, opponent intending CN
+    theirs = realized_mix(Strategy.CN, defaults)
+    for intended, gamma in zip(STRATEGIES, (0.5, 0.3, 0.8, 0.1)):
         mine = realized_mix(intended, defaults)
-        theirs = realized_mix(opp, defaults)
         m = perfect_monitoring_matrix(1, gamma, defaults)
         total = 0.0
         for i in range(4):
             for j in range(4):
                 total += mine[i] * theirs[j] * m[i, j]
-        got = expected_payoff(1, intended, opp, gamma, defaults)
+        got = against_compliant(1, intended, gamma, defaults)
         assert got == pytest.approx(total, abs=1e-14)
 
 
-@given(
-    intrinsic_params(),
-    st.sampled_from(STRATEGIES),
-    st.sampled_from(STRATEGIES),
-    st.floats(0.0, 1.0),
-)
-def test_expected_payoff_linear_in_gamma(p, intended, opp, gamma):
-    at0 = expected_payoff(1, intended, opp, 0.0, p)
-    at1 = expected_payoff(1, intended, opp, 1.0, p)
-    mid = expected_payoff(1, intended, opp, gamma, p)
+@given(intrinsic_params(), st.sampled_from(STRATEGIES), st.floats(0.0, 1.0))
+def test_expected_payoff_linear_in_gamma(p, intended, gamma):
+    at0 = against_compliant(1, intended, 0.0, p)
+    at1 = against_compliant(1, intended, 1.0, p)
+    mid = against_compliant(1, intended, gamma, p)
     assert mid == pytest.approx(at0 + (at1 - at0) * gamma, abs=1e-12)
 
 
@@ -229,13 +222,6 @@ def test_payoff_line_compliant_slope_is_half(defaults):
     slope2, intercept2 = payoff_line(2, Strategy.CN, defaults)
     assert slope2 == pytest.approx(0.5, abs=1e-15)
     assert intercept2 == pytest.approx(-0.19, abs=1e-15)
-
-
-def test_against_compliant_is_expected_payoff(defaults):
-    for intended in STRATEGIES:
-        assert against_compliant(1, intended, 0.4, defaults) == expected_payoff(
-            1, intended, Strategy.CN, 0.4, defaults
-        )
 
 
 def test_deviation_orders_below_compliance_at_zero_prize(defaults):

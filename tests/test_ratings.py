@@ -132,7 +132,7 @@ def test_evolve_validates_distribution(defaults):
 def test_stationary_equal_update_rates(defaults):
     eta = stationary_distribution(DesignParams(0.5, 0.5, 0.5, 0.0), defaults)
     assert eta.eta0 == pytest.approx(0.24, abs=1e-15)
-    assert eta[1] == pytest.approx(0.76, abs=1e-15)
+    assert eta.eta1 == pytest.approx(0.76, abs=1e-15)
     assert eta.eta0 + eta.eta1 == pytest.approx(1.0, abs=1e-15)
 
 

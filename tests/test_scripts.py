@@ -8,8 +8,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-from oracles import productivity_mc
-
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -87,15 +85,6 @@ def test_bench_sim_long_row_runs_what_a_simulate_op_runs(monkeypatch, tmp_path, 
     assert capsys.readouterr().out.splitlines() == [chain.CSV_HEADER, *chain.rows(), *utility.rows()]
 
 
-def test_bench_times_the_monte_carlo_oracle_from_tests(monkeypatch):
-    # the stage game's Monte-Carlo oracle lives in tests/, and its row times it there
-    bench = _load("bench", monkeypatch)
-    rows = {name: factory for name, _, factory in bench.FUNCTION_ROWS}
-    call = rows["productivity_mc, 1e6 samples"](bench.default_params())
-    assert call.func is productivity_mc
-    assert Path(call.func.__code__.co_filename).resolve().parent == Path(__file__).resolve().parent
-
-
 def test_design_digest_runs_every_design_command(monkeypatch, capsys):
     digest = _load("design_digest", monkeypatch)
     run, outputs = digest.run, {"design": [], "sweep": [], "check": []}
@@ -167,8 +156,6 @@ def test_ab_pairs_two_copies_of_one_tree_and_fails_when_they_differ(tmp_path):
     assert low <= report["ratio_median"] <= high and report["differing_results"] == 0
     code, report = ab("design_sweep", 1)
     assert code == 0 and report["per_block"] == 96 and report["differing_results"] == 0
-    code, report = ab("productivity_mc", 1)  # the row whose oracle bench.py imports from tests/
-    assert code == 0 and report["differing_results"] == 0
 
     package = tmp_path / "b" / "src" / "contest_rating"
     for name, old, new in (("params.py", "c1=0.1,", "c1=0.11,"), ("designer.py", '"alpha=1"', '"alpha=one"')):

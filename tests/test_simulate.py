@@ -207,10 +207,10 @@ RECURRENCE_EDGES = {
     "worker2_attacks_first": dict(attacker=2),
     # keys 2 * (t + 1) + 1 pass 32767, and a replicate's stream spans slabs
     "past_int16_keys": dict(periods=16_400, pairs=2),
-    "wide": dict(pairs=40),  # enough columns for the doubling scan
+    "wide": dict(pairs=40),  # 40 columns a replicate
     "wide_a_power_of_two": dict(periods=64, pairs=32),  # the rating after the last period needs the step-64 pass
     "wide_past_a_power_of_two": dict(periods=65, pairs=32),  # needs the step-64 pass
-    "batch_past_the_scan_switch": dict(pairs=12),  # 24 columns a batch of 2, 36 of 3
+    "batch_of_12_pairs": dict(pairs=12),  # 24 columns a batch of 2, 36 of 3
 }
 
 
