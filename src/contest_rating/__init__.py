@@ -3,10 +3,10 @@
 The package models two long-lived workers who repeatedly compete for a
 requester's task, may sabotage each other, and are disciplined only
 through a binary public rating updated from noisy observations of their
-play. It provides the stage-game closed forms, monitored expected
-payoffs, rating-chain analysis, sustainability (one-shot deviation)
-checks, the requester's protocol optimizer with a brute-force oracle, a
-seeded Monte-Carlo simulator, and a CLI around all of it.
+play. It holds what the CLI runs: monitored expected payoffs,
+rating-chain analysis, sustainability (one-shot deviation) checks, the
+requester's protocol optimizer with a grid oracle, and a seeded
+Monte-Carlo simulator.
 """
 
 from .designer import (
@@ -70,12 +70,5 @@ from .ratings import (
 )
 from .requester import social_utility_closed
 from .simulate import Estimate, SimConfig, SimResult, run_chain, run_utility, utility_horizon
-from .stage_game import (
-    CASES,
-    even_match_payoff,
-    first_stage_matrix,
-    first_stage_payoffs,
-    solo_effort_payoff,
-)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -25,12 +25,9 @@ from .designer import (
 )
 from .errors import ConfigError, DegenerateChain, Infeasible
 from .incentives import is_sustainable
-from .params import DesignParams, design_violations, load_config, validate, with_params
+from .params import ENV_KEYS, DesignParams, design_violations, load_config, validate, with_params
 from .simulate import SimConfig, run_chain, run_utility, utility_horizon
 from .tableio import csv_line, fmt, write_lines
-
-_VARY_KEYS = ("c1", "c2", "s1", "s2", "d", "delta", "eps1", "eps2")
-
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on bad arguments; here 2 means "infeasible",
@@ -46,18 +43,18 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("design", help="optimize the protocol for a config")
     p.add_argument("config", help="key=value environment file")
-    p.add_argument("--grid-m", type=int, default=100, help="gamma1 grid resolution")
+    p.add_argument("--grid-m", type=int, default=DesignerConfig.gamma_grid_m, help="gamma1 grid resolution")
     p.add_argument("--oracle", action="store_true", help="cross-check with the grid oracle")
-    p.add_argument("--oracle-r", type=int, default=100, help="oracle grid resolution")
+    p.add_argument("--oracle-r", type=int, default=DesignerConfig.oracle_grid_r, help="oracle grid resolution")
     p.add_argument("--out", help="also write the outcome as a one-row CSV")
 
     p = sub.add_parser("sweep", help="re-optimize along one parameter axis")
     p.add_argument("config")
-    p.add_argument("--vary", required=True, choices=_VARY_KEYS)
+    p.add_argument("--vary", required=True, choices=ENV_KEYS)
     p.add_argument("--from", dest="start", type=float, required=True)
     p.add_argument("--to", dest="stop", type=float, required=True)
     p.add_argument("--step", type=float, required=True)
-    p.add_argument("--grid-m", type=int, default=100)
+    p.add_argument("--grid-m", type=int, default=DesignerConfig.gamma_grid_m)
     p.add_argument("--out", help="CSV destination (default stdout)")
 
     p = sub.add_parser("check", help="sustainability report for a given protocol")
@@ -65,18 +62,18 @@ def _build_parser() -> _Parser:
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--gamma1", type=float, required=True)
-    p.add_argument("--gamma0", type=float, default=0.0)
+    p.add_argument("--gamma0", type=float, default=DesignParams.gamma0)
 
     p = sub.add_parser("simulate", help="Monte-Carlo the protocol against the closed forms")
     p.add_argument("config")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--gamma1", type=float, required=True)
-    p.add_argument("--gamma0", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--periods", type=int, default=2000)
-    p.add_argument("--replicates", type=int, default=16)
-    p.add_argument("--population", type=int, default=50, help="matched pairs per replicate")
+    p.add_argument("--gamma0", type=float, default=DesignParams.gamma0)
+    p.add_argument("--seed", type=int, default=SimConfig.seed)
+    p.add_argument("--periods", type=int, default=SimConfig.periods)
+    p.add_argument("--replicates", type=int, default=SimConfig.replicates)
+    p.add_argument("--population", type=int, default=SimConfig.population, help="matched pairs per replicate")
     p.add_argument("--out", help="CSV destination (default stdout)")
     p.add_argument("--counters", action="store_true", help="also write event counts to stderr as JSON")
     return parser

@@ -41,7 +41,7 @@ from .incentives import (
     rating0_margins,
     rating1_margin,
 )
-from .params import DesignParams, IntrinsicParams, Strategy
+from .params import ENV_KEYS, DesignParams, IntrinsicParams, Strategy
 from .payoffs import payoff_line
 from .requester import social_utility_closed
 from .tableio import csv_line, fmt
@@ -115,18 +115,15 @@ class DesignOutcome:
         return lines
 
 
-OUTCOME_CSV_HEADER = "c1,c2,s1,s2,d,delta,eps1,eps2,alpha,beta,gamma1,gamma0,utility,case,feasible"
+OUTCOME_CSV_HEADER = ",".join(ENV_KEYS + ("alpha", "beta", "gamma1", "gamma0", "utility", "case", "feasible"))
 
 
 def outcome_csv_row(outcome: DesignOutcome, invalid: bool = False) -> str:
     p = outcome.params
     flag = "invalid" if invalid else outcome.feasible
     return csv_line(
-        [
-            p.c1, p.c2, p.s1, p.s2, p.d, p.delta, p.eps1, p.eps2,
-            outcome.alpha, outcome.beta, outcome.gamma1, outcome.gamma0,
-            outcome.utility, outcome.case_id, flag,
-        ]
+        [getattr(p, key) for key in ENV_KEYS]
+        + [outcome.alpha, outcome.beta, outcome.gamma1, outcome.gamma0, outcome.utility, outcome.case_id, flag]
     )
 
 
@@ -226,7 +223,6 @@ class OracleResult:
     alpha: float
     beta: float
     gamma1: float
-    gamma0: float
     utility: float
 
 
@@ -375,9 +371,9 @@ def brute_force_oracle(
         if feasible[ia, ib] and (best is None or utility[ia, ib] > best[0]):  # strictly: first maximum wins
             best = (float(utility[ia, ib]), float(grid[s + ia]), float(grid[ib]), float(prizes[cell[ia, ib]]))
     if best is None:
-        return OracleResult(False, math.nan, math.nan, math.nan, gamma0, math.nan)
+        return OracleResult(False, math.nan, math.nan, math.nan, math.nan)
     utility, alpha, beta, gamma1 = best
-    return OracleResult(True, alpha, beta, gamma1, gamma0, utility)
+    return OracleResult(True, alpha, beta, gamma1, utility)
 
 
 @dataclass(frozen=True)

@@ -179,7 +179,6 @@ class WorkerIncentives:
 
 @dataclass(frozen=True)
 class SustainabilityReport:
-    design: DesignParams
     workers: tuple[WorkerIncentives, ...]
     sustainable: bool
 
@@ -221,7 +220,7 @@ def is_sustainable(design: DesignParams, params: IntrinsicParams) -> Sustainabil
             margin_combined=gap - max(th0, th1), margin0=float(m0), margin1=float(m1),
             lifetime=lifetime_values(design, params, worker), sustainable=bool(m0 >= floor0 and m1 >= floor1),
         ))
-    return SustainabilityReport(design=design, workers=tuple(workers), sustainable=all(w.sustainable for w in workers))
+    return SustainabilityReport(workers=tuple(workers), sustainable=all(w.sustainable for w in workers))
 
 
 @dataclass(frozen=True)

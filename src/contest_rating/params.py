@@ -12,7 +12,7 @@ demotion strength beta, and winner prizes gamma0 (low rating) and gamma1
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 
 from .errors import ConfigError
@@ -85,6 +85,10 @@ class IntrinsicParams:
         return 1.0 - self.eps1 - 2.0 * self.eps2 + 2.0 * self.eps1 * self.eps2
 
 
+# The eight environment keys in field order: config files, sweep axes and CSV columns.
+ENV_KEYS: tuple[str, ...] = tuple(f.name for f in fields(IntrinsicParams))
+
+
 @dataclass(frozen=True)
 class DesignParams:
     """Protocol knobs. Deliberately unvalidated at construction: diagnostic
@@ -152,7 +156,6 @@ def design_violations(design: DesignParams) -> tuple[str, ...]:
 
 # Config files are key=value lines, '#' comments, blank lines ignored.
 # Values must be plain decimals (no exponents) so files round-trip exactly.
-_CONFIG_KEYS = ("c1", "c2", "s1", "s2", "d", "delta", "eps1", "eps2")
 _DECIMAL = re.compile(r"^[+-]?(\d+(\.\d*)?|\.\d+)$")
 
 
@@ -172,14 +175,14 @@ def parse_config(text: str) -> IntrinsicParams:
             raise ConfigError(f"line {lineno}: expected key=value, got {raw.strip()!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in ENV_KEYS:
             raise ConfigError(f"unknown key: {key!r} (line {lineno})")
         if key in seen:
             raise ConfigError(f"duplicate key: {key!r} (line {lineno})")
         if not _DECIMAL.match(value):
             raise ConfigError(f"value for {key} is not a plain decimal: {value!r} (line {lineno})")
         seen[key] = float(value) + 0.0  # -0.0 -> +0.0; every other float keeps its bits
-    missing = [k for k in _CONFIG_KEYS if k not in seen]
+    missing = [k for k in ENV_KEYS if k not in seen]
     if missing:
         raise ConfigError(f"missing key: {missing[0]!r}" + (f" (and {len(missing) - 1} more)" if len(missing) > 1 else ""))
     params = IntrinsicParams(**seen)

@@ -85,16 +85,15 @@ class PayoffTable:
     """The eight payoff lines of one environment, as read-only arrays and as floats.
 
     slope[w - 1, i] and intercept[w - 1, i] give worker w's line for the
-    intent STRATEGIES[i]; detection_drop[i] is how much less likely that
-    intent is read as CN than CN itself (worker-independent). For scalar
-    callers, worker_lines[w - 1] holds worker w's (slopes, intercepts) as
-    tuples of floats, and drop_ratio[i] = detection_drop[CA] /
-    detection_drop[i] as numpy divides it (inf or nan where a drop vanishes).
+    intent STRATEGIES[i]. For scalar callers, worker_lines[w - 1] holds
+    worker w's (slopes, intercepts) as tuples of floats. drop_ratio[i] is
+    drop[CA] / drop[i] as numpy divides it (inf or nan where a drop
+    vanishes), where drop[i] is how much less likely intent i is read as CN
+    than CN itself (worker-independent).
     """
 
     slope: np.ndarray
     intercept: np.ndarray
-    detection_drop: np.ndarray
     worker_lines: tuple[tuple[tuple[float, ...], tuple[float, ...]], ...]
     drop_ratio: tuple[float, ...]
 
@@ -117,14 +116,13 @@ def payoff_table(params: IntrinsicParams) -> PayoffTable:
     at0 = np.array([[against_compliant(w, s, 0.0, params) for s in STRATEGIES] for w in (1, 2)])
     at1 = np.array([[against_compliant(w, s, 1.0, params) for s in STRATEGIES] for w in (1, 2)])
     seen_cn = np.array([realized_mix(s, params)[Strategy.CN.index] for s in STRATEGIES])
-    arrays = (at1 - at0, at0, seen_cn[Strategy.CN.index] - seen_cn)
-    for a in arrays:
-        a.flags.writeable = False
-    slope, intercept, drop = arrays
+    drop = seen_cn[Strategy.CN.index] - seen_cn
+    slope, intercept = at1 - at0, at0
+    slope.flags.writeable = intercept.flags.writeable = False
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = drop[Strategy.CA.index] / drop
     worker_lines = tuple((tuple(s), tuple(i)) for s, i in zip(slope.tolist(), intercept.tolist()))
-    return PayoffTable(*arrays, worker_lines, tuple(ratio.tolist()))
+    return PayoffTable(slope, intercept, worker_lines, tuple(ratio.tolist()))
 
 
 def payoff_line(worker: int, intended: Strategy, params: IntrinsicParams) -> tuple[float, float]:

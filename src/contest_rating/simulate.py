@@ -116,7 +116,6 @@ class SimResult:
 # attack flips, two update draws, the tie coin, the fulfillment draw. In an
 # outcome code the UPDATE bits hold instead the two ratings in force.
 FLIP1, ATTACK1, FLIP2, ATTACK2, UPDATE1, UPDATE2, COIN, FULFILLED = (1 << k for k in range(8))
-_PACK = np.uint64(0x0102040810204080)  # moves bit 0 of byte k of a word to bit 56 + k
 _CN = np.array([[[[FLIP1 | ATTACK1]]], [[[FLIP2 | ATTACK2]]]], dtype=np.uint8)
 _UPDATE = np.array([[[[UPDATE1]]], [[[UPDATE2]]]], dtype=np.uint8)
 
@@ -150,7 +149,6 @@ def _draw_block(rngs, periods: int, pairs: int, params: IntrinsicParams, design:
     draws = np.empty((-(-size // row), row))
     draws.reshape(-1)[size:] = 0.0  # the last row can run past the slab
     below = np.empty(draws.shape, dtype=bool)
-    words = below.reshape(-1).view("<u8")  # little-endian words: byte k is channel k on any host
     for first in range(0, total, size):
         n = min(size, total - first)
         for r in range(first // each, (first + n - 1) // each + 1):  # the streams this slab holds
@@ -159,10 +157,7 @@ def _draw_block(rngs, periods: int, pairs: int, params: IntrinsicParams, design:
         rows = -(-n // row)  # the part of a row past n compares stale draws or zeros, unread
         for threshold, code in zip(thresholds, codes):
             np.less(draws[:rows], threshold, out=below[:rows])
-            cells = words[: n // 8]
-            cells *= _PACK
-            cells >>= 56
-            code[first // 8 : (first + n) // 8] = cells
+            code[first // 8 : (first + n) // 8] = np.packbits(below.reshape(-1)[:n], bitorder="little")
     shape = (len(rngs), periods, pairs)
     code = codes[0].reshape(shape)
     code ^= intents

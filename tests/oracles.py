@@ -2,8 +2,8 @@
 
 - `productivity_mc`: the stage game's ex-ante payoffs by seeded Monte
   Carlo over iid uniform productivity draws, with the same event
-  accounting as the closed forms of `stage_game` (criterion 04 and
-  `test_stage_game.py`).
+  accounting as the closed forms of `stage_game.py` beside it (criterion 04
+  and `test_stage_game.py`).
 - `social_utility`: the requester's stationary utility by enumerating the
   matched rating pairs and the two monitoring outcomes, next to
   `requester.social_utility_closed` (criterion 01).
@@ -23,7 +23,7 @@ import numpy as np
 from contest_rating.params import DesignParams, IntrinsicParams, Strategy
 from contest_rating.ratings import StationaryDistribution, stationary_distribution, transition_kernel
 from contest_rating.requester import social_utility_closed
-from contest_rating.stage_game import CASES
+from stage_game import CASES
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,8 @@
   one packed event code and look payoffs up in per-code tables, must return
   an equal `SimResult`, float for float.
 - `is_sustainable_arrays`: the certificate computed with numpy scalars
-  and arrays read from the payoff table's arrays, one gap for the margins
+  and arrays read from the payoff table's arrays, the detection drops
+  read from `realized_mix`, one gap for the margins
   and the report, the CA gains computed once per margin and once more for
   the report, and both floors from one prize array. `is_sustainable`,
   which reads each worker's lines once as floats, must return an equal
@@ -45,6 +46,7 @@ from contest_rating import (
     LifetimeValues,
     OracleResult,
     SimResult,
+    STRATEGIES,
     Strategy,
     SustainabilityReport,
     against_compliant,
@@ -55,6 +57,7 @@ from contest_rating import (
     lifetime_values,
     payoff_line,
     payoff_table,
+    realized_mix,
     social_utility_closed,
     stationary_distribution,
     transition_kernel,
@@ -366,7 +369,7 @@ def whole_grid_oracle(params, config=None, gamma0=0.0, utility_of=social_utility
         floor1 = deviation_floor(gamma1, params, worker)
         ok &= (m0 >= floor0) & (m1 >= floor1) & (v0 >= -TOLERANCE)
     if not ok.any():
-        return OracleResult(False, math.nan, math.nan, math.nan, gamma0, math.nan)
+        return OracleResult(False, math.nan, math.nan, math.nan, math.nan)
     utility = utility_of(alpha, beta, gamma1, gamma0, params)
     utility = np.where(ok, utility, -np.inf)
     flat = int(np.argmax(utility))  # first max in C order: smallest alpha, beta, gamma1
@@ -376,7 +379,6 @@ def whole_grid_oracle(params, config=None, gamma0=0.0, utility_of=social_utility
         alpha=float(grid[ia]),
         beta=float(grid[ib]),
         gamma1=float(grid[ig]),
-        gamma0=gamma0,
         utility=float(utility[ia, ib, ig]),
     )
 
@@ -388,6 +390,8 @@ def is_sustainable_arrays(design, params):
     alpha, beta, gamma1, gamma0 = design.alpha, design.beta, design.gamma1, design.gamma0
     turnover = beta * params.error_any + alpha * params.error_free
     detect = params.delta * params.detection_margin
+    seen_cn = np.array([realized_mix(s, params)[cn] for s in STRATEGIES])
+    drop = seen_cn[cn] - seen_cn  # how much less likely each intent is read as CN than CN itself
     workers = []
     for worker in (1, 2):
         slopes, intercepts = table.slope[worker - 1], table.intercept[worker - 1]
@@ -409,7 +413,7 @@ def is_sustainable_arrays(design, params):
         floor = -TOLERANCE
         with np.errstate(divide="ignore", invalid="ignore"):
             for intended in (Strategy.SN, Strategy.SA):
-                ratio = table.detection_drop[ca] / table.detection_drop[intended.index]
+                ratio = drop[ca] / drop[intended.index]
                 floor = np.maximum(floor, ratio * (gain(intended, prizes) - TOLERANCE) - gain(Strategy.CA, prizes))
         workers.append(
             WorkerIncentives(
@@ -426,4 +430,4 @@ def is_sustainable_arrays(design, params):
                 sustainable=bool(m0 >= floor[0] and m1 >= floor[1]),
             )
         )
-    return SustainabilityReport(design, tuple(workers), all(w.sustainable for w in workers))
+    return SustainabilityReport(tuple(workers), all(w.sustainable for w in workers))

@@ -7,12 +7,15 @@ The stronger solution wins the unit prize; a worker leading by no more
 than the attack damage d secures the win by attacking, at its own attack
 cost s_i. Losing events pay zero. All expressions below are ex ante over
 the productivity draws.
+
+No command reads these closed forms; they live beside their Monte-Carlo
+oracle, `oracles.productivity_mc` (criterion 04 and `test_stage_game.py`).
 """
 
 from __future__ import annotations
 
-from .errors import DomainError
-from .params import IntrinsicParams
+from contest_rating.errors import DomainError
+from contest_rating.params import IntrinsicParams
 
 CASES = (("C", "C"), ("S", "S"), ("C", "S"), ("S", "C"))
 

@@ -16,6 +16,7 @@ from conftest import in_band
 from four_intent import violations
 from oracles import evolve, productivity_mc, social_utility
 from scalar_reference import lifetime_values_iterative
+from stage_game import first_stage_payoffs
 
 from contest_rating import (
     DesignParams,
@@ -25,7 +26,6 @@ from contest_rating import (
     brute_force_oracle,
     compliance_margins,
     default_params,
-    first_stage_payoffs,
     is_sustainable,
     lifetime_values,
     optimize,

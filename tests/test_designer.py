@@ -231,8 +231,8 @@ def test_prize_trend_in_own_cost():
     assert np.all(np.diff(prizes) >= -1e-9)
 
 
-def _winner(res):
-    return DesignParams(res.alpha, res.beta, res.gamma1, res.gamma0)
+def _winner(res, gamma0):
+    return DesignParams(res.alpha, res.beta, res.gamma1, gamma0)
 
 
 def test_forced_base_price_never_helps(defaults):
@@ -243,8 +243,8 @@ def test_forced_base_price_never_helps(defaults):
     at_zero = brute_force_oracle(defaults, config)
     raised = brute_force_oracle(defaults, config, gamma0=0.3)
     assert at_zero.feasible and raised.feasible
-    for res in (at_zero, raised):
-        assert violations(_winner(res), defaults) == []
+    for res, gamma0 in ((at_zero, 0.0), (raised, 0.3)):
+        assert violations(_winner(res, gamma0), defaults) == []
     assert (raised.alpha, raised.beta, raised.gamma1) == (0.675, 0.975, 0.425)
     closed = social_utility_closed(raised.alpha, raised.beta, raised.gamma1, 0.3, defaults)
     assert raised.utility == pytest.approx(closed, abs=1e-12)
@@ -267,7 +267,7 @@ def test_zero_base_price_check_defaults(defaults):
     assert report.zero_is_optimal == (utilities[0] >= max(utilities) - 1e-9)
     assert report.best_gamma0 == pytest.approx(0.3, abs=1e-12)
     assert not report.zero_is_optimal
-    assert violations(_winner(runs[best]), defaults) == []
+    assert violations(_winner(runs[best], report.gamma0_values[best]), defaults) == []
 
 
 def test_zero_base_price_check_reads_zero_wherever_it_is():

@@ -1,19 +1,28 @@
 """The package holds what its commands run; the test-only oracles live in tests/."""
 
+import ast
+import importlib.util
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import contest_rating
-from contest_rating import designer, incentives, params, payoffs, ratings, requester, stage_game
+from contest_rating import designer, incentives, params, payoffs, ratings, requester
 
 TESTS = Path(__file__).resolve().parent
+PACKAGE = Path(contest_rating.__file__).resolve().parent
+
+# modules that left the package for tests/, with every name they held there
+GONE_MODULES = {
+    "stage_game": ("CASES", "even_match_payoff", "solo_effort_payoff", "first_stage_payoffs", "first_stage_matrix",
+                   "productivity_mc", "McStagePayoffs", "_event_payoffs"),
+}
 
 # names that left the package: moved to tests/oracles.py, deleted because only tests read them,
 # or folded into the one function that computes the same quantity
 GONE = {
-    stage_game: ("productivity_mc", "McStagePayoffs", "_event_payoffs"),
     requester: ("social_utility", "SocialUtility", "pair_utility", "per_winner_utility"),
     ratings: ("evolve", "rating_update_rule"),
     designer: ("boundary_case_optimum",),
@@ -31,6 +40,45 @@ def test_test_only_names_are_not_in_the_package():
             assert name not in contest_rating.__all__, name
     assert not hasattr(ratings.StationaryDistribution, "as_array")
     assert not hasattr(ratings.StationaryDistribution, "__getitem__")
+
+
+def test_test_only_modules_are_not_in_the_package():
+    for module, names in GONE_MODULES.items():
+        assert not (PACKAGE / f"{module}.py").exists(), module
+        assert importlib.util.find_spec(f"contest_rating.{module}") is None, module
+        for name in names:
+            assert not hasattr(contest_rating, name), name
+            assert name not in contest_rating.__all__, name
+
+
+def test_record_fields_that_no_command_reads_are_gone():
+    gone = {
+        payoffs.PayoffTable: ("detection_drop",),
+        incentives.SustainabilityReport: ("design",),
+        designer.OracleResult: ("gamma0",),
+    }
+    for record, names in gone.items():
+        kept = {f.name for f in fields(record)}
+        for name in names:
+            assert name not in kept, f"{record.__name__}.{name}"
+
+
+def _relative_imports(module: str) -> set[str]:
+    # the sibling modules that one module of the package imports with `from .x import ...`
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    return {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 1}
+
+
+def test_the_cli_reaches_every_module_of_the_package():
+    # a module that no command imports, directly or through another module, does not belong in src/
+    reached, todo = set(), ["cli"]
+    while todo:
+        module = todo.pop()
+        if module not in reached:
+            reached.add(module)
+            todo.extend(_relative_imports(module))
+    modules = {f.stem for f in PACKAGE.glob("*.py")} - {"__init__"}
+    assert reached == modules, sorted(modules ^ reached)
 
 
 def test_importing_the_package_loads_no_module_from_tests():

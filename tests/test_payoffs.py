@@ -201,10 +201,11 @@ def test_payoff_table_is_built_from_two_evaluations(p):
             assert table.slope[w - 1, i] == at1 - at0
             assert payoff_line(w, intended, p) == (at1 - at0, at0)
             assert type(payoff_line(w, intended, p)[0]) is float
-    cn = Strategy.CN.index
-    for i, intended in enumerate(STRATEGIES):
-        seen = realized_mix(Strategy.CN, p)[cn] - realized_mix(intended, p)[cn]
-        assert table.detection_drop[i] == seen
+    cn, ca = Strategy.CN.index, Strategy.CA.index
+    drop = [realized_mix(Strategy.CN, p)[cn] - realized_mix(intended, p)[cn] for intended in STRATEGIES]
+    with np.errstate(divide="ignore"):  # CN's own drop is zero: its ratio is inf
+        for i in range(len(STRATEGIES)):
+            assert repr(table.drop_ratio[i]) == repr(float(drop[ca] / drop[i]))
     with pytest.raises(ValueError):
         table.slope[0, 0] = 1.0
 

@@ -4,16 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import productivity_mc
+from stage_game import CASES, even_match_payoff, first_stage_matrix, first_stage_payoffs, solo_effort_payoff
 
-from contest_rating import (
-    CASES,
-    DomainError,
-    default_params,
-    even_match_payoff,
-    first_stage_matrix,
-    first_stage_payoffs,
-    solo_effort_payoff,
-)
+from contest_rating import DomainError, default_params
 
 
 def test_even_match_defaults(defaults):
