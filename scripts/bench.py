@@ -48,6 +48,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -73,6 +74,7 @@ from contest_rating.cli import main as cli_main  # noqa: E402
 
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
 DESIGNED = ("1.0", "0.947368421053", "0.52")  # optimize(default_params()) at m = 100
+SIM_LONG = SimConfig(periods=2000, replicates=4, population=2)  # the sim_long workload's shape
 
 
 def chain_and_utility(design, params, config):
@@ -95,8 +97,11 @@ FUNCTION_ROWS = [
     ("run_utility, horizon 270", 15,
      lambda p: partial(run_utility, optimize(p).design(), p, SimConfig(periods=270))),
     ("run_chain + run_utility, sim_long shape (2000 x 2 x 4)", 15,
-     lambda p: partial(chain_and_utility, optimize(p).design(), p,
-                       SimConfig(periods=2000, replicates=4, population=2))),
+     lambda p: partial(chain_and_utility, optimize(p).design(), p, SIM_LONG)),
+    # so few rating events that some pair has none for 1024 periods: the rating
+    # scan's exit check fails before each of its 11 passes, its worst case
+    ("run_chain + run_utility, sim_long shape, sparse events (alpha = beta = 0.001)", 15,
+     lambda p: partial(chain_and_utility, replace(optimize(p).design(), alpha=0.001, beta=0.001), p, SIM_LONG)),
 ]
 MARGINS = ("compliance_margins", "rating0_margins", "rating1_margin")  # the designer's margin functions
 # row name prefix -> (field, module, functions): the calls of those functions one call of the row makes

@@ -147,7 +147,7 @@ def validate(params: IntrinsicParams) -> tuple[str, ...]:
 def design_violations(design: DesignParams) -> tuple[str, ...]:
     """Closed unit square check for a protocol design, as the diagnostic CLI paths accept it."""
     bad: list[str] = []
-    for name in ("alpha", "beta", "gamma1", "gamma0"):
+    for name in (f.name for f in fields(DesignParams)):
         x = getattr(design, name)
         if not 0.0 <= x <= 1.0:
             bad.append(f"{name} out of range: {x!r} not in [0, 1]")

@@ -10,6 +10,11 @@ update, and requester fulfillment is an independent draw.
 
 Each cell (period, pair) is read once into a one-byte event code; with
 the ratings in force folded in, it indexes exact per-run payoff tables.
+The ratings in force are a running maximum over time, taken in doubling
+passes that stop as soon as every period has reached its last rating
+event, so the passes grow with the longest gap between events, not with
+the horizon. A batch's means and a run's estimates are each one numpy
+reduction over the stacked replicates.
 
 Replicates get generators spawned from a single SeedSequence up front, so
 a fixed SimConfig reproduces results bit for bit and no aggregation step
@@ -201,14 +206,17 @@ def _rating_paths(code: np.ndarray, promote, demote, start):
     an event keeps the rating, so the rating in force is the verdict of the
     last earlier event, or the start rating: a running maximum over the
     event keys finds that event. The maximum is taken in doubling steps,
-    log2(periods + 1) whole-array passes in place. Each rise of the rating
-    is a promotion and each fall a demotion. The keys' temporaries are
-    freed before the scan, which keeps the batch's peak memory low.
+    whole-array passes in place that double the rows each row spans. Event
+    keys grow with the period and outrank the start rating, so once every
+    row that does not span back to row 0 holds an event key, each holds its
+    last event and the scan stops: about log2 of the longest gap between
+    events passes, and at most log2(periods + 1). Each rise of the rating is
+    a promotion and each fall a demotion. The keys' temporaries are freed
+    before the scan, which keeps the batch's peak memory low.
     """
     keys = _event_keys(code, promote, demote, start)
-    periods = code.shape[1]
-    step = 1
-    while step <= periods:  # until each row spans back to row 0
+    step = 1  # row t holds the largest key of rows t - step + 1 ... t
+    while not keys[:, :, step:].all():  # empty once every row spans back to row 0
         np.maximum(keys[:, :, step:], keys[:, :, :-step], out=keys[:, :, step:])  # reads old values
         step *= 2
     rating = np.bitwise_and(keys, 1, out=keys)  # in force in each period, and after the last
@@ -272,11 +280,9 @@ def run_chain(design: DesignParams, params: IntrinsicParams, config: SimConfig) 
     children = np.random.SeedSequence([config.seed, 0]).spawn(config.replicates)
     results = _map_batches(simulate_batch, children, periods * pairs * 8)
     good_share, social_means = (np.concatenate([r[k] for r in results]) for k in (0, 1))
-    estimates = (
-        _estimate("eta0", eta.eta0, 1.0 - good_share),
-        _estimate("eta1", eta.eta1, good_share),
-        _estimate("social", analytic_social, social_means),
-    )
+    analytic = {"eta0": eta.eta0, "eta1": eta.eta1, "social": analytic_social}
+    empirical, stderr = _mean_and_stderr(np.stack([1.0 - good_share, good_share, social_means]))
+    estimates = tuple(Estimate(m, float(a), e, s) for (m, a), e, s in zip(analytic.items(), empirical, stderr))
     return SimResult(estimates, periods, sum(r[2] for r in results), sum(r[3] for r in results))
 
 
@@ -318,8 +324,8 @@ def run_utility(design: DesignParams, params: IntrinsicParams, config: SimConfig
         code, promote, demote = _draw_block(rngs, periods, pairs, params, design, intents)
         outcome, pro, dem = _rating_paths(code, promote, demote, starts[:, None])
         # one dot per replicate: a batched product sums in another order
-        means = [[np.dot(weights, x).mean() for x in pay.take(outcome)] for pay in (pay1, pay2)]
-        return np.array(means), pro, dem
+        dots = np.array([[np.dot(weights, x) for x in pay.take(outcome)] for pay in (pay1, pay2)])
+        return dots.mean(axis=2), pro, dem  # (worker, replicate): the mean over the pairs
 
     tasks = [
         (start, child)
@@ -328,11 +334,11 @@ def run_utility(design: DesignParams, params: IntrinsicParams, config: SimConfig
     ]
     results = _map_batches(simulate_batch, tasks, periods * pairs * 8)
     means = np.concatenate([r[0] for r in results], axis=1)  # (worker, task)
+    empirical, stderr = _mean_and_stderr(means.reshape(2, 2, config.replicates))  # (worker, start)
     values = {worker: lifetime_values(design, params, worker) for worker in (1, 2)}
     estimates = []
     for start in (0, 1):
         deviating = config.deviate_worker is not None and config.deviate_rating == start
-        runs = slice(start * config.replicates, (start + 1) * config.replicates)
         for worker in (1, 2):
             if deviating:
                 if worker != config.deviate_worker:
@@ -342,7 +348,9 @@ def run_utility(design: DesignParams, params: IntrinsicParams, config: SimConfig
             else:
                 analytic = values[worker][start]
                 metric = f"vinf_w{worker}_r{start}"
-            estimates.append(_estimate(metric, analytic, means[worker - 1, runs]))
+            estimates.append(
+                Estimate(metric, float(analytic), empirical[worker - 1][start], stderr[worker - 1][start])
+            )
     return SimResult(tuple(estimates), periods, sum(r[1] for r in results), sum(r[2] for r in results))
 
 
@@ -380,11 +388,7 @@ def _map_batches(simulate_batch, tasks: list, each: int) -> list:
         return list(pool.map(simulate_batch, batches))
 
 
-def _estimate(metric: str, analytic: float, means) -> Estimate:
-    arr = np.asarray(means, dtype=float)
-    return Estimate(
-        metric=metric,
-        analytic=float(analytic),
-        empirical=float(arr.mean()),
-        stderr=float(arr.std(ddof=1) / math.sqrt(len(arr))),
-    )
+def _mean_and_stderr(samples: np.ndarray) -> tuple[list, list]:
+    """Each row's mean over its replicates (the last axis) and that mean's standard error, as floats."""
+    replicates = samples.shape[-1]
+    return samples.mean(axis=-1).tolist(), (samples.std(axis=-1, ddof=1) / math.sqrt(replicates)).tolist()

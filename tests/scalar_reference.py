@@ -13,12 +13,15 @@
 - `rating_paths_loop`: the simulator's rating recurrence stepped one period
   at a time. `simulate._rating_paths` must return equal rating paths and
   equal promotion and demotion counts.
-- `draw_channels`, `winner`, `rating_paths`, `run_chain_channels` and
-  `run_utility_channels`: the simulator as one bool or float array per
-  draw channel, with the winner and every prize and pay computed per cell.
+- `draw_channels`, `winner`, `rating_paths`, `estimate`,
+  `run_chain_channels` and `run_utility_channels`: the simulator as one
+  bool or float array per draw channel, with the winner and every prize and
+  pay computed per cell, one replicate at a time, and each metric's mean
+  and standard error taken from its own list of replicate means.
   `simulate.run_chain` and `simulate.run_utility`, which read each cell as
-  one packed event code and look payoffs up in per-code tables, must return
-  an equal `SimResult`, float for float.
+  one packed event code, look payoffs up in per-code tables and reduce
+  each run's metrics together, must return an equal `SimResult`, float for
+  float.
 - `is_sustainable_arrays`: the certificate computed with numpy scalars
   and arrays read from the payoff table's arrays, the detection drops
   read from `realized_mix`, one gap for the margins
@@ -43,6 +46,7 @@ from contest_rating import (
     CaseResult,
     DegenerateDenominator,
     DesignerConfig,
+    Estimate,
     LifetimeValues,
     OracleResult,
     SimResult,
@@ -63,7 +67,6 @@ from contest_rating import (
     transition_kernel,
 )
 from contest_rating.incentives import TOLERANCE, WorkerIncentives, _gap_threshold
-from contest_rating.simulate import _estimate
 
 
 def lifetime_values_iterative(design, params, worker, steps=1000):
@@ -279,6 +282,12 @@ def worker_pay(ev, theta1, theta2, win1, design, params):
     return pay1, pay2
 
 
+def estimate(metric, analytic, means):
+    """One metric's Estimate from its list of replicate means."""
+    arr = np.array(means, dtype=float)
+    return Estimate(metric, float(analytic), float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(len(arr))))
+
+
 def run_chain_channels(design, params, config):
     """simulate.run_chain computed channel by channel."""
     eta = stationary_distribution(design, params)
@@ -304,9 +313,9 @@ def run_chain_channels(design, params, config):
         eta1_means.append(good_share)
         social_means.append(social_paid(ev, theta1, theta2, winner(ev), design).mean())
     estimates = (
-        _estimate("eta0", eta.eta0, eta0_means),
-        _estimate("eta1", eta.eta1, eta1_means),
-        _estimate("social", analytic_social, social_means),
+        estimate("eta0", eta.eta0, eta0_means),
+        estimate("eta1", eta.eta1, eta1_means),
+        estimate("social", analytic_social, social_means),
     )
     return SimResult(estimates, periods, promotions, demotions)
 
@@ -350,7 +359,7 @@ def run_utility_channels(design, params, config):
             else:
                 analytic = lifetime_values(design, params, worker)[start]
                 metric = f"vinf_w{worker}_r{start}"
-            estimates.append(_estimate(metric, analytic, means))
+            estimates.append(estimate(metric, analytic, means))
     return SimResult(tuple(estimates), periods, promotions, demotions)
 
 

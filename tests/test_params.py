@@ -142,6 +142,13 @@ def test_design_violations_closed_square():
     # a flat price schedule
     assert design_violations(DesignParams(0.5, 0.0, 0.5, 0.5)) == ()
     assert design_violations(DesignParams(1.5, 0.5, 0.5, 0.0)) != ()
+    # one message per field out of range, in the fields' order
+    assert design_violations(DesignParams(1.5, -0.5, 2.0, -1.0)) == (
+        "alpha out of range: 1.5 not in [0, 1]",
+        "beta out of range: -0.5 not in [0, 1]",
+        "gamma1 out of range: 2.0 not in [0, 1]",
+        "gamma0 out of range: -1.0 not in [0, 1]",
+    )
 
 
 def test_parse_config_round_trip(defaults):

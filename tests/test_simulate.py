@@ -211,6 +211,13 @@ RECURRENCE_EDGES = {
     "wide_a_power_of_two": dict(periods=64, pairs=32),  # the rating after the last period needs the step-64 pass
     "wide_past_a_power_of_two": dict(periods=65, pairs=32),  # needs the step-64 pass
     "batch_of_12_pairs": dict(pairs=12),  # 24 columns a batch of 2, 36 of 3
+    # without noise an event follows the intent: every replicate's workers
+    # attack from period 8 on, so with alpha = 0 and beta = 1 the first
+    # event falls in period 8, row 8 holds the start rating 2**3 rows back,
+    # and the scan stops after 4 passes; with alpha = 1 and beta = 0 no
+    # event falls after period 7, so it never stops early; with alpha =
+    # beta = 1 every period holds an event and it stops before the first pass
+    "sparse_events": dict(eps=(0.0, 0.0), start=1, attack_from=8),
 }
 
 
@@ -229,6 +236,9 @@ def test_rating_paths_equal_the_per_period_loop(defaults, edge):
         if "attacker" in case:  # a deviation block: the first replicate attacks in period 0
             attacks = np.zeros((batch, 2, periods, 1), dtype=bool)
             attacks[0, case["attacker"] - 1, 0] = True
+        elif "attack_from" in case:
+            attacks = np.zeros((batch, 2, periods, 1), dtype=bool)
+            attacks[:, :, case["attack_from"] :] = True
         else:
             attacks = rng.random((batch, 2, periods, 1)) < 0.2
         intents = (attacks[:, 0] * ATTACK1 | attacks[:, 1] * ATTACK2).astype(np.uint8)
