@@ -40,10 +40,7 @@ def main(argv=None):
     print("worker  rating  compliant   attack-once   difference   verdict")
     for worker in (1, 2):
         for rating in (0, 1):
-            run = run_utility(
-                design, params,
-                SimConfig(**base, deviate_worker=worker, deviate_rating=rating),
-            )
+            run = run_utility(design, params, SimConfig(**base), deviation=(worker, rating))
             dev = run[f"vinf_w{worker}_r{rating}_dev"]
             comp = compliant[f"vinf_w{worker}_r{rating}"]
             diff = dev.empirical - comp.empirical

@@ -38,7 +38,7 @@ DESIGNS = (
     DesignParams(0.990106846063, 1.0, 0.75, 0.0),
 )
 SHAPES = ((2000, 50, 16), (600, 300, 16))  # (periods, pairs, replicates)
-DEVIATIONS = ((None, None), (1, 0), (1, 1), (2, 0), (2, 1))
+DEVIATIONS = (None, (1, 0), (1, 1), (2, 0), (2, 1))
 
 
 def main(argv=None) -> int:
@@ -60,10 +60,10 @@ def main(argv=None) -> int:
     for periods, pairs, replicates in SHAPES:
         for design in DESIGNS:
             base = dict(periods=periods, population=pairs, replicates=replicates, seed=7)
-            digest.update(repr(run_chain(design, params, SimConfig(**base))).encode())
-            for worker, rating in DEVIATIONS:
-                config = SimConfig(**base, deviate_worker=worker, deviate_rating=rating)
-                digest.update(repr(run_utility(design, params, config)).encode())
+            config = SimConfig(**base)
+            digest.update(repr(run_chain(design, params, config)).encode())
+            for deviation in DEVIATIONS:
+                digest.update(repr(run_utility(design, params, config, deviation)).encode())
     print(digest.hexdigest())
     return 0
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from functools import cache
 
 from .designer import (
@@ -25,7 +25,7 @@ from .designer import (
 )
 from .errors import ConfigError, DegenerateChain, Infeasible
 from .incentives import is_sustainable
-from .params import ENV_KEYS, DesignParams, design_violations, load_config, validate, with_params
+from .params import ENV_KEYS, DesignParams, IntrinsicParams, design_violations, load_config, validate, with_params
 from .simulate import SimConfig, run_chain, run_utility, utility_horizon
 from .tableio import csv_line, fmt, write_lines
 
@@ -57,19 +57,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--grid-m", type=int, default=DesignerConfig.gamma_grid_m)
     p.add_argument("--out", help="CSV destination (default stdout)")
 
-    p = sub.add_parser("check", help="sustainability report for a given protocol")
-    p.add_argument("config")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--gamma1", type=float, required=True)
-    p.add_argument("--gamma0", type=float, default=DesignParams.gamma0)
+    protocol = argparse.ArgumentParser(add_help=False)  # the config and protocol of check and simulate
+    protocol.add_argument("config")
+    for f in fields(DesignParams):
+        required = f.default is MISSING
+        protocol.add_argument(f"--{f.name}", type=float, required=required, default=None if required else f.default)
+    sub.add_parser("check", parents=[protocol], help="sustainability report for a given protocol")
 
-    p = sub.add_parser("simulate", help="Monte-Carlo the protocol against the closed forms")
-    p.add_argument("config")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--gamma1", type=float, required=True)
-    p.add_argument("--gamma0", type=float, default=DesignParams.gamma0)
+    p = sub.add_parser("simulate", parents=[protocol], help="Monte-Carlo the protocol against the closed forms")
     p.add_argument("--seed", type=int, default=SimConfig.seed)
     p.add_argument("--periods", type=int, default=SimConfig.periods)
     p.add_argument("--replicates", type=int, default=SimConfig.replicates)
@@ -96,11 +91,7 @@ def _cmd_design(args) -> int:
     lines = outcome.key_value_lines()
     if args.oracle:
         res = brute_force_oracle(params, config)
-        lines.append(f"oracle_feasible={fmt(res.feasible)}")
-        lines.append(f"oracle_alpha={fmt(res.alpha)}")
-        lines.append(f"oracle_beta={fmt(res.beta)}")
-        lines.append(f"oracle_gamma1={fmt(res.gamma1)}")
-        lines.append(f"oracle_utility={fmt(res.utility)}")
+        lines += [f"oracle_{f.name}={fmt(getattr(res, f.name))}" for f in fields(res)]
         if outcome.feasible and res.feasible:
             lines.append(f"oracle_gap={fmt(abs(res.utility - outcome.utility))}")
     write_lines(None, lines)
@@ -136,12 +127,18 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_check(args) -> int:
+def _protocol(args) -> tuple[IntrinsicParams, DesignParams]:
+    """The environment and protocol that check and simulate read; ValueError names each knob out of range."""
     params = load_config(args.config)
-    design = DesignParams(args.alpha, args.beta, args.gamma1, args.gamma0)
+    design = DesignParams(*(getattr(args, f.name) for f in fields(DesignParams)))
     problems = design_violations(design)
     if problems:
-        return _fail("; ".join(problems))
+        raise ValueError("; ".join(problems))
+    return params, design
+
+
+def _cmd_check(args) -> int:
+    params, design = _protocol(args)
     report = is_sustainable(design, params)
     lines = ["worker,constraint,margin"]
     for worker, constraint, margin in report.rows():
@@ -152,11 +149,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    params = load_config(args.config)
-    design = DesignParams(args.alpha, args.beta, args.gamma1, args.gamma0)
-    problems = design_violations(design)
-    if problems:
-        return _fail("; ".join(problems))
+    params, design = _protocol(args)
     chain_cfg = SimConfig(periods=args.periods, replicates=args.replicates,
                           population=args.population, seed=args.seed)
     util_cfg = replace(chain_cfg, periods=max(args.periods, utility_horizon(params.delta)))

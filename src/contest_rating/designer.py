@@ -158,7 +158,7 @@ def _case_optima(gamma1: np.ndarray, params: IntrinsicParams) -> tuple[CaseResul
     """
     k2, b2, k3, b3, upper, live = binding_lines(gamma1, params)
     cases = []
-    with np.errstate(divide="ignore", invalid="ignore"):  # entries the masks drop
+    with np.errstate(all="ignore"):  # entries the masks drop
         rising = k2 > 0.0  # where the rating-1 deviation line can cut the corner off
         for case_id in (CASE_BETA_ONE, CASE_ALPHA_ONE):
             beta_one = case_id == CASE_BETA_ONE
@@ -197,10 +197,8 @@ def optimize(params: IntrinsicParams, config: DesignerConfig | None = None) -> D
         err = Infeasible(f"no feasible protocol on the gamma1 grid (m = {m})")
         err.cases = cases
         raise err
-    live.sort(key=lambda c: (-c.utility, c.gamma1, c.case_id != CASE_BETA_ONE))
-    best = live[0]
-    if len(live) == 2 and abs(live[0].utility - live[1].utility) <= TOLERANCE:
-        best = min(live, key=lambda c: (c.gamma1, c.case_id != CASE_BETA_ONE))
+    top = max(c.utility for c in live)
+    best = min((c for c in live if top - c.utility <= TOLERANCE), key=lambda c: (c.gamma1, c.case_id != CASE_BETA_ONE))
     design = DesignParams(best.alpha, best.beta, best.gamma1, 0.0)
     certificate = is_sustainable(design, params)
     return DesignOutcome(

@@ -168,7 +168,6 @@ class WorkerIncentives:
     gap: float
     gain0: float
     gain1: float
-    threshold0: float
     threshold1: float
     margin_combined: float
     margin0: float
@@ -199,8 +198,8 @@ def is_sustainable(design: DesignParams, params: IntrinsicParams) -> Sustainabil
     The verdict holds when each worker's cleared-denominator CA margins
     clear their deviation_floor, so no CA, SN or SA deviation gains more
     than TOLERANCE; participation is reported but not part of it. The
-    report's margins are CA's; it also carries the gap-unit thresholds
-    (infinite when the corresponding correction channel is shut) and the
+    report's margins are CA's; it also carries the rating-1 gap-unit
+    threshold (infinite when the demotion channel is shut) and the
     lifetime compliant values.
     """
     table = payoff_table(params)
@@ -216,7 +215,7 @@ def is_sustainable(design: DesignParams, params: IntrinsicParams) -> Sustainabil
         floor1 = _deviation_floor(lines, table.drop_ratio, gamma1, gain1)
         th0, th1 = _gap_threshold(gain0, detect * alpha), _gap_threshold(gain1, detect * beta)
         workers.append(WorkerIncentives(
-            worker=worker, gap=gap, gain0=gain0, gain1=gain1, threshold0=th0, threshold1=th1,
+            worker=worker, gap=gap, gain0=gain0, gain1=gain1, threshold1=th1,
             margin_combined=gap - max(th0, th1), margin0=float(m0), margin1=float(m1),
             lifetime=lifetime_values(design, params, worker), sustainable=bool(m0 >= floor0 and m1 >= floor1),
         ))

@@ -37,12 +37,7 @@ class Strategy(Enum):
     index: int  # position in the fixed CN, CA, SN, SA matrix order (set below)
 
 
-STRATEGIES: tuple[Strategy, ...] = (
-    Strategy.CN,
-    Strategy.CA,
-    Strategy.SN,
-    Strategy.SA,
-)
+STRATEGIES: tuple[Strategy, ...] = tuple(Strategy)
 for _position, _strategy in enumerate(STRATEGIES):
     _strategy.index = _position  # a plain attribute, read on every payoff and margin call
 

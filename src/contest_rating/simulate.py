@@ -23,7 +23,8 @@ as fit one cache-sized slab of draws are stacked into one (replicates,
 periods, pairs) block, each drawing its own stream into its own part of
 the slab, and a replicate too large for one slab is a batch of one that
 draws its stream slab by slab. Batches of one run at the same time on
-threads, one per CPU, and every result is gathered in replicate order.
+threads, one per CPU, and _map_batches gathers every batch's samples and
+event counts in replicate order.
 The payoff tables are built once per protocol and environment.
 """
 
@@ -55,8 +56,6 @@ class SimConfig:
     replicates: int = 16
     population: int = 50  # matched pairs per replicate
     seed: int = 0
-    deviate_worker: int | None = None
-    deviate_rating: int | None = None
 
     def __post_init__(self) -> None:
         if self.periods < 1:
@@ -72,12 +71,6 @@ class SimConfig:
                 f"draw block too large: {self.periods} periods x {self.population} pairs"
                 f" x 8 channels exceeds {MAX_BLOCK_DRAWS} draws"
             )
-        if (self.deviate_worker is None) != (self.deviate_rating is None):
-            raise ValueError("deviate_worker and deviate_rating go together")
-        if self.deviate_worker is not None and self.deviate_worker not in (1, 2):
-            raise ValueError(f"deviate_worker must be 1 or 2, got {self.deviate_worker}")
-        if self.deviate_rating is not None and self.deviate_rating not in (0, 1):
-            raise ValueError(f"deviate_rating must be 0 or 1, got {self.deviate_rating}")
 
 
 @dataclass(frozen=True)
@@ -257,8 +250,6 @@ def run_chain(design: DesignParams, params: IntrinsicParams, config: SimConfig) 
     law, so time averages are unbiased at any horizon. Estimates and
     standard errors come from the replicate means.
     """
-    if config.deviate_worker is not None:
-        raise ValueError("run_chain simulates compliance: deviate_worker/_rating are for run_utility")
     eta = stationary_distribution(design, params)
     analytic_social = social_utility_closed(
         design.alpha, design.beta, design.gamma1, design.gamma0, params
@@ -275,15 +266,14 @@ def run_chain(design: DesignParams, params: IntrinsicParams, config: SimConfig) 
         cells = outcome.reshape(len(rngs), -1)  # one contiguous row per replicate
         good = [np.count_nonzero(cells & bit, axis=1) / cells.shape[1] for bit in (UPDATE1, UPDATE2)]
         good_share = (good[0] + good[1]) / 2.0  # the two workers' mean ratings
-        return good_share, social.take(cells).mean(axis=1), pro, dem
+        return np.stack([1.0 - good_share, good_share, social.take(cells).mean(axis=1)]), pro, dem
 
     children = np.random.SeedSequence([config.seed, 0]).spawn(config.replicates)
-    results = _map_batches(simulate_batch, children, periods * pairs * 8)
-    good_share, social_means = (np.concatenate([r[k] for r in results]) for k in (0, 1))
+    samples, promotions, demotions = _map_batches(simulate_batch, children, periods * pairs * 8)
     analytic = {"eta0": eta.eta0, "eta1": eta.eta1, "social": analytic_social}
-    empirical, stderr = _mean_and_stderr(np.stack([1.0 - good_share, good_share, social_means]))
+    empirical, stderr = _mean_and_stderr(samples)
     estimates = tuple(Estimate(m, float(a), e, s) for (m, a), e, s in zip(analytic.items(), empirical, stderr))
-    return SimResult(estimates, periods, sum(r[2] for r in results), sum(r[3] for r in results))
+    return SimResult(estimates, periods, promotions, demotions)
 
 
 def utility_horizon(delta: float) -> int:
@@ -294,16 +284,21 @@ def utility_horizon(delta: float) -> int:
     return periods
 
 
-def run_utility(design: DesignParams, params: IntrinsicParams, config: SimConfig) -> SimResult:
+def run_utility(
+    design: DesignParams, params: IntrinsicParams, config: SimConfig, deviation: tuple[int, int] | None = None
+) -> SimResult:
     """Discounted lifetime values by starting rating, against the solver.
 
     Requires a horizon with delta^periods < 1e-6 so truncation error is
-    below the Monte-Carlo noise. In deviation mode the run whose starting
-    rating matches deviate_rating has that worker intend CA in its first
-    period, and only the deviator's estimate is reported from that run
-    (its opponent faces an off-path attack there, so the compliant
-    analytic value is not its comparator).
+    below the Monte-Carlo noise. A deviation (worker, rating) has that
+    worker intend CA in the first period of the runs that start at that
+    rating, and only the deviator's estimate is reported from them (its
+    opponent faces an off-path attack there, so the compliant analytic
+    value is not its comparator).
     """
+    deviator, deviated = deviation or (None, None)
+    if deviation is not None and (deviator not in (1, 2) or deviated not in (0, 1)):
+        raise ValueError(f"deviation must be a (worker 1 or 2, rating 0 or 1) pair, got {deviation!r}")
     if params.delta ** config.periods >= 1e-6:
         raise ValueError(
             f"horizon too short: delta^periods = {params.delta ** config.periods:g} >= 1e-6"
@@ -312,15 +307,15 @@ def run_utility(design: DesignParams, params: IntrinsicParams, config: SimConfig
     pairs = config.population
     weights = params.delta ** np.arange(periods)
     _, pay1, pay2 = _payoff_tables(design, params)
-    attack = ATTACK2 if config.deviate_worker == 2 else ATTACK1
+    attack = ATTACK2 if deviator == 2 else ATTACK1
 
     def simulate_batch(tasks):
         rngs = [np.random.default_rng(child) for _, child in tasks]
         starts = np.array([start for start, _ in tasks], dtype=bool)
         intents = 0
-        if config.deviate_worker is not None:  # the deviator's intents, by replicate and period
+        if deviation is not None:  # the deviator's intents, by replicate and period
             intents = np.zeros((len(tasks), periods, 1), dtype=np.uint8)
-            intents[starts == config.deviate_rating, 0] = attack
+            intents[starts == deviated, 0] = attack
         code, promote, demote = _draw_block(rngs, periods, pairs, params, design, intents)
         outcome, pro, dem = _rating_paths(code, promote, demote, starts[:, None])
         # one dot per replicate: a batched product sums in another order
@@ -332,26 +327,22 @@ def run_utility(design: DesignParams, params: IntrinsicParams, config: SimConfig
         for start in (0, 1)
         for child in np.random.SeedSequence([config.seed, 1, start]).spawn(config.replicates)
     ]
-    results = _map_batches(simulate_batch, tasks, periods * pairs * 8)
-    means = np.concatenate([r[0] for r in results], axis=1)  # (worker, task)
+    means, promotions, demotions = _map_batches(simulate_batch, tasks, periods * pairs * 8)  # (worker, task)
     empirical, stderr = _mean_and_stderr(means.reshape(2, 2, config.replicates))  # (worker, start)
     values = {worker: lifetime_values(design, params, worker) for worker in (1, 2)}
     estimates = []
     for start in (0, 1):
-        deviating = config.deviate_worker is not None and config.deviate_rating == start
         for worker in (1, 2):
-            if deviating:
-                if worker != config.deviate_worker:
-                    continue
-                analytic = deviation_value(start, design, params, worker)
-                metric = f"vinf_w{worker}_r{start}_dev"
+            if start != deviated:
+                analytic, metric = values[worker][start], f"vinf_w{worker}_r{start}"
+            elif worker == deviator:
+                analytic, metric = deviation_value(start, design, params, worker), f"vinf_w{worker}_r{start}_dev"
             else:
-                analytic = values[worker][start]
-                metric = f"vinf_w{worker}_r{start}"
+                continue
             estimates.append(
                 Estimate(metric, float(analytic), empirical[worker - 1][start], stderr[worker - 1][start])
             )
-    return SimResult(tuple(estimates), periods, sum(r[1] for r in results), sum(r[2] for r in results))
+    return SimResult(tuple(estimates), periods, promotions, demotions)
 
 
 def _workers(batches: int, draws: int) -> int:
@@ -367,8 +358,12 @@ def _workers(batches: int, draws: int) -> int:
     return min(batches, cpus, max(1, MAX_BLOCK_DRAWS // draws))
 
 
-def _map_batches(simulate_batch, tasks: list, each: int) -> list:
-    """[simulate_batch(batch) for batch in the batches of tasks], in batch order.
+def _map_batches(simulate_batch, tasks: list, each: int) -> tuple[np.ndarray, int, int]:
+    """(samples, promotions, demotions) of simulate_batch over the batches of tasks.
+
+    simulate_batch maps a batch to its (metrics, replicates) samples and its
+    promotion and demotion counts. The batches' samples are joined along the
+    replicates in batch order, and their counts summed.
 
     A batch is as many consecutive tasks of `each` draws as fit one slab,
     and at least one. Batches run on a thread per worker that _workers
@@ -381,11 +376,14 @@ def _map_batches(simulate_batch, tasks: list, each: int) -> list:
     batches = [tasks[i : i + size] for i in range(0, len(tasks), size)]
     workers = _workers(len(batches), len(batches[0]) * each)
     if workers == 1:
-        return [simulate_batch(batch) for batch in batches]
-    from concurrent.futures import ThreadPoolExecutor  # here, so importing the package starts no pool
+        results = [simulate_batch(batch) for batch in batches]
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # here, so importing the package starts no pool
 
-    with ThreadPoolExecutor(workers) as pool:
-        return list(pool.map(simulate_batch, batches))
+        with ThreadPoolExecutor(workers) as pool:
+            results = list(pool.map(simulate_batch, batches))
+    samples, promotions, demotions = zip(*results)
+    return np.concatenate(samples, axis=1), sum(promotions), sum(demotions)
 
 
 def _mean_and_stderr(samples: np.ndarray) -> tuple[list, list]:

@@ -320,20 +320,21 @@ def run_chain_channels(design, params, config):
     return SimResult(estimates, periods, promotions, demotions)
 
 
-def run_utility_channels(design, params, config):
-    """simulate.run_utility computed channel by channel (its horizon check aside)."""
+def run_utility_channels(design, params, config, deviation=None):
+    """simulate.run_utility computed channel by channel (its horizon and deviation checks aside)."""
     periods = config.periods
     pairs = config.population
     weights = params.delta ** np.arange(periods)
     estimates = []
     promotions = demotions = 0
+    deviate_worker, deviate_rating = deviation or (None, None)
     for start in (0, 1):
-        deviating = config.deviate_worker is not None and config.deviate_rating == start
+        deviating = deviate_worker is not None and deviate_rating == start
         attack1 = np.zeros((periods, 1), dtype=bool)
         attack2 = np.zeros((periods, 1), dtype=bool)
-        if deviating and config.deviate_worker == 1:
+        if deviating and deviate_worker == 1:
             attack1[0] = True
-        if deviating and config.deviate_worker == 2:
+        if deviating and deviate_worker == 2:
             attack2[0] = True
         children = np.random.SeedSequence([config.seed, 1, start]).spawn(config.replicates)
         means1 = []
@@ -352,7 +353,7 @@ def run_utility_channels(design, params, config):
             means2.append(np.tensordot(weights, pay2, axes=(0, 0)).mean())
         for worker, means in ((1, means1), (2, means2)):
             if deviating:
-                if worker != config.deviate_worker:
+                if worker != deviate_worker:
                     continue
                 analytic = deviation_value(start, design, params, worker)
                 metric = f"vinf_w{worker}_r{start}_dev"
@@ -430,7 +431,6 @@ def is_sustainable_arrays(design, params):
                 gap=gap,
                 gain0=gain0,
                 gain1=gain1,
-                threshold0=th0,
                 threshold1=th1,
                 margin_combined=gap - max(th0, th1),
                 margin0=float(m0),

@@ -254,10 +254,7 @@ def test_criterion_08_designed_protocol_deters_attack(defaults, optimum):
     violations = []
     for worker in (1, 2):
         for rating in (0, 1):
-            run = run_utility(
-                design, defaults,
-                SimConfig(**base, deviate_worker=worker, deviate_rating=rating),
-            )
+            run = run_utility(design, defaults, SimConfig(**base), deviation=(worker, rating))
             dev = run[f"vinf_w{worker}_r{rating}_dev"].empirical
             comp = compliant[f"vinf_w{worker}_r{rating}"].empirical
             band = 0.02 * max(1.0, abs(comp))

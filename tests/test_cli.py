@@ -6,6 +6,7 @@ with d at the default eps2 = 0.05, where a compliant opponent's intent
 lands as an attack with probability eps2.
 """
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -290,6 +291,19 @@ def test_check_rejects_bad_design(config_path, capsys):
     argv = ["check", config_path, "--alpha", "1.5", "--beta", "0.5", "--gamma1", "0.52"]
     assert main(argv) == 1
     assert "alpha out of range" in capsys.readouterr().err
+
+
+def test_check_and_simulate_share_one_set_of_protocol_options():
+    # one option per DesignParams field, from one parser: the prizes and rates
+    # without a default are required, and gamma0 defaults to the dataclass's
+    import contest_rating.cli as cli
+
+    commands = cli._build_parser()._subparsers._group_actions[0].choices
+    options = {name: {a.dest: a for a in commands[name]._actions if a.type is float} for name in ("check", "simulate")}
+    assert list(options["check"]) == [f.name for f in dataclasses.fields(DesignParams)]
+    assert all(a is options["simulate"][name] for name, a in options["check"].items())
+    assert [a.required for a in options["check"].values()] == [True, True, True, False]
+    assert options["check"]["gamma0"].default == DesignParams.gamma0
 
 
 def test_simulate_deterministic_csv(config_path, capsys, tmp_path):

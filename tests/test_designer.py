@@ -13,6 +13,7 @@ import functools
 import itertools
 import math
 import tracemalloc
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -125,6 +126,15 @@ def test_no_future_is_infeasible(defaults):
     assert not any(c.feasible for c in exc.value.cases)
     res = brute_force_oracle(p, DesignerConfig(oracle_grid_r=50))
     assert not res.feasible
+
+
+def test_a_vanishing_future_overflows_nothing_on_stderr():
+    # at delta = 1e-300 the rating-1 corner's free knob overflows to inf, which the masks drop; the
+    # search must raise its typed verdict and no floating-point warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Infeasible):
+            optimize(default_params(delta=1e-300, eps2=0.0))
 
 
 def test_generous_symmetric_case_corner():

@@ -56,6 +56,7 @@ def test_record_fields_that_no_command_reads_are_gone():
         payoffs.PayoffTable: ("detection_drop",),
         incentives.SustainabilityReport: ("design",),
         designer.OracleResult: ("gamma0",),
+        incentives.WorkerIncentives: ("threshold0",),
     }
     for record, names in gone.items():
         kept = {f.name for f in fields(record)}

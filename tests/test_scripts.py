@@ -1,12 +1,15 @@
-"""The committed scripts: the bench report's file name and the digests' coverage."""
+"""The committed scripts: the bench report's file name, the digests' coverage and the paper scripts' runs."""
 
 import importlib.util
 import json
+import os
 import shutil
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import pytest
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -165,3 +168,24 @@ def test_ab_pairs_two_copies_of_one_tree_and_fails_when_they_differ(tmp_path):
     for row in ("optimize", "design_sweep"):  # every design output names both cases
         code, report = ab(row, 1)
         assert code == 1 and report["differing_results"] == 2 * report["per_block"]  # the warm-up's and the pair's
+
+
+@pytest.mark.parametrize(
+    "script, argv, header",
+    [
+        ("reproduce_trends", ["--grid-m", "10"], "== sweep c1 (c2=0.05) =="),
+        ("oracle_check", ["--grid-m", "10", "--oracle-r", "10", "--base-price-r", "10"],
+         "c1    optimizer (a, b, g1, U)              oracle (a, b, g1, U)                gap"),
+        ("deviation_experiment", ["--replicates", "2", "--population", "3"],
+         "worker  rating  compliant   attack-once   difference   verdict"),
+    ],
+)
+def test_paper_scripts_run_on_small_inputs(script, argv, header):
+    # each paper script runs end to end through the package's public API and prints its table header
+    paths = [str(SCRIPTS.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / f"{script}.py"), *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert header in proc.stdout.splitlines(), proc.stdout[:300]

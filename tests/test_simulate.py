@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import dataclasses
+import inspect
 import itertools
 import os
 import subprocess
@@ -56,21 +57,27 @@ def test_config_validation():
         SimConfig(replicates=1)
     with pytest.raises(ValueError):
         SimConfig(population=0)
-    with pytest.raises(ValueError):
-        SimConfig(deviate_worker=1)  # rating missing
-    with pytest.raises(ValueError):
-        SimConfig(deviate_worker=3, deviate_rating=1)
-    with pytest.raises(ValueError):
-        SimConfig(deviate_worker=1, deviate_rating=2)
     with pytest.raises(ValueError, match="seed"):
         SimConfig(seed=-1)  # numpy's SeedSequence would refuse it without naming the field
     SimConfig(seed=0)
 
 
-def test_chain_refuses_a_deviation(defaults):
-    config = SimConfig(periods=5, replicates=2, population=2, deviate_worker=1, deviate_rating=0)
-    with pytest.raises(ValueError, match="deviate_worker"):
-        run_chain(HALF, defaults, config)
+def test_config_holds_the_run_shape_and_seed_alone():
+    # a deviation is run_utility's argument, so no config can hand one to a chain run
+    assert [f.name for f in dataclasses.fields(SimConfig)] == ["periods", "replicates", "population", "seed"]
+    with pytest.raises(TypeError):
+        SimConfig(deviate_worker=1, deviate_rating=0)
+    assert "deviation" not in inspect.signature(run_chain).parameters
+
+
+def test_utility_rejects_a_deviation_outside_the_pairs(defaults):
+    # one attack by worker 1 or 2 at rating 0 or 1; the horizon is long enough, so only the pair is at fault
+    p = with_params(defaults, delta=0.0)
+    config = SimConfig(periods=1, replicates=2, population=2)
+    for deviation in ((3, 0), (1, 2), (0, 1), (1, None), (None, 1)):
+        with pytest.raises(ValueError, match="deviation"):
+            run_utility(HALF, p, config, deviation)
+    run_utility(HALF, p, config, (2, 1))  # does not raise
 
 
 def test_config_refuses_oversized_draw_blocks():
@@ -159,9 +166,7 @@ def test_deviation_run_reports_only_the_deviator(defaults, optimum):
     design = optimum.design()
     base = dict(periods=270, replicates=12, population=200, seed=5)
     compliant = run_utility(design, defaults, SimConfig(**base))
-    result = run_utility(
-        design, defaults, SimConfig(**base, deviate_worker=1, deviate_rating=1)
-    )
+    result = run_utility(design, defaults, SimConfig(**base), deviation=(1, 1))
     assert {e.metric for e in result.estimates} == {
         "vinf_w1_r0", "vinf_w2_r0", "vinf_w1_r1_dev",
     }
@@ -371,7 +376,7 @@ def test_runs_equal_the_channel_reference(defaults, monkeypatch, edge):
     base = dict(periods=periods, replicates=2, population=case.get("pairs", 5))
     gamma0 = case.get("gamma0", 0.0)
     rates = [(a, b) for a in (0.0, 1.0) for b in (0.0, 1.0)] + [tuple(rng.random(2))]
-    deviations = [(None, None)] + [(w, r) for w in (1, 2) for r in (0, 1)]
+    deviations = [None] + [(w, r) for w in (1, 2) for r in (0, 1)]
     for alpha, beta in rates:
         design = DesignParams(alpha, beta, rng.uniform(gamma0 + 0.1, 1.0), gamma0)
         config = SimConfig(**base, seed=int(rng.integers(2**31)))
@@ -382,13 +387,10 @@ def test_runs_equal_the_channel_reference(defaults, monkeypatch, edge):
                 run_chain(design, params, config)
         else:
             assert repr(run_chain(design, params, config)) == expected, (alpha, beta)
-        for worker, rating in deviations:
-            config = SimConfig(
-                **base, seed=int(rng.integers(2**31)),
-                deviate_worker=worker, deviate_rating=rating,
-            )
-            expected = repr(run_utility_channels(design, params, config))
-            assert repr(run_utility(design, params, config)) == expected, (alpha, beta, worker)
+        for deviation in deviations:
+            config = SimConfig(**base, seed=int(rng.integers(2**31)))
+            expected = repr(run_utility_channels(design, params, config, deviation))
+            assert repr(run_utility(design, params, config, deviation)) == expected, (alpha, beta, deviation)
     if "slab" in case:  # capped by the replicates: 2 in a chain run, 2 per start in a utility run
         assert set(pools) == {2, 4}
     elif edge != "past_int16_keys":  # each replicate fits one slab: the calling thread
@@ -412,23 +414,21 @@ def test_batches_and_a_remainder_equal_the_channel_reference(defaults, monkeypat
     rng = np.random.default_rng(31)
     params = with_params(defaults, eps1=0.15, eps2=0.3, delta=0.5)
     base = dict(periods=30, replicates=7, population=5)
-    deviations = [(None, None)] + [(w, r) for w in (1, 2) for r in (0, 1)]
+    deviations = [None] + [(w, r) for w in (1, 2) for r in (0, 1)]
     for alpha, beta in ((0.6, 0.8), (1.0, 0.45), (0.7, 1.0), tuple(rng.random(2))):  # each rate at 1
         design = DesignParams(alpha, beta, rng.uniform(0.35, 1.0), 0.25)
-        configs = [SimConfig(**base, seed=int(rng.integers(2**31)))] + [
-            SimConfig(**base, seed=int(rng.integers(2**31)), deviate_worker=w, deviate_rating=r)
-            for w, r in deviations
-        ]
+        chain = SimConfig(**base, seed=int(rng.integers(2**31)))
+        utility = [(SimConfig(**base, seed=int(rng.integers(2**31))), deviation) for deviation in deviations]
         runs = {}
         for slab in (3600, 1200):
             monkeypatch.setattr(simulate, "_SLAB_DRAWS", slab)
             batches.clear()
-            runs[slab] = [repr(run_chain(design, params, configs[0]))]
-            runs[slab] += [repr(run_utility(design, params, config)) for config in configs[1:]]
+            runs[slab] = [repr(run_chain(design, params, chain))]
+            runs[slab] += [repr(run_utility(design, params, *run)) for run in utility]
             split = [3, 3, 1] + [3, 3, 3, 3, 2] * 5 if slab == 3600 else [1] * (7 + 14 * 5)
             assert batches == split, slab
-        expected = [repr(run_chain_channels(design, params, configs[0]))]
-        expected += [repr(run_utility_channels(design, params, config)) for config in configs[1:]]
+        expected = [repr(run_chain_channels(design, params, chain))]
+        expected += [repr(run_utility_channels(design, params, *run)) for run in utility]
         assert runs[3600] == expected, (alpha, beta)
         assert runs[1200] == expected, (alpha, beta)
     assert pools == []  # each batch fits one slab: the calling thread
@@ -458,9 +458,8 @@ def test_threads_give_the_bits_of_one_thread(defaults, monkeypatch):
         out = []
         for design in (DesignParams(0.6, 0.8, 0.7, 0.2), DesignParams(1.0, 0.9, 0.55, 0.0)):
             out.append(repr(run_chain(design, params, config)))
-            for worker, rating in ((None, None), (1, 0), (1, 1), (2, 0), (2, 1)):
-                deviation = dataclasses.replace(config, deviate_worker=worker, deviate_rating=rating)
-                out.append(repr(run_utility(design, params, deviation)))
+            for deviation in (None, (1, 0), (1, 1), (2, 0), (2, 1)):
+                out.append(repr(run_utility(design, params, config, deviation)))
         return out
 
     monkeypatch.setattr(simulate, "_workers", lambda replicates, draws: 1)
