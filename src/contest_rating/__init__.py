@@ -16,11 +16,9 @@ from .designer import (
     CaseResult,
     DesignerConfig,
     DesignOutcome,
-    OUTCOME_CSV_HEADER,
     OracleResult,
     brute_force_oracle,
     optimize,
-    outcome_csv_row,
     zero_base_price_check,
 )
 from .errors import (

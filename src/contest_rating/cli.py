@@ -15,19 +15,100 @@ import sys
 from dataclasses import MISSING, fields, replace
 from functools import cache
 
-from .designer import (
-    OUTCOME_CSV_HEADER,
-    DesignerConfig,
-    DesignOutcome,
-    brute_force_oracle,
-    optimize,
-    outcome_csv_row,
-)
+from .designer import DesignerConfig, DesignOutcome, OracleResult, brute_force_oracle, optimize
 from .errors import ConfigError, DegenerateChain, Infeasible
-from .incentives import is_sustainable
+from .incentives import SustainabilityReport, is_sustainable
 from .params import ENV_KEYS, DesignParams, IntrinsicParams, design_violations, load_config, validate, with_params
-from .simulate import SimConfig, run_chain, run_utility, utility_horizon
-from .tableio import csv_line, fmt, write_lines
+from .simulate import SimConfig, SimResult, run_chain, run_utility, utility_horizon
+
+# This module alone turns records into bytes. Every number it prints goes through _fmt, so output
+# is deterministic byte for byte: 12 significant digits, no exponent surprises from locale,
+# booleans as lowercase words. The helpers are private: a tracer of public functions skips them.
+
+
+def _fmt(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, str):
+        return value
+    return "%.12g" % value  # also "nan", "inf", "-inf", and the worker numbers as "1" and "2"
+
+
+def _csv_line(values) -> str:
+    return ",".join(_fmt(v) for v in values)
+
+
+def _write_lines(path: str | None, lines: list[str]) -> None:
+    """Write lines to a file with trailing newline, or to stdout when path is None."""
+    text = "\n".join(lines) + "\n"
+    if path is None:
+        print(text, end="")
+    else:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+
+
+def _design_lines(outcome: DesignOutcome, oracle: OracleResult | None = None) -> list[str]:
+    """The key=value block that design prints, with the oracle's lines when it ran."""
+    lines = [
+        f"feasible={_fmt(outcome.feasible)}",
+        f"case={outcome.case_id}",
+        f"alpha={_fmt(outcome.alpha)}",
+        f"beta={_fmt(outcome.beta)}",
+        f"gamma1={_fmt(outcome.gamma1)}",
+        f"gamma0={_fmt(outcome.gamma0)}",
+        f"utility={_fmt(outcome.utility)}",
+    ]
+    for case in outcome.cases:
+        grid = case.feasible_gamma1
+        span = f"{_fmt(min(grid))}..{_fmt(max(grid))}" if grid else "none"
+        lines.append(f"feasible_gamma1[{case.case_id}]={span} ({len(grid)} grid points)")
+    if outcome.certificate is not None:
+        lines.append(f"sustainable={_fmt(outcome.certificate.sustainable)}")
+        for w in outcome.certificate.workers:
+            lines.append(f"margin_rating0[worker{w.worker}]={_fmt(w.margin0)}")
+            lines.append(f"margin_rating1[worker{w.worker}]={_fmt(w.margin1)}")
+        for w in outcome.certificate.workers:
+            lines.append(f"participation[worker{w.worker}]={_fmt(w.participation)}")
+    if oracle is not None:
+        lines += [f"oracle_{f.name}={_fmt(getattr(oracle, f.name))}" for f in fields(oracle)]
+        if outcome.feasible and oracle.feasible:
+            lines.append(f"oracle_gap={_fmt(abs(oracle.utility - outcome.utility))}")
+    return lines
+
+
+_OUTCOME_CSV_HEADER = ",".join(ENV_KEYS + ("alpha", "beta", "gamma1", "gamma0", "utility", "case", "feasible"))
+
+
+def _outcome_csv_row(outcome: DesignOutcome, invalid: bool = False) -> str:
+    """One row of the sweep CSV and of design --out; invalid marks a point outside the domain."""
+    p = outcome.params
+    flag = "invalid" if invalid else outcome.feasible
+    return _csv_line(
+        [getattr(p, key) for key in ENV_KEYS]
+        + [outcome.alpha, outcome.beta, outcome.gamma1, outcome.gamma0, outcome.utility, outcome.case_id, flag]
+    )
+
+
+def _check_lines(report: SustainabilityReport) -> list[str]:
+    """What check prints: each worker's margins (combined-gap-units may be +-inf), then the verdict."""
+    lines = ["worker,constraint,margin"]
+    for w in report.workers:
+        lines.append(_csv_line([w.worker, "deviation-rating0", w.margin0]))
+        lines.append(_csv_line([w.worker, "deviation-rating1", w.margin1]))
+        lines.append(_csv_line([w.worker, "combined-gap-units", w.margin_combined]))
+        lines.append(_csv_line([w.worker, "participation", w.participation]))
+    lines.append(f"sustainable={_fmt(report.sustainable)}")
+    return lines
+
+
+def _simulate_lines(*results: SimResult) -> list[str]:
+    """What simulate prints: one CSV row per estimate of each result, in order."""
+    lines = ["metric,analytic,empirical,stderr,z"]
+    for result in results:
+        lines += [_csv_line([e.metric, e.analytic, e.empirical, e.stderr, e.z]) for e in result.estimates]
+    return lines
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on bad arguments; here 2 means "infeasible",
@@ -88,15 +169,10 @@ def _cmd_design(args) -> int:
     except Infeasible as exc:
         outcome = DesignOutcome(params=params, feasible=False, cases=exc.cases)
         code = 2
-    lines = outcome.key_value_lines()
-    if args.oracle:
-        res = brute_force_oracle(params, config)
-        lines += [f"oracle_{f.name}={fmt(getattr(res, f.name))}" for f in fields(res)]
-        if outcome.feasible and res.feasible:
-            lines.append(f"oracle_gap={fmt(abs(res.utility - outcome.utility))}")
-    write_lines(None, lines)
+    oracle = brute_force_oracle(params, config) if args.oracle else None
+    _write_lines(None, _design_lines(outcome, oracle))
     if args.out:
-        write_lines(args.out, [OUTCOME_CSV_HEADER, outcome_csv_row(outcome)])
+        _write_lines(args.out, [_OUTCOME_CSV_HEADER, _outcome_csv_row(outcome)])
     return code
 
 
@@ -107,7 +183,7 @@ def _cmd_sweep(args) -> int:
     if args.start > args.stop:
         return _fail(f"empty sweep: --from {args.start!r} exceeds --to {args.stop!r}")
     config = DesignerConfig(gamma_grid_m=args.grid_m)
-    lines = [OUTCOME_CSV_HEADER]
+    lines = [_OUTCOME_CSV_HEADER]
     k = 0
     while True:
         value = args.start + k * args.step
@@ -116,14 +192,14 @@ def _cmd_sweep(args) -> int:
         k += 1
         point = with_params(params, **{args.vary: value})
         if validate(point):
-            lines.append(outcome_csv_row(DesignOutcome(params=point, feasible=False), invalid=True))
+            lines.append(_outcome_csv_row(DesignOutcome(params=point, feasible=False), invalid=True))
             continue
         try:
             outcome = optimize(point, config)
         except Infeasible as exc:
             outcome = DesignOutcome(params=point, feasible=False, cases=exc.cases)
-        lines.append(outcome_csv_row(outcome))
-    write_lines(args.out, lines)
+        lines.append(_outcome_csv_row(outcome))
+    _write_lines(args.out, lines)
     return 0
 
 
@@ -140,11 +216,7 @@ def _protocol(args) -> tuple[IntrinsicParams, DesignParams]:
 def _cmd_check(args) -> int:
     params, design = _protocol(args)
     report = is_sustainable(design, params)
-    lines = ["worker,constraint,margin"]
-    for worker, constraint, margin in report.rows():
-        lines.append(csv_line([worker, constraint, margin]))
-    lines.append(f"sustainable={fmt(report.sustainable)}")
-    write_lines(None, lines)
+    _write_lines(None, _check_lines(report))
     return 0 if report.sustainable else 2
 
 
@@ -158,8 +230,7 @@ def _cmd_simulate(args) -> int:
         util = run_utility(design, params, util_cfg)
     except DegenerateChain as exc:
         return _fail(str(exc))
-    lines = [chain.CSV_HEADER] + chain.rows() + util.rows()
-    write_lines(args.out, lines)
+    _write_lines(args.out, _simulate_lines(chain, util))
     if args.counters:
         import json  # here, so that plain runs do not pay for its import
 

@@ -41,10 +41,9 @@ from .incentives import (
     rating0_margins,
     rating1_margin,
 )
-from .params import ENV_KEYS, DesignParams, IntrinsicParams, Strategy
+from .params import DesignParams, IntrinsicParams, Strategy
 from .payoffs import payoff_line
 from .requester import social_utility_closed
-from .tableio import csv_line, fmt
 
 CASE_BETA_ONE = "beta=1"
 CASE_ALPHA_ONE = "alpha=1"
@@ -90,41 +89,6 @@ class DesignOutcome:
         if not self.feasible:
             raise Infeasible("no design attached to an infeasible outcome")
         return DesignParams(self.alpha, self.beta, self.gamma1, self.gamma0)
-
-    def key_value_lines(self) -> list[str]:
-        lines = [
-            f"feasible={fmt(self.feasible)}",
-            f"case={self.case_id}",
-            f"alpha={fmt(self.alpha)}",
-            f"beta={fmt(self.beta)}",
-            f"gamma1={fmt(self.gamma1)}",
-            f"gamma0={fmt(self.gamma0)}",
-            f"utility={fmt(self.utility)}",
-        ]
-        for case in self.cases:
-            grid = case.feasible_gamma1
-            span = f"{fmt(min(grid))}..{fmt(max(grid))}" if grid else "none"
-            lines.append(f"feasible_gamma1[{case.case_id}]={span} ({len(grid)} grid points)")
-        if self.certificate is not None:
-            lines.append(f"sustainable={fmt(self.certificate.sustainable)}")
-            for w in self.certificate.workers:
-                lines.append(f"margin_rating0[worker{w.worker}]={fmt(w.margin0)}")
-                lines.append(f"margin_rating1[worker{w.worker}]={fmt(w.margin1)}")
-            for w in self.certificate.workers:
-                lines.append(f"participation[worker{w.worker}]={fmt(w.lifetime.v0)}")
-        return lines
-
-
-OUTCOME_CSV_HEADER = ",".join(ENV_KEYS + ("alpha", "beta", "gamma1", "gamma0", "utility", "case", "feasible"))
-
-
-def outcome_csv_row(outcome: DesignOutcome, invalid: bool = False) -> str:
-    p = outcome.params
-    flag = "invalid" if invalid else outcome.feasible
-    return csv_line(
-        [getattr(p, key) for key in ENV_KEYS]
-        + [outcome.alpha, outcome.beta, outcome.gamma1, outcome.gamma0, outcome.utility, outcome.case_id, flag]
-    )
 
 
 def _corner_utility(case_id: str, gamma1: float, worker: int, params: IntrinsicParams) -> float:

@@ -165,14 +165,10 @@ def _gap_threshold(gain: float, weight: float) -> float:
 @dataclass(frozen=True)
 class WorkerIncentives:
     worker: int
-    gap: float
-    gain0: float
-    gain1: float
-    threshold1: float
-    margin_combined: float
     margin0: float
     margin1: float
-    lifetime: LifetimeValues
+    margin_combined: float
+    participation: float
     sustainable: bool
 
 
@@ -181,16 +177,6 @@ class SustainabilityReport:
     workers: tuple[WorkerIncentives, ...]
     sustainable: bool
 
-    def rows(self) -> list[tuple]:
-        """(worker, constraint id, margin) rows; gap-unit combined margin may be +-inf."""
-        out = []
-        for w in self.workers:
-            out.append((w.worker, "deviation-rating0", w.margin0))
-            out.append((w.worker, "deviation-rating1", w.margin1))
-            out.append((w.worker, "combined-gap-units", w.margin_combined))
-            out.append((w.worker, "participation", w.lifetime.v0))
-        return out
-
 
 def is_sustainable(design: DesignParams, params: IntrinsicParams) -> SustainabilityReport:
     """One-shot-deviation check of CA, SN and SA at both ratings, for both workers.
@@ -198,9 +184,9 @@ def is_sustainable(design: DesignParams, params: IntrinsicParams) -> Sustainabil
     The verdict holds when each worker's cleared-denominator CA margins
     clear their deviation_floor, so no CA, SN or SA deviation gains more
     than TOLERANCE; participation is reported but not part of it. The
-    report's margins are CA's; it also carries the rating-1 gap-unit
-    threshold (infinite when the demotion channel is shut) and the
-    lifetime compliant values.
+    report's margins are CA's; it also carries the combined margin in gap
+    units (-inf when the demotion channel is shut and attacking at rating
+    1 pays) and participation, each worker's lifetime compliant value v0.
     """
     table = payoff_table(params)
     alpha, beta, gamma1, gamma0 = design.alpha, design.beta, design.gamma1, design.gamma0
@@ -215,9 +201,8 @@ def is_sustainable(design: DesignParams, params: IntrinsicParams) -> Sustainabil
         floor1 = _deviation_floor(lines, table.drop_ratio, gamma1, gain1)
         th0, th1 = _gap_threshold(gain0, detect * alpha), _gap_threshold(gain1, detect * beta)
         workers.append(WorkerIncentives(
-            worker=worker, gap=gap, gain0=gain0, gain1=gain1, threshold1=th1,
-            margin_combined=gap - max(th0, th1), margin0=float(m0), margin1=float(m1),
-            lifetime=lifetime_values(design, params, worker), sustainable=bool(m0 >= floor0 and m1 >= floor1),
+            worker=worker, margin0=float(m0), margin1=float(m1), margin_combined=gap - max(th0, th1),
+            participation=lifetime_values(design, params, worker).v0, sustainable=bool(m0 >= floor0 and m1 >= floor1),
         ))
     return SustainabilityReport(workers=tuple(workers), sustainable=all(w.sustainable for w in workers))
 

@@ -41,7 +41,6 @@ from .incentives import deviation_value, lifetime_values
 from .params import DesignParams, IntrinsicParams
 from .ratings import stationary_distribution
 from .requester import social_utility_closed
-from .tableio import csv_line
 
 
 # Uniform draws of one replicate, and of the replicates in flight together
@@ -93,14 +92,6 @@ class SimResult:
     horizon: int
     promotions: int
     demotions: int
-
-    CSV_HEADER = "metric,analytic,empirical,stderr,z"
-
-    def rows(self) -> list[str]:
-        return [
-            csv_line([e.metric, e.analytic, e.empirical, e.stderr, e.z])
-            for e in self.estimates
-        ]
 
     def __getitem__(self, metric: str) -> Estimate:
         for e in self.estimates:

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from contest_rating import DesignParams, IntrinsicParams, binding_lines, default_params, optimize, validate
-from contest_rating.incentives import TOLERANCE
+from contest_rating import DesignParams, IntrinsicParams, binding_lines, default_params, optimize, payoff_table, validate
+from contest_rating.incentives import TOLERANCE, _compliant_gap, _turnover
 
 
 def _floats(lo, hi):
@@ -94,6 +94,12 @@ def in_band(gamma1, alpha, beta, params):
     if not (0.0 < alpha <= 1.0 and 0.0 < beta <= 1.0):
         return False
     return not (beta < k2[0] * alpha + b2[0] - TOLERANCE or beta > k3[0] * alpha + b3 + TOLERANCE)
+
+
+def rating_gap(design, params, worker):
+    """The lifetime rating gap v1 - v0 that is_sustainable's margins use, from its one formula."""
+    lines = payoff_table(params).lines(worker)
+    return _compliant_gap(lines, design.gamma1, design.gamma0, _turnover(design.alpha, design.beta, params))[1]
 
 
 @pytest.fixture(scope="session")

@@ -25,8 +25,8 @@
 - `is_sustainable_arrays`: the certificate computed with numpy scalars
   and arrays read from the payoff table's arrays, the detection drops
   read from `realized_mix`, one gap for the margins
-  and the report, the CA gains computed once per margin and once more for
-  the report, and both floors from one prize array. `is_sustainable`,
+  and the combined margin, the CA gains computed once per margin and once
+  more for the gap-unit thresholds, and both floors from one prize array. `is_sustainable`,
   which reads each worker's lines once as floats, must return an equal
   report, field for field by `repr`.
 - `whole_grid_oracle`: the grid oracle evaluated over all r**3 cells at
@@ -428,14 +428,10 @@ def is_sustainable_arrays(design, params):
         workers.append(
             WorkerIncentives(
                 worker=worker,
-                gap=gap,
-                gain0=gain0,
-                gain1=gain1,
-                threshold1=th1,
-                margin_combined=gap - max(th0, th1),
                 margin0=float(m0),
                 margin1=float(m1),
-                lifetime=lifetime_values(design, params, worker),
+                margin_combined=gap - max(th0, th1),
+                participation=lifetime_values(design, params, worker).v0,
                 sustainable=bool(m0 >= floor[0] and m1 >= floor[1]),
             )
         )

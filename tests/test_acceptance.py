@@ -12,7 +12,7 @@ non-increasing in d with it.
 import time
 
 import numpy as np
-from conftest import in_band
+from conftest import in_band, rating_gap
 from four_intent import violations
 from oracles import evolve, productivity_mc, social_utility
 from scalar_reference import lifetime_values_iterative
@@ -119,7 +119,7 @@ def test_criterion_03_lifetime_values_bellman_gap_and_simulation(defaults, optim
             solved = lifetime_values(d, params, worker)
             iterated = lifetime_values_iterative(d, params, worker, steps=1000)
             worst_solve = max(worst_solve, abs(solved.v0 - iterated.v0), abs(solved.v1 - iterated.v1))
-            gap = is_sustainable(d, params).workers[worker - 1].gap
+            gap = rating_gap(d, params, worker)
             worst_gap = max(worst_gap, abs((solved.v1 - solved.v0) - gap))
     sim = run_utility(design, defaults, SimConfig(periods=270, replicates=30, population=250, seed=7))
     worst_rel = 0.0

@@ -17,7 +17,6 @@ import pytest
 
 import contest_rating
 from contest_rating import (
-    OUTCOME_CSV_HEADER,
     DesignParams,
     SimConfig,
     load_config,
@@ -25,7 +24,7 @@ from contest_rating import (
     run_utility,
     utility_horizon,
 )
-from contest_rating.cli import main
+from contest_rating.cli import _OUTCOME_CSV_HEADER, main
 
 # child interpreters import the package this process imported, also where
 # only pytest's own pythonpath setting put it on sys.path
@@ -91,7 +90,7 @@ def test_design_csv_out(config_path, capsys, tmp_path):
     assert main(["design", config_path, "--out", str(out)]) == 0
     capsys.readouterr()
     rows = _csv_rows(out.read_text())
-    assert rows[0] == OUTCOME_CSV_HEADER.split(",")
+    assert rows[0] == _OUTCOME_CSV_HEADER.split(",")
     assert len(rows) == 2 and len(rows[1]) == 15
     assert rows[1][10] == "0.52"
     assert rows[1][-1] == "true"
@@ -143,7 +142,7 @@ def test_sweep_prize_grows_with_own_cost(cheap_c2_config, capsys):
     ]
     assert main(argv) == 0
     rows = _csv_rows(capsys.readouterr().out)
-    assert rows[0] == OUTCOME_CSV_HEADER.split(",")
+    assert rows[0] == _OUTCOME_CSV_HEADER.split(",")
     assert len(rows) == 10
     assert all(row[-1] == "true" for row in rows[1:])
     c1s = [float(row[0]) for row in rows[1:]]
@@ -422,3 +421,109 @@ def test_parser_is_built_once(config_path, capsys):
     assert cli._build_parser() is parser
     out = capsys.readouterr().out.split("feasible=")
     assert out[1] == out[2]
+
+
+# The exact --help text at 80 columns, of the program and of each command. The
+# program's description is cli's module docstring, so an edit there shows here.
+HELP = {
+    "": """\
+usage: contest-rating [-h] {design,sweep,check,simulate} ...
+
+Command-line interface: design, sweep, check, simulate. All subcommands read
+the eight environment parameters from a key=value config file (plain decimals,
+'#' comments). Exit codes: 0 on success (for design/check: the protocol is
+feasible/sustainable), 2 when the analysis finishes but the answer is negative
+(infeasible design, unsustainable protocol), 1 for input errors. CSV output is
+deterministic byte for byte at fixed inputs.
+
+positional arguments:
+  {design,sweep,check,simulate}
+    design              optimize the protocol for a config
+    sweep               re-optimize along one parameter axis
+    check               sustainability report for a given protocol
+    simulate            Monte-Carlo the protocol against the closed forms
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "design": """\
+usage: contest-rating design [-h] [--grid-m GRID_M] [--oracle]
+                             [--oracle-r ORACLE_R] [--out OUT]
+                             config
+
+positional arguments:
+  config               key=value environment file
+
+options:
+  -h, --help           show this help message and exit
+  --grid-m GRID_M      gamma1 grid resolution
+  --oracle             cross-check with the grid oracle
+  --oracle-r ORACLE_R  oracle grid resolution
+  --out OUT            also write the outcome as a one-row CSV
+""",
+    "sweep": """\
+usage: contest-rating sweep [-h] --vary {c1,c2,s1,s2,d,delta,eps1,eps2} --from
+                            START --to STOP --step STEP [--grid-m GRID_M]
+                            [--out OUT]
+                            config
+
+positional arguments:
+  config
+
+options:
+  -h, --help            show this help message and exit
+  --vary {c1,c2,s1,s2,d,delta,eps1,eps2}
+  --from START
+  --to STOP
+  --step STEP
+  --grid-m GRID_M
+  --out OUT             CSV destination (default stdout)
+""",
+    "check": """\
+usage: contest-rating check [-h] --alpha ALPHA --beta BETA --gamma1 GAMMA1
+                            [--gamma0 GAMMA0]
+                            config
+
+positional arguments:
+  config
+
+options:
+  -h, --help       show this help message and exit
+  --alpha ALPHA
+  --beta BETA
+  --gamma1 GAMMA1
+  --gamma0 GAMMA0
+""",
+    "simulate": """\
+usage: contest-rating simulate [-h] --alpha ALPHA --beta BETA --gamma1 GAMMA1
+                               [--gamma0 GAMMA0] [--seed SEED]
+                               [--periods PERIODS] [--replicates REPLICATES]
+                               [--population POPULATION] [--out OUT]
+                               [--counters]
+                               config
+
+positional arguments:
+  config
+
+options:
+  -h, --help            show this help message and exit
+  --alpha ALPHA
+  --beta BETA
+  --gamma1 GAMMA1
+  --gamma0 GAMMA0
+  --seed SEED
+  --periods PERIODS
+  --replicates REPLICATES
+  --population POPULATION
+                        matched pairs per replicate
+  --out OUT             CSV destination (default stdout)
+  --counters            also write event counts to stderr as JSON
+""",
+}
+
+
+@pytest.mark.parametrize("command", list(HELP))
+def test_help_text_is_pinned(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps at the terminal width
+    assert main([command, "--help"] if command else ["--help"]) == 0
+    assert capsys.readouterr().out == HELP[command]

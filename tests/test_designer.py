@@ -23,6 +23,7 @@ from four_intent import violations
 from scalar_reference import closed_form_case_utility, scalar_case_optimum, whole_grid_oracle
 
 from contest_rating import designer, incentives, ratings
+from contest_rating.cli import _OUTCOME_CSV_HEADER, _design_lines, _outcome_csv_row
 from contest_rating import (
     CASE_ALPHA_ONE,
     CASE_BETA_ONE,
@@ -31,7 +32,6 @@ from contest_rating import (
     DomainError,
     DesignParams,
     Infeasible,
-    OUTCOME_CSV_HEADER,
     Strategy,
     binding_lines,
     brute_force_oracle,
@@ -40,7 +40,6 @@ from contest_rating import (
     default_params,
     is_sustainable,
     optimize,
-    outcome_csv_row,
     payoff_line,
     social_utility_closed,
     validate,
@@ -76,8 +75,8 @@ def test_defaults_optimum_frozen(defaults, optimum):
     assert optimum.certificate is not None and optimum.certificate.sustainable
     # the costlier worker sits exactly on its participation boundary; the
     # cheaper one keeps strictly positive surplus
-    assert optimum.certificate.workers[1].lifetime.v0 == pytest.approx(0.0, abs=1e-9)
-    assert optimum.certificate.workers[0].lifetime.v0 > 1.0
+    assert optimum.certificate.workers[1].participation == pytest.approx(0.0, abs=1e-9)
+    assert optimum.certificate.workers[0].participation > 1.0
 
 
 def test_optimum_on_unit_square_boundary(optimum):
@@ -101,7 +100,7 @@ def test_case_grid_semantics(defaults, optimum):
 
 
 def test_key_value_block(optimum):
-    lines = optimum.key_value_lines()
+    lines = _design_lines(optimum)
     assert "feasible=true" in lines
     assert "case=alpha=1" in lines
     assert "gamma1=0.52" in lines
@@ -110,12 +109,12 @@ def test_key_value_block(optimum):
 
 
 def test_outcome_csv_row(optimum):
-    row = outcome_csv_row(optimum)
+    row = _outcome_csv_row(optimum)
     fields = row.split(",")
-    assert len(fields) == len(OUTCOME_CSV_HEADER.split(","))
+    assert len(fields) == len(_OUTCOME_CSV_HEADER.split(","))
     assert fields[-1] == "true"
     assert fields[-2] == CASE_ALPHA_ONE
-    assert outcome_csv_row(optimum, invalid=True).split(",")[-1] == "invalid"
+    assert _outcome_csv_row(optimum, invalid=True).split(",")[-1] == "invalid"
 
 
 def test_no_future_is_infeasible(defaults):
@@ -307,7 +306,7 @@ def test_infeasible_outcome_has_no_design(defaults):
     bare = DesignOutcome(params=defaults, feasible=False)
     with pytest.raises(Infeasible):
         bare.design()
-    row = outcome_csv_row(bare)
+    row = _outcome_csv_row(bare)
     assert row.split(",")[-1] == "false"
 
 

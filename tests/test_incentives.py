@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import design_params, edge_designs, edge_environments, in_band, intrinsic_params
+from conftest import design_params, edge_designs, edge_environments, in_band, intrinsic_params, rating_gap
 from four_intent import DEVIATIONS, deviation_gain
 from scalar_reference import is_sustainable_arrays, lifetime_values_iterative
 from contest_rating import (
@@ -23,10 +23,17 @@ from contest_rating import (
     is_sustainable,
     lifetime_values,
     payoff_line,
+    payoff_table,
     transition_kernel,
     validate,
 )
-from contest_rating.incentives import deviation_floor, rating0_margins, rating1_margin
+from contest_rating.cli import _check_lines
+from contest_rating.incentives import _CA, _gain, _gap_threshold, deviation_floor, rating0_margins, rating1_margin
+
+
+def _ca_gain(params, worker, gamma):
+    # the one-period CA gain over CN at prize gamma that the certificate's margins use
+    return float(_gain(payoff_table(params).lines(worker), _CA, gamma))
 
 
 def test_lifetime_solve_matches_iteration(defaults):
@@ -67,14 +74,14 @@ def test_lifetime_fixed_point_residual(defaults):
 
 def test_gap_flat_prices(defaults):
     design = DesignParams(0.5, 0.5, 0.5, 0.5)
-    assert is_sustainable(design, defaults).workers[0].gap == pytest.approx(0.0, abs=1e-15)
+    assert rating_gap(design, defaults, 1) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_gap_no_future():
     p = default_params(delta=0.0)
     design = DesignParams(0.5, 0.5, 0.5, 0.0)
     slope, icept = payoff_line(1, Strategy.CN, p)
-    assert is_sustainable(design, p).workers[0].gap == pytest.approx(slope * 0.5, abs=1e-15)
+    assert rating_gap(design, p, 1) == pytest.approx(slope * 0.5, abs=1e-15)
     del icept
 
 
@@ -82,7 +89,7 @@ def test_gap_no_future():
 @given(intrinsic_params(), design_params(gamma0_max=0.4), st.sampled_from([1, 2]))
 def test_gap_identity_random(p, design, worker):
     values = lifetime_values(design, p, worker)
-    gap = is_sustainable(design, p).workers[worker - 1].gap
+    gap = rating_gap(design, p, worker)
     assert gap == pytest.approx(values.v1 - values.v0, abs=1e-12)
 
 
@@ -96,7 +103,7 @@ def test_gap_identity_bulk(defaults):
             gamma0=rng.uniform(0.0, 0.29),
         )
         values = lifetime_values(design, defaults, 1)
-        gap = is_sustainable(design, defaults).workers[0].gap
+        gap = rating_gap(design, defaults, 1)
         assert abs(gap - (values.v1 - values.v0)) <= 1e-12
 
 
@@ -176,7 +183,7 @@ def test_verdict_matches_four_intent_certificate():
 def test_certificate_equals_the_array_reference(p, design):
     # the float certificate reads each worker's lines once and computes the
     # gap and both CA gains once; the numpy one computes the gains per
-    # margin and the floors over one prize array. Both report the gap that
+    # margin and the floors over one prize array. Both combine the gap that
     # the margins use. Field for field, the reports agree.
     assert repr(is_sustainable(design, p)) == repr(is_sustainable_arrays(design, p))
 
@@ -237,9 +244,10 @@ def test_sustainable_no_future_fails():
     report = is_sustainable(DesignParams(1.0, 1.0, 0.9, 0.0), p)
     assert not report.sustainable
     for w in report.workers:
-        assert w.margin0 == pytest.approx(-w.gain0, abs=1e-15)
-        assert w.margin1 == pytest.approx(-w.gain1, abs=1e-15)
-        assert (w.margin1 < 0.0) == (w.gain1 > 0.0)
+        gain0, gain1 = (_ca_gain(p, w.worker, gamma) for gamma in (0.0, 0.9))
+        assert w.margin0 == pytest.approx(-gain0, abs=1e-15)
+        assert w.margin1 == pytest.approx(-gain1, abs=1e-15)
+        assert (w.margin1 < 0.0) == (gain1 > 0.0)
         assert w.margin0 > 0.0  # attacking at a zero prize only burns cost
         assert w.margin1 < 0.0  # at a 0.9 prize it pays for both workers
 
@@ -250,7 +258,9 @@ def test_sustainable_designed_point(defaults, optimum):
     for w in report.workers:
         assert w.margin0 >= -1e-9
         assert w.margin1 >= -1e-9
-        assert w.gap == pytest.approx(w.lifetime.v1 - w.lifetime.v0, abs=1e-12)
+        values = lifetime_values(optimum.design(), defaults, w.worker)
+        assert rating_gap(optimum.design(), defaults, w.worker) == pytest.approx(values.v1 - values.v0, abs=1e-12)
+        assert w.participation == values.v0
 
 
 def test_equal_update_rates_collapse(defaults):
@@ -265,8 +275,11 @@ def test_equal_update_rates_collapse(defaults):
 
 
 def test_report_rows_shape(defaults):
+    # the rows that check prints from a report
     report = is_sustainable(DesignParams(0.5, 0.5, 0.5, 0.0), defaults)
-    rows = report.rows()
+    header, *lines, verdict = _check_lines(report)
+    rows = [line.split(",") for line in lines]
+    assert header == "worker,constraint,margin"
     assert len(rows) == 8
     assert {r[1] for r in rows} == {
         "deviation-rating0",
@@ -274,7 +287,8 @@ def test_report_rows_shape(defaults):
         "combined-gap-units",
         "participation",
     }
-    assert {r[0] for r in rows} == {1, 2}
+    assert {r[0] for r in rows} == {"1", "2"}
+    assert verdict == f"sustainable={str(report.sustainable).lower()}"
 
 
 def test_one_period_ranking_at_the_optimum(defaults, optimum):
@@ -298,17 +312,22 @@ def test_zero_punishment_is_unsustainable(defaults):
     report = is_sustainable(DesignParams(1.0, 0.0, 0.52, 0.0), defaults)
     assert not report.sustainable
     # worker 2's attack gain is positive at this prize, so with no demotion
-    # channel its gap-unit threshold is unreachable; the cleared-denominator
-    # margin stays finite and negative
+    # channel its gap-unit threshold is unreachable and its combined margin
+    # -inf; the cleared-denominator margin stays finite and negative
     w2 = report.workers[1]
-    assert w2.gain1 > 0.0
-    assert w2.threshold1 == math.inf
+    gain1 = _ca_gain(defaults, 2, 0.52)
+    assert gain1 > 0.0
+    assert _gap_threshold(gain1, 0.0) == math.inf
+    assert w2.margin_combined == -math.inf
     assert math.isfinite(w2.margin1)
     assert w2.margin1 < 0.0
-    # worker 1 at 0.52 would not even profit one period from attacking
+    # worker 1 at 0.52 would not even profit one period from attacking, so
+    # its rating-1 threshold is -inf and drops out of the combined margin
     w1 = report.workers[0]
-    assert w1.gain1 < 0.0
-    assert w1.threshold1 == -math.inf
+    gain1 = _ca_gain(defaults, 1, 0.52)
+    assert gain1 < 0.0
+    assert _gap_threshold(gain1, 0.0) == -math.inf
+    assert math.isfinite(w1.margin_combined)
     assert w1.margin1 > 0.0
 
 

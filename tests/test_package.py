@@ -9,7 +9,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import contest_rating
-from contest_rating import designer, incentives, params, payoffs, ratings, requester
+from contest_rating import designer, incentives, params, payoffs, ratings, requester, simulate
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = Path(contest_rating.__file__).resolve().parent
@@ -18,6 +18,7 @@ PACKAGE = Path(contest_rating.__file__).resolve().parent
 GONE_MODULES = {
     "stage_game": ("CASES", "even_match_payoff", "solo_effort_payoff", "first_stage_payoffs", "first_stage_matrix",
                    "productivity_mc", "McStagePayoffs", "_event_payoffs"),
+    "tableio": ("fmt", "csv_line", "write_lines"),  # folded into cli, the one module that prints
 }
 
 # names that left the package: moved to tests/oracles.py, deleted because only tests read them,
@@ -56,12 +57,30 @@ def test_record_fields_that_no_command_reads_are_gone():
         payoffs.PayoffTable: ("detection_drop",),
         incentives.SustainabilityReport: ("design",),
         designer.OracleResult: ("gamma0",),
-        incentives.WorkerIncentives: ("threshold0",),
+        incentives.WorkerIncentives: ("threshold0", "gap", "gain0", "gain1", "threshold1", "lifetime"),
     }
     for record, names in gone.items():
         kept = {f.name for f in fields(record)}
         for name in names:
             assert name not in kept, f"{record.__name__}.{name}"
+    kept = [f.name for f in fields(incentives.WorkerIncentives)]
+    assert kept == ["worker", "margin0", "margin1", "margin_combined", "participation", "sustainable"]
+
+
+def test_only_the_cli_formats_output():
+    # the model modules return records; cli alone turns them into lines
+    printing = {
+        designer: ("OUTCOME_CSV_HEADER", "outcome_csv_row"),
+        designer.DesignOutcome: ("key_value_lines",),
+        incentives.SustainabilityReport: ("rows",),
+        simulate.SimResult: ("rows", "CSV_HEADER"),
+    }
+    for owner, names in printing.items():
+        for name in names:
+            assert not hasattr(owner, name), f"{owner.__name__}.{name}"
+            assert name not in contest_rating.__all__, name
+    for module in ("designer", "incentives", "simulate"):
+        assert not _relative_imports(module) & {"cli", "tableio"}, module
 
 
 def _relative_imports(module: str) -> set[str]:

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from contest_rating.cli import _simulate_lines
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -85,7 +87,7 @@ def test_bench_sim_long_row_runs_what_a_simulate_op_runs(monkeypatch, tmp_path, 
             "--replicates", str(config.replicates), "--population", str(config.population)]
     capsys.readouterr()
     assert bench.cli_main(argv) == 0
-    assert capsys.readouterr().out.splitlines() == [chain.CSV_HEADER, *chain.rows(), *utility.rows()]
+    assert capsys.readouterr().out.splitlines() == _simulate_lines(chain, utility)
 
 
 def test_design_digest_runs_every_design_command(monkeypatch, capsys):

@@ -15,7 +15,6 @@ import pytest
 from contest_rating import (
     DesignParams,
     SimConfig,
-    SimResult,
     default_params,
     deviation_value,
     lifetime_values,
@@ -25,6 +24,7 @@ from contest_rating import (
     with_params,
 )
 from contest_rating import simulate
+from contest_rating.cli import _simulate_lines
 from contest_rating.errors import DegenerateChain
 from contest_rating.simulate import (
     ATTACK1,
@@ -98,7 +98,7 @@ def test_chain_is_reproducible(defaults):
     a = run_chain(HALF, defaults, config)
     b = run_chain(HALF, defaults, config)
     assert a == b
-    assert a.rows() == b.rows()
+    assert _simulate_lines(a) == _simulate_lines(b)
     c = run_chain(HALF, defaults, SimConfig(periods=120, replicates=4, population=12, seed=43))
     assert c["eta0"].empirical != a["eta0"].empirical
 
@@ -184,8 +184,10 @@ def test_result_lookup_and_rows(defaults):
     result = run_chain(HALF, defaults, SimConfig(periods=20, replicates=2, population=5, seed=1))
     with pytest.raises(KeyError):
         result["no_such_metric"]
-    assert SimResult.CSV_HEADER == "metric,analytic,empirical,stderr,z"
-    for row in result.rows():
+    header, *rows = _simulate_lines(result)
+    assert header == "metric,analytic,empirical,stderr,z"
+    assert len(rows) == len(result.estimates)
+    for row in rows:
         assert len(row.split(",")) == 5
 
 
