@@ -23,14 +23,13 @@ whose temporaries glibc hands back to the kernel faults them in again. A
 subprocess call is mostly interpreter start and import, so each CLI row
 also times cli.main in this process, once per round right after the
 subprocess (after one untimed warm-up call), and records the same summary
-under "in_process". The oracle rows also record margin_calls_per_call:
-the calls of every margin function (MARGINS) that one untimed call makes,
-counted by wrapping the designer's references to those functions from this
-script. The brute_force_oracle rows also record tracemalloc_peak_mb: the
-tracemalloc peak of one more untimed call, the median over the processes.
-The optimize row records coefficient_grid_calls_per_call the same way as
-the margin calls, wrapping incentives._coefficient_grid. The file also
-records the Tier-1 wall time and the line count of src/contest_rating.
+under "in_process". The brute_force_oracle rows also record
+tracemalloc_peak_mb: the tracemalloc peak of one more untimed call, the
+median over the processes. The optimize row records
+coefficient_grid_calls_per_call: the incentives._coefficient_grid calls
+that one untimed call makes, counted by wrapping that function from this
+script. The file also records the Tier-1 wall time and the line count of
+src/contest_rating.
 """
 
 from __future__ import annotations
@@ -69,7 +68,7 @@ from contest_rating import (  # noqa: E402
     run_utility,
     zero_base_price_check,
 )
-from contest_rating import designer, incentives  # noqa: E402
+from contest_rating import incentives  # noqa: E402
 from contest_rating.cli import main as cli_main  # noqa: E402
 
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
@@ -103,11 +102,8 @@ FUNCTION_ROWS = [
     ("run_chain + run_utility, sim_long shape, sparse events (alpha = beta = 0.001)", 15,
      lambda p: partial(chain_and_utility, replace(optimize(p).design(), alpha=0.001, beta=0.001), p, SIM_LONG)),
 ]
-MARGINS = ("compliance_margins", "rating0_margins", "rating1_margin")  # the designer's margin functions
 # row name prefix -> (field, module, functions): the calls of those functions one call of the row makes
 COUNTED = {
-    "brute_force_oracle": ("margin_calls_per_call", designer, MARGINS),
-    "zero_base_price_check": ("margin_calls_per_call", designer, MARGINS),
     "optimize": ("coefficient_grid_calls_per_call", incentives, ("_coefficient_grid",)),
 }
 CLI_ROWS = [

@@ -34,9 +34,7 @@ from .incentives import (
     LifetimeValues,
     SustainabilityReport,
     binding_lines,
-    compliance_margins,
     constraint_coefficients,
-    deviation_floor,
     deviation_value,
     is_sustainable,
     lifetime_values,

@@ -224,7 +224,12 @@ def _cmd_simulate(args) -> int:
     params, design = _protocol(args)
     chain_cfg = SimConfig(periods=args.periods, replicates=args.replicates,
                           population=args.population, seed=args.seed)
-    util_cfg = replace(chain_cfg, periods=max(args.periods, utility_horizon(params.delta)))
+    horizon = utility_horizon(params.delta)
+    try:
+        util_cfg = replace(chain_cfg, periods=max(args.periods, horizon))
+    except ValueError as exc:  # only the horizon, not the user's periods, can overrun the draw block here
+        raise ValueError(f"delta = {params.delta!r} needs a utility horizon of {horizon} periods"
+                         f" (delta**periods < 1e-6): {exc}") from exc
     try:
         chain = run_chain(design, params, chain_cfg)
         util = run_utility(design, params, util_cfg)

@@ -9,14 +9,9 @@ keeps its feasibility-qualified points from that one scan and takes the
 closed-form utility of the chosen one; the winner across cases is the
 design, certified by is_sustainable. A grid oracle over (alpha, beta,
 gamma1) re-derives everything from the primal margins as an independent
-check. Along gamma1 the rating-0 and participation margins never fall, and
-along alpha the rating-1 margin never rises, so each verdict holds on a
-suffix of prizes or a prefix of alphas. The oracle guesses where each one
-turns from the margins solved along that axis, confirms the guess with two
-exact margin probes, and bisects only where the guess misses; a probe
-computes only its own rating's margins. Each (alpha, beta) row's first
-feasible prize is where rating 0 first clears if rating 1 holds there, and
-is otherwise read off a mask of that one row.
+check: at fixed (alpha, beta) rating 0 and participation hold from one
+prize on and rating 1 on one run of prizes, so each row's first feasible
+prize is read in closed form.
 Every comparison that allows slack (tied case utilities, the certificate,
 the oracle's margins, the base-price verdict) allows incentives.TOLERANCE.
 """
@@ -30,19 +25,19 @@ import numpy as np
 
 from .errors import DegenerateDenominator, DomainError, Infeasible
 from .incentives import (
+    _CA,
+    _CN,
     TOLERANCE,
     _VANISHES,
     SustainabilityReport,
+    _deviation_floor,
+    _gain,
     _turnover,
     binding_lines,
-    compliance_margins,
-    deviation_floor,
     is_sustainable,
-    rating0_margins,
-    rating1_margin,
 )
 from .params import DesignParams, IntrinsicParams, Strategy
-from .payoffs import payoff_line
+from .payoffs import payoff_line, payoff_table
 from .requester import social_utility_closed
 
 CASE_BETA_ONE = "beta=1"
@@ -188,80 +183,56 @@ class OracleResult:
     utility: float
 
 
-_SEARCH_CELLS = 8000  # cells per margin call (whole grid rows): each float temporary stays under 64 KiB
+_CHUNK_CELLS = 8000  # (alpha, beta) rows per chunk of whole alpha rows: each float temporary stays under 64 KiB
 
 
-def _guess(values, thresholds, side: str) -> np.ndarray:
-    # How many of the sorted `values` lie below each threshold (side "left") or at or below it
-    # ("right"): where a search expects its verdict to turn. Only the probes' verdicts count.
-    return np.searchsorted(values, thresholds, side=side)
+def _prize_bounds(params: IntrinsicParams, prizes: np.ndarray, gamma0: float):
+    # (lead, reach): rating 0 and participation hold from gamma1 >= gamma0 + lead * turnover / alpha
+    # on, rating 1 at prizes[k] where turnover / beta <= reach[k]. Each margin is coef * weight *
+    # (gamma1 - gamma0) / turnover - const with coef >= 0; where coef is 0 the sign of const decides
+    # on every prize. A nan const or cost fails: searchsorted puts a nan threshold or running
+    # maximum past every finite one.
+    table, delta = payoff_table(params), params.delta
+    detect, at = delta * params.detection_margin, np.concatenate(([gamma0], prizes))
+    leads, reach = [], np.inf
+    with np.errstate(all="ignore"):
+        for lines in table.worker_lines:
+            slope, v_cn0 = lines[0][_CN], lines[0][_CN] * gamma0 + lines[1][_CN]
+            gain = _gain(lines, _CA, at)
+            floor = _deviation_floor(lines, table.drop_ratio, at, gain)
+            coef = np.array([detect * slope, delta * params.error_free * slope])  # rating 0, participation
+            const = np.array([floor[0] + gain[0], -(v_cn0 + TOLERANCE * (1.0 - delta))])
+            leads.append(np.where(coef > 0.0, const / coef, np.where(const <= 0.0, -np.inf, np.inf)))
+            cost = floor[1:] + gain[1:]  # rating 1 holds at every weight where it is <= 0; a nan fails
+            reach = np.minimum(reach, np.where(cost <= 0.0, np.inf, detect * slope * (prizes - gamma0) / cost))
+    return np.max(leads), reach
 
 
-def _count_leading(fails, size: int, count: np.ndarray, *axes) -> np.ndarray:
-    # Per entry, the length of the prefix of range(size) on which fails(probe, *axes) holds,
-    # given a guess `count` of it in [0, size]. The guess is right exactly where fails holds
-    # just before it and not at it (a side outside range(size) holds by itself). Where it is
-    # wrong, binary lifting over those entries alone finds the length: one probe per entry and
-    # step, a probe past the end counting for nothing.
-    if not size:
-        return count
-    right = ((count == 0) | fails(count - 1, *axes)) & ((count == size) | ~fails(count, *axes))
-    # the indices np.nonzero gives, which is about 4x slower on a 2-D mask and 2x faster on a 1-D one
-    at = np.unravel_index(np.flatnonzero(~right), right.shape) if right.ndim > 1 else np.nonzero(~right)
-    if at[0].size:
-        axes = [np.broadcast_to(x, count.shape)[at] for x in axes]
-        found = np.zeros(at[0].size, dtype=np.intp)
-        for step in (1 << e for e in reversed(range(size.bit_length()))):
-            probe = found + (step - 1)
-            np.add(found, step, out=found, where=(probe < size) & fails(probe, *axes))
-        count[at] = found
-    return count
+def _first_prizes(alphas, betas, prizes, gamma0: float, lead, reach, params: IntrinsicParams) -> np.ndarray:
+    # Per (alpha, beta) row, the index of its first feasible prize, or -1. Rating 1's cost is a
+    # maximum of lines, so convex, and it holds on one run of prizes: the row's first feasible
+    # prize is the later of that run's start and rating 0's, where rating 1 must still hold.
+    turnover = _turnover(alphas, betas, params)
+    ask = turnover / betas
+    start = np.searchsorted(prizes, gamma0 + lead * turnover / alphas)
+    start = np.maximum(start, np.searchsorted(np.maximum.accumulate(reach), ask))
+    cell = np.minimum(start, len(prizes) - 1)
+    return np.where((start < len(prizes)) & (reach.take(cell) >= ask), cell, -1)
 
 
-def _rating1_at_low(top, lows, alphas) -> np.ndarray:
-    # Per (alpha, beta) row of a chunk, whether it has a clearing prize low < n and rating 1
-    # holds there (alpha < top at that prize), in one gather: there low is the row's first
-    # feasible prize. Only where this fails is the row's own mask built.
-    n = top.shape[1]
-    return (lows < n) & (top.ravel().take(np.minimum(lows, n - 1) + np.arange(len(top)) * n) > alphas)
-
-
-def brute_force_oracle(
-    params: IntrinsicParams,
-    config: DesignerConfig | None = None,
-    gamma0: float = 0.0,
-) -> OracleResult:
+def brute_force_oracle(params: IntrinsicParams, config: DesignerConfig | None = None, gamma0: float = 0.0) -> OracleResult:
     """Exhaustive grid argmax over (alpha, beta, gamma1) in {1/r, ..., 1}^3.
 
     Feasibility comes from the primal margins, not the band algebra, so it
     shares no logic with the case analysis: for both workers no one-shot
-    deviation to CA, SN or SA pays at either rating (each CA margin clears
-    its deviation_floor) and participation holds at rating 0. gamma0 can be
-    pinned above 0 to probe the base price; only prizes above it count.
-
-    Each verdict is the one its rating's margins give at its cell
-    (rating0_margins or rating1_margin, the halves of compliance_margins),
-    found by a search on two premises. They hold step by step in IEEE
-    arithmetic when the CN slopes, detection margin and error rates are
-    >= 0 and 0 <= delta < 1 (DomainError otherwise). At fixed (alpha,
-    beta), m0 and v0 never fall as gamma1 rises, so rating 0 and
-    participation hold from a first prize on.
-    At fixed (beta, gamma1), m1 never rises as alpha rises, so rating 1
-    holds below a first failing alpha. Both margins are affine in the prize
-    gap over the turnover, so each search starts at their solved crossing;
-    a probe just before that guess and one at it settle the entry, and only
-    entries whose guess misses are bisected. The guess picks which cells to
-    probe and nothing else.
-
-    A cell is feasible when gamma1 >= low (the first clearing prize of its
-    row) and alpha < top (the first failing alpha of its column), so no
-    alpha row from the largest top on holds one. Utility never rises along
-    gamma1, so each (alpha, beta) row is read at its first feasible prize:
-    its low itself where a gather of top shows rating 1 holding there, else
-    the first cell of its row mask: prizes from low on where its beta's
-    line of top exceeds alpha. The first maximum in C order wins (smallest
-    alpha, beta, gamma1); the oracle is feasible when some row has a
-    feasible prize.
+    deviation to CA, SN or SA pays at either rating and participation holds
+    at rating 0. gamma0 can be pinned above 0 to probe the base price; only
+    prizes above it count. Each (alpha, beta) row reads its first feasible
+    prize in closed form (_prize_bounds, _first_prizes), which needs the CN
+    slopes, detection margin and error rates >= 0 and 0 <= delta < 1
+    (DomainError otherwise). Utility never rises along gamma1, so that
+    prize holds the row's maximum; the first maximum in C order wins
+    (smallest alpha, beta, gamma1).
     """
     cn_slopes = [payoff_line(w, Strategy.CN, params)[0] for w in (1, 2)]
     signs = (*cn_slopes, params.detection_margin, params.error_free, params.error_any, params.delta)
@@ -270,72 +241,20 @@ def brute_force_oracle(
     r = (config or DesignerConfig()).oracle_grid_r
     grid = np.arange(1, r + 1) / r
     prizes = grid[int(np.searchsorted(grid, gamma0 + 1e-12, side="right")) :]  # the prizes above gamma0
-    n, index = len(prizes), np.min_scalar_type(r)  # one byte per grid index up to r = 255
-    floors = [(w, deviation_floor(gamma0, params, w), deviation_floor(prizes, params, w)) for w in (1, 2)]
-
-    def holds(rating, alpha, beta, k):  # rating 0 and participation (rating = 0), or rating 1, at prizes[k]
-        gamma1, ok = prizes.take(k, mode="clip"), []
-        for worker, floor0, floor1 in floors:
-            if rating:
-                ok.append(rating1_margin(alpha, beta, gamma1, gamma0, params, worker) >= floor1[k])
-            else:
-                m0, v0 = rating0_margins(alpha, beta, gamma1, gamma0, params, worker)
-                ok.append((m0 >= floor0) & (v0 >= -TOLERANCE))
-        return ok[0] & ok[1]
-
-    # Each search starts at the margins' crossing, solved along its axis. At zero weights the
-    # margins read m0 = -gain0, m1 = -gain1 and v0 = v_cn0 / (1 - delta) at every prize. So
-    # rating 0 and participation clear from gamma1 = gamma0 + lead * turnover / alpha on, and
-    # rating 1 holds while turnover <= beta * reach[k].
-    delta, error_free = params.delta, params.error_free
-    detect, lead, reach = delta * params.detection_margin, -np.inf, np.inf
-    with np.errstate(all="ignore"):  # a guess may be inf or nan: the probes settle any guess
-        for (worker, floor0, floor1), slope in zip(floors, cn_slopes):
-            m0, m1, v0 = compliance_margins(0.0, 0.0, prizes, gamma0, params, worker)
-            clear = np.maximum((floor0 - m0) / detect, (-TOLERANCE - v0) * (1.0 - delta) / (delta * error_free))
-            lead = np.max(clear / slope, initial=lead)
-            cost = floor1 - m1  # gain1 + floor1: rating 1 holds at every alpha where it is <= 0
-            reach = np.minimum(reach, np.where(cost > 0.0, slope * (prizes - gamma0) * detect / cost, np.inf))
-
-    low, top, rows = np.empty((r, r), dtype=index), np.zeros((r, n), dtype=index), max(1, _SEARCH_CELLS // r)
-    for s in range(0, r, rows):  # first prize at which each (alpha, beta) row clears
-        a = grid[s : s + rows, None]
-        with np.errstate(all="ignore"):
-            guess = _guess(prizes, gamma0 + lead * _turnover(a, grid, params) / a, "left")
-        low[s : s + rows] = _count_leading(lambda k, alpha, beta: ~holds(0, alpha, beta, k), n, guess, a, grid)
-    # first failing alpha per (beta, prize) column, searched where some row's low allows a feasible cell
-    b, k = np.nonzero(np.arange(n) >= low.min(axis=0)[:, None])
-    for e in (slice(s, s + rows * r) for s in range(0, len(b), rows * r)):
-        beta, prize = grid[b[e]], k[e]
-        with np.errstate(all="ignore"):
-            guess = _guess(grid, (beta * reach[prize] - _turnover(0.0, beta, params)) / (delta * error_free), "right")
-        top[b[e], prize] = _count_leading(
-            lambda i, beta, prize: holds(1, grid.take(i, mode="clip"), beta, prize), r, guess, beta, prize
-        )
-    # A row holds a feasible prize only at an alpha below its beta column's largest top, so the
-    # walk stops at top.max(). Each row's first feasible prize is its low where rating 1 holds
-    # there; every other row that can hold one reads it off its mask, from its beta's line of top.
-    ceiling = top.max(axis=1, initial=0)
-    stop, best = int(ceiling.max(initial=0)), None
-    for s in range(0, stop, rows):
-        lows = low[s : min(s + rows, stop)]
-        alphas = np.arange(s, s + len(lows), dtype=index)[:, None]
-        cell, feasible = np.minimum(lows, n - 1), _rating1_at_low(top, lows, alphas)
-        miss = np.flatnonzero(~feasible & (lows < n) & (alphas < ceiling))  # rows left to their masks
-        if miss.size:
-            a, b = np.divmod(miss, r)
-            row = (top[b] > alphas[a]) & (np.arange(n) >= lows.ravel()[miss, None])
-            first = row.argmax(axis=1)
-            cell.flat[miss], feasible.flat[miss] = first, row[np.arange(len(miss)), first]
-        utility = social_utility_closed(grid[s : s + len(lows), None], grid, prizes.take(cell), gamma0, params)
-        utility[~feasible] = -np.inf
+    best = OracleResult(False, math.nan, math.nan, math.nan, math.nan)
+    if not len(prizes):
+        return best
+    (lead, reach), rows = _prize_bounds(params, prizes, gamma0), max(1, _CHUNK_CELLS // r)
+    for s in range(0, r, rows):
+        alphas = grid[s : s + rows, None]
+        cell = _first_prizes(alphas, grid, prizes, gamma0, lead, reach, params)
+        utility = social_utility_closed(alphas, grid, prizes.take(cell), gamma0, params)
+        utility[cell < 0] = -np.inf
         ia, ib = np.unravel_index(int(np.argmax(utility)), utility.shape)
-        if feasible[ia, ib] and (best is None or utility[ia, ib] > best[0]):  # strictly: first maximum wins
-            best = (float(utility[ia, ib]), float(grid[s + ia]), float(grid[ib]), float(prizes[cell[ia, ib]]))
-    if best is None:
-        return OracleResult(False, math.nan, math.nan, math.nan, math.nan)
-    utility, alpha, beta, gamma1 = best
-    return OracleResult(True, alpha, beta, gamma1, utility)
+        u = float(utility[ia, ib])
+        if cell[ia, ib] >= 0 and (not best.feasible or u > best.utility):  # strictly: first maximum wins
+            best = OracleResult(True, float(alphas[ia, 0]), float(grid[ib]), float(prizes[cell[ia, ib]]), u)
+    return best
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ is sustainable when no one-shot switch to CA, SN or SA is profitable at
 either rating. The CA inequalities, rearranged at gamma0 = 0, become affine
 constraints on (alpha, beta) whose intersection, read by binding_lines
 alone, is the designer's feasible band; SN and SA enter as floors on the CA
-margins (deviation_floor). The rating-0 CA line has a negative slope and
+margins (_deviation_floor). The rating-0 CA line has a negative slope and
 intercept, so it never binds on the unit square and only its intercept
 (shared with participation) is kept. Every check allows the one slack
 TOLERANCE: a deviation may gain up to it, participation and the band's
@@ -15,8 +15,8 @@ lines may miss by up to it.
 The margin formulas are private helpers of plain operators that take one
 worker's payoff lines and an already computed gap or gain: is_sustainable
 runs them on the payoff table's floats (its one numpy call is the lifetime
-solve), the grid oracle's probes on arrays. The rating gap has one formula,
-_compliant_gap.
+solve), the grid oracle runs the CA gain and the deviation floor on prize
+arrays. The rating gap has one formula, _compliant_gap.
 """
 
 from __future__ import annotations
@@ -92,51 +92,7 @@ def _margin(detect, weight, gap, gain):
     return detect * weight * gap - gain
 
 
-def _participation(v_cn0, gap, alpha, params: IntrinsicParams):
-    # v0, the lifetime compliant value at the low rating
-    return (v_cn0 + params.delta * alpha * params.error_free * gap) / (1.0 - params.delta)
-
-
 def _deviation_floor(lines, drop_ratio, gamma, gain_ca):
-    # deviation_floor from a worker's lines, the table's drop ratios and the CA gain at gamma
-    sn, sa = (drop_ratio[i] * (_gain(lines, i, gamma) - TOLERANCE) - gain_ca for i in (_SN, _SA))
-    if isinstance(gamma, np.ndarray):
-        return np.maximum(np.maximum(-TOLERANCE, sn), sa)
-    return max(sn, sa, -TOLERANCE) if sa == sa else sa  # a nan bound wins, as in np.maximum
-
-
-def rating0_margins(alpha, beta, gamma1, gamma0, params: IntrinsicParams, worker: int):
-    """(m0, v0) of compliance_margins: the rating-0 margin and participation value."""
-    lines = payoff_table(params).lines(worker)
-    v_cn0, gap = _compliant_gap(lines, gamma1, gamma0, _turnover(alpha, beta, params))
-    m0 = _margin(params.delta * params.detection_margin, alpha, gap, _gain(lines, _CA, gamma0))
-    return m0, _participation(v_cn0, gap, alpha, params)
-
-
-def rating1_margin(alpha, beta, gamma1, gamma0, params: IntrinsicParams, worker: int):
-    """m1 of compliance_margins: the rating-1 margin."""
-    lines = payoff_table(params).lines(worker)
-    _, gap = _compliant_gap(lines, gamma1, gamma0, _turnover(alpha, beta, params))
-    return _margin(params.delta * params.detection_margin, beta, gap, _gain(lines, _CA, gamma1))
-
-
-def compliance_margins(alpha, beta, gamma1, gamma0, params: IntrinsicParams, worker: int):
-    """Deviation margins and participation value, numpy-broadcasting.
-
-    Returns (m0, m1, v0): m_theta = delta * weight_theta * D * gap -
-    deviation gain at theta, with weight 0 = alpha and weight 1 = beta, and
-    v0 the lifetime compliant value at the low rating. The margins are the
-    one-shot-deviation inequalities cleared of their (possibly vanishing)
-    denominators, so they stay finite at delta = 0 or beta = 0 and share
-    the sign of the textbook thresholds wherever those are defined. It
-    returns its halves, rating0_margins and rating1_margin, which each
-    compute the rating gap, so a caller of one rating computes only that.
-    """
-    m0, v0 = rating0_margins(alpha, beta, gamma1, gamma0, params, worker)
-    return m0, rating1_margin(alpha, beta, gamma1, gamma0, params, worker), v0
-
-
-def deviation_floor(gamma, params: IntrinsicParams, worker: int):
     """Least CA margin at prize gamma under which no one-shot deviation pays.
 
     At one rating every deviation X loses delta * weight * gap * dq_X in
@@ -144,14 +100,15 @@ def deviation_floor(gamma, params: IntrinsicParams, worker: int):
     (the drop in the chance of being read as CN) is positive for CA, SN and
     SA on the validated domain. So m_X = (dq_X / dq_CA) * (m_CA + gain_CA) -
     gain_X, and m_X >= -TOLERANCE holds exactly when m_CA >= (dq_CA / dq_X)
-    * (gain_X - TOLERANCE) - gain_CA. Returns the largest of the SN and SA
-    bounds and -TOLERANCE (CA's own check): one float for a scalar prize,
-    and for a prize array one value per prize, however many (alpha, beta)
-    cells share it.
+    * (gain_X - TOLERANCE) - gain_CA. From one worker's lines, the table's
+    drop ratios and the CA gain at gamma, returns the largest of the SN and
+    SA bounds and -TOLERANCE (CA's own check): one float for a float prize,
+    one value per prize for a prize array.
     """
-    table = payoff_table(params)
-    lines = table.lines(worker)
-    return _deviation_floor(lines, table.drop_ratio, gamma, _gain(lines, _CA, gamma))
+    sn, sa = (drop_ratio[i] * (_gain(lines, i, gamma) - TOLERANCE) - gain_ca for i in (_SN, _SA))
+    if isinstance(gamma, np.ndarray):
+        return np.maximum(np.maximum(-TOLERANCE, sn), sa)
+    return max(sn, sa, -TOLERANCE) if sa == sa else sa  # a nan bound wins, as in np.maximum
 
 
 def _gap_threshold(gain: float, weight: float) -> float:
@@ -182,7 +139,7 @@ def is_sustainable(design: DesignParams, params: IntrinsicParams) -> Sustainabil
     """One-shot-deviation check of CA, SN and SA at both ratings, for both workers.
 
     The verdict holds when each worker's cleared-denominator CA margins
-    clear their deviation_floor, so no CA, SN or SA deviation gains more
+    clear their _deviation_floor, so no CA, SN or SA deviation gains more
     than TOLERANCE; participation is reported but not part of it. The
     report's margins are CA's; it also carries the combined margin in gap
     units (-inf when the demotion channel is shut and attacking at rating

@@ -4,9 +4,10 @@ For both workers and both ratings it prices every one-shot deviation (CA,
 SN, SA) as the one-period payoff against a compliant opponent plus the
 discounted compliant lifetime value of the rating it leads to. The chance
 of being read as CN comes straight from the flip channels and the next
-rating from the update rule, so no margin algebra of `incentives`
-(`compliance_margins`, `deviation_floor`) is used. Participation is the
-compliant lifetime value at rating 0.
+rating from the update rule, so no margin algebra is used: neither the
+certificate's CA margins and deviation floors in `incentives` nor
+`compliance_margins` and `deviation_floor` in `scalar_reference.py`.
+Participation is the compliant lifetime value at rating 0.
 """
 
 import numpy as np

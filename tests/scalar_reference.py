@@ -29,11 +29,14 @@
   more for the gap-unit thresholds, and both floors from one prize array. `is_sustainable`,
   which reads each worker's lines once as floats, must return an equal
   report, field for field by `repr`.
-- `whole_grid_oracle`: the grid oracle evaluated over all r**3 cells at
-  once. `brute_force_oracle`, which finds each row's first clearing prize
-  and each column's first failing alpha by bisection on the margins (the
-  rating-0 and participation margins never fall along gamma1, the rating-1
-  margin never rises along alpha), must return an equal `OracleResult`.
+- `compliance_margins` and `deviation_floor`: each worker's CA margins,
+  participation value and deviation floor at any cells, numpy-broadcasting,
+  from the certificate's private helpers.
+- `whole_grid_feasible` and `whole_grid_oracle`: the grid oracle's margin
+  verdicts over all r**3 cells at once, and their argmax.
+  `brute_force_oracle`, which reads each (alpha, beta) row's first
+  feasible prize in closed form, must return an equal `OracleResult`, and
+  `designer._first_prizes` the first feasible prize of every row.
 """
 
 import math
@@ -54,9 +57,7 @@ from contest_rating import (
     Strategy,
     SustainabilityReport,
     against_compliant,
-    compliance_margins,
     constraint_coefficients,
-    deviation_floor,
     deviation_value,
     lifetime_values,
     payoff_line,
@@ -66,7 +67,17 @@ from contest_rating import (
     stationary_distribution,
     transition_kernel,
 )
-from contest_rating.incentives import TOLERANCE, WorkerIncentives, _gap_threshold
+from contest_rating.incentives import (
+    _CA,
+    TOLERANCE,
+    WorkerIncentives,
+    _compliant_gap,
+    _deviation_floor,
+    _gain,
+    _gap_threshold,
+    _margin,
+    _turnover,
+)
 
 
 def lifetime_values_iterative(design, params, worker, steps=1000):
@@ -364,10 +375,35 @@ def run_utility_channels(design, params, config, deviation=None):
     return SimResult(tuple(estimates), periods, promotions, demotions)
 
 
-def whole_grid_oracle(params, config=None, gamma0=0.0, utility_of=social_utility_closed):
-    """brute_force_oracle with every (alpha, beta, gamma1) cell in one array."""
-    config = config or DesignerConfig()
-    r = config.oracle_grid_r
+def compliance_margins(alpha, beta, gamma1, gamma0, params, worker):
+    """Deviation margins and participation value, numpy-broadcasting.
+
+    Returns (m0, m1, v0): m_theta = delta * weight_theta * D * gap -
+    deviation gain at theta, with weight 0 = alpha and weight 1 = beta, and
+    v0 the lifetime compliant value at the low rating. The margins are the
+    one-shot-deviation inequalities cleared of their (possibly vanishing)
+    denominators, so they stay finite at delta = 0 or beta = 0 and share
+    the sign of the textbook thresholds wherever those are defined.
+    """
+    lines = payoff_table(params).lines(worker)
+    v_cn0, gap = _compliant_gap(lines, gamma1, gamma0, _turnover(alpha, beta, params))
+    detect = params.delta * params.detection_margin
+    m0 = _margin(detect, alpha, gap, _gain(lines, _CA, gamma0))
+    m1 = _margin(detect, beta, gap, _gain(lines, _CA, gamma1))
+    v0 = (v_cn0 + params.delta * alpha * params.error_free * gap) / (1.0 - params.delta)
+    return m0, m1, v0
+
+
+def deviation_floor(gamma, params, worker):
+    """Least CA margin at prize gamma (a float or an array) under which no one-shot deviation pays."""
+    table = payoff_table(params)
+    lines = table.lines(worker)
+    return _deviation_floor(lines, table.drop_ratio, gamma, _gain(lines, _CA, gamma))
+
+
+def whole_grid_feasible(params, config=None, gamma0=0.0):
+    """The oracle grid's (alpha, beta, gamma1) cells where every margin holds, shape (r, r, r)."""
+    r = (config or DesignerConfig()).oracle_grid_r
     grid = np.arange(1, r + 1) / r
     alpha = grid[:, None, None]
     beta = grid[None, :, None]
@@ -378,9 +414,17 @@ def whole_grid_oracle(params, config=None, gamma0=0.0, utility_of=social_utility
         floor0 = deviation_floor(gamma0, params, worker)
         floor1 = deviation_floor(gamma1, params, worker)
         ok &= (m0 >= floor0) & (m1 >= floor1) & (v0 >= -TOLERANCE)
+    return ok
+
+
+def whole_grid_oracle(params, config=None, gamma0=0.0, utility_of=social_utility_closed):
+    """brute_force_oracle with every (alpha, beta, gamma1) cell in one array."""
+    ok = whole_grid_feasible(params, config, gamma0)
     if not ok.any():
         return OracleResult(False, math.nan, math.nan, math.nan, math.nan)
-    utility = utility_of(alpha, beta, gamma1, gamma0, params)
+    r = ok.shape[0]
+    grid = np.arange(1, r + 1) / r
+    utility = utility_of(grid[:, None, None], grid[None, :, None], grid[None, None, :], gamma0, params)
     utility = np.where(ok, utility, -np.inf)
     flat = int(np.argmax(utility))  # first max in C order: smallest alpha, beta, gamma1
     ia, ib, ig = np.unravel_index(flat, (r, r, r))

@@ -15,7 +15,7 @@ import numpy as np
 from conftest import in_band, rating_gap
 from four_intent import violations
 from oracles import evolve, productivity_mc, social_utility
-from scalar_reference import lifetime_values_iterative
+from scalar_reference import compliance_margins, lifetime_values_iterative
 from stage_game import first_stage_payoffs
 
 from contest_rating import (
@@ -24,7 +24,6 @@ from contest_rating import (
     Infeasible,
     SimConfig,
     brute_force_oracle,
-    compliance_margins,
     default_params,
     is_sustainable,
     lifetime_values,

@@ -386,6 +386,20 @@ def test_simulate_refuses_an_oversized_horizon(tmp_path, capsys, monkeypatch):
     assert "draw block too large" in capsys.readouterr().err
 
 
+def test_simulate_names_the_utility_horizon_that_overruns_the_draw_block(tmp_path, capsys):
+    # the user's 20 periods fit; the utility horizon that delta = 0.999999
+    # needs does not, so the message names that horizon and delta
+    path = tmp_path / "patient.cfg"
+    path.write_text(DEFAULT_CONFIG.replace("delta = 0.95", "delta = 0.999999"))
+    argv = ["simulate", str(path), "--alpha", "0.5", "--beta", "0.5", "--gamma1", "0.5", "--periods", "20",
+            "--population", "2"]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: delta = 0.999999 needs a utility horizon of 13815504 periods"), err
+    assert "draw block too large: 13815504 periods x 2 pairs" in err
+
+
 def test_simulate_rejects_single_replicate(config_path, capsys):
     argv = [
         "simulate", config_path,

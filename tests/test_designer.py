@@ -10,7 +10,6 @@ independent four-intent check in `four_intent.py`.
 """
 
 import functools
-import itertools
 import math
 import tracemalloc
 import warnings
@@ -20,7 +19,14 @@ import numpy as np
 import pytest
 from conftest import in_band
 from four_intent import violations
-from scalar_reference import closed_form_case_utility, scalar_case_optimum, whole_grid_oracle
+from scalar_reference import (
+    closed_form_case_utility,
+    compliance_margins,
+    deviation_floor,
+    scalar_case_optimum,
+    whole_grid_feasible,
+    whole_grid_oracle,
+)
 
 from contest_rating import designer, incentives, ratings
 from contest_rating.cli import _OUTCOME_CSV_HEADER, _design_lines, _outcome_csv_row
@@ -35,7 +41,6 @@ from contest_rating import (
     Strategy,
     binding_lines,
     brute_force_oracle,
-    compliance_margins,
     constraint_coefficients,
     default_params,
     is_sustainable,
@@ -444,57 +449,40 @@ def test_near_zero_attack_cost_is_feasible():
     assert oracle.feasible and abs(oracle.utility - outcome.utility) < 1e-3
 
 
-# (r, cells): cells sets _SEARCH_CELLS (cells per margin call and per row
-# chunk, in whole grid rows). None keeps the defaults: at 37 one chunk; at
-# 100 an 80-row chunk and a 20-row tail. 10 at 300: one 30-row chunk. 23 at
-# 1: a row per chunk and 23 columns per column chunk. 23 at 1955: one 85-row
-# chunk, on the 17-point prize suffix above gamma0 = 0.3 and the 1-point
-# suffix above 0.995 too. The walk stops below the largest top, and at every
-# r some case reads no chunk at all.
+# (r, cells): cells sets _CHUNK_CELLS (cells per chunk of alpha rows, in
+# whole grid rows). None keeps the defaults: at 37 one chunk; at 100 an
+# 80-row chunk and a 20-row tail. 10 at 300: one 30-row chunk. 23 at 1: a
+# row per chunk. 23 at 1955: one 85-row chunk, on the 17-point prize suffix
+# above gamma0 = 0.3 and the 1-point suffix above 0.995 too.
 _SLAB_CASES = [(37, None), (100, None), (10, 300), (23, 1), (23, 1955)]
+
+
+def _whole_grid_cases(r):
+    # the (environment, gamma0) pairs the slab and row tests check at grid r: 0.995 leaves a
+    # one-point prize suffix (gamma1 = 1), 1.0 none; at eps1 = eps2 = 0.5 every drop ratio is
+    # nan, so every floor is nan and no cell is feasible
+    envs = _edge_weighted_environments(14 if r == 100 else 70, seed=1618)
+    cases = [(p, gamma0) for p in envs for gamma0 in (0.0, 0.3, 0.995, 1.0)]
+    return cases + [(default_params(eps1=0.5, eps2=0.5), 0.3)]
 
 
 @functools.cache
 def _whole_grid_reprs(r):
     # repr(whole_grid_oracle) at grid r on each (environment, gamma0) the slab tests check
     config = DesignerConfig(oracle_grid_r=r)
-    return {
-        (p, gamma0): repr(whole_grid_oracle(p, config, gamma0=gamma0))
-        for p in _edge_weighted_environments(14 if r == 100 else 70, seed=1618)
-        # 0.995 leaves a one-point prize suffix (gamma1 = 1), 1.0 none
-        for gamma0 in (0.0, 0.3, 0.995, 1.0)
-    }
-
-
-def _recording_the_gather(monkeypatch):
-    # (top, lows, alphas, held) of each designer._rating1_at_low call, one per row chunk, from
-    # whatever that function is when this is called
-    calls, gather = [], designer._rating1_at_low
-
-    def recording(top, lows, alphas):
-        held = gather(top, lows, alphas)
-        calls.append((top, lows, alphas, held))
-        return held
-
-    monkeypatch.setattr(designer, "_rating1_at_low", recording)
-    return calls
+    return {(p, gamma0): repr(whole_grid_oracle(p, config, gamma0=gamma0)) for p, gamma0 in _whole_grid_cases(r)}
 
 
 def _oracle_equals_the_whole_grid(monkeypatch, r, cells):
     if cells is not None:
-        monkeypatch.setattr(designer, "_SEARCH_CELLS", cells)
+        monkeypatch.setattr(designer, "_CHUNK_CELLS", cells)
     config = DesignerConfig(oracle_grid_r=r)
-    seen, walks = Counter(), Counter()  # (feasible, perfect monitoring); where the row walk stopped
-    slabs = _recording_the_gather(monkeypatch)
+    seen = Counter()  # (feasible, perfect monitoring)
     for (p, gamma0), expected in _whole_grid_reprs(r).items():
-        slabs.clear()
         res = brute_force_oracle(p, config, gamma0=gamma0)
         assert repr(res) == expected, (p, gamma0)
         seen[res.feasible, p.error_any == 0.0] += 1
-        stop = max((int(alphas[-1, 0]) + 1 for _, _, alphas, _ in slabs), default=0)
-        walks["no chunk" if gamma0 < 1.0 and not slabs else "below r" if 0 < stop < r else "other"] += 1
     assert seen[True, False] and seen[False, False] and seen[True, True], seen
-    assert walks["no chunk"] and walks["below r"], walks
 
 
 @pytest.mark.parametrize("r, cells", _SLAB_CASES)
@@ -502,83 +490,25 @@ def test_oracle_slabs_equal_the_whole_grid(monkeypatch, r, cells):
     _oracle_equals_the_whole_grid(monkeypatch, r, cells)
 
 
-@pytest.mark.parametrize("r, cells", _SLAB_CASES)
-@pytest.mark.parametrize("guess", ["zeros", "size", "random"])
-def test_oracle_answer_rests_on_the_probes_not_the_guess(monkeypatch, r, cells, guess):
-    # the guess only picks where to probe first: with every search starting
-    # at 0, at the end, or at seeded random counts, the two probes and the
-    # binary lifting still give the whole grid's answer
-    rng = np.random.default_rng(4242)
-    counts = {
-        "zeros": lambda size, shape: np.zeros(shape, dtype=np.intp),
-        "size": lambda size, shape: np.full(shape, size, dtype=np.intp),
-        "random": lambda size, shape: rng.integers(0, size + 1, shape, dtype=np.intp),
-    }[guess]
-    monkeypatch.setattr(
-        designer, "_guess", lambda values, thresholds, side: counts(len(values), np.shape(thresholds))
-    )
-    _oracle_equals_the_whole_grid(monkeypatch, r, cells)
-
-
-@pytest.mark.parametrize("r, cells", _SLAB_CASES)
-def test_oracle_answer_rests_on_the_mask_not_the_gather(monkeypatch, r, cells):
-    # with the gather at low missing at every row, each candidate row's
-    # first feasible prize comes from its row mask (its beta's line of top,
-    # gathered and compared with alpha and low), and the answer is still the
-    # whole grid's
-    monkeypatch.setattr(designer, "_rating1_at_low", lambda top, lows, alphas: np.zeros(lows.shape, dtype=bool))
-    _oracle_equals_the_whole_grid(monkeypatch, r, cells)
-
-
-def test_oracle_mask_reads_the_rows_the_gather_misses(monkeypatch):
-    # unpatched, the gather at low settles most rows that can hold a
-    # feasible prize, and the row masks still read some on the
-    # edge-weighted set
-    slabs, rows = _recording_the_gather(monkeypatch), Counter()
-    for p in _edge_weighted_environments(70, seed=1618):
-        for gamma0 in (0.0, 0.3):
-            brute_force_oracle(p, DesignerConfig(oracle_grid_r=100), gamma0=gamma0)
-    for top, lows, alphas, held in slabs:  # a row mask reads rows with no gather hit, a low prize and room below top
-        rows["mask"] += int(np.count_nonzero(~held & (lows < top.shape[1]) & (alphas < top.max(axis=1))))
-        rows["gather"] += int(np.count_nonzero(held))
-    assert 0 < rows["mask"] < rows["gather"], rows
-
-
-def test_oracle_margin_calls_and_fallback_share(defaults, monkeypatch):
-    # the guesses settle almost every search entry with two probes, so the
-    # margin calls per oracle call, of every margin function, stay a handful
-    # per search chunk (14 at r = 100 and 34 at r = 200 on the defaults),
-    # and the binary lifting runs on under 1% of the entries
-    count_leading, calls, entries = designer._count_leading, Counter(), Counter()
-
-    def counting(name, margins):
-        def counted(*args):
-            calls[name] += 1
-            return margins(*args)
-
-        return counted
-
-    def tallying(fails, size, count, *axes):
-        guess = count.copy()
-        found = count_leading(fails, size, count, *axes)
-        entries["missed"] += int(np.count_nonzero(found != guess))
-        entries["all"] += found.size
-        return found
-
-    for name in ("compliance_margins", "rating0_margins", "rating1_margin"):
-        monkeypatch.setattr(designer, name, counting(name, getattr(designer, name)))
-    for r, bound in ((100, 16), (200, 40)):
-        calls.clear()
-        brute_force_oracle(defaults, DesignerConfig(oracle_grid_r=r))
-        # at least the two zero-weight calls, and two probes per worker in
-        # each chunk of the first search and in the second search's first
-        least = 2 + 4 * -(-r // (designer._SEARCH_CELLS // r)) + 4
-        assert least <= sum(calls.values()) <= bound, (r, calls)
-    monkeypatch.setattr(designer, "_count_leading", tallying)
-    for p in _edge_weighted_environments(70, seed=1618):
-        for gamma0 in (0.0, 0.3):
-            brute_force_oracle(p, DesignerConfig(oracle_grid_r=100), gamma0=gamma0)
-    assert entries["missed"] < 0.01 * entries["all"], entries
+@pytest.mark.parametrize("r", [37, 100])
+def test_oracle_rows_read_the_first_prize_the_margins_clear(r):
+    # each (alpha, beta) row's first feasible prize, read in closed form, is
+    # the first prize at which every margin of the whole grid holds, and a
+    # row the margins clear nowhere reads -1
+    grid, rows = np.arange(1, r + 1) / r, Counter()
+    for p, gamma0 in _whole_grid_cases(r):
+        ok = whole_grid_feasible(p, DesignerConfig(oracle_grid_r=r), gamma0)
+        prizes = grid[grid > gamma0 + 1e-12]
+        expected = np.where(ok.any(axis=-1), ok.argmax(axis=-1) - (r - len(prizes)), -1)
+        if not len(prizes):  # the oracle reads no row
+            assert (expected == -1).all(), p
+            continue
+        lead, reach = designer._prize_bounds(p, prizes, gamma0)
+        first = designer._first_prizes(grid[:, None], grid, prizes, gamma0, lead, reach, p)
+        assert np.array_equal(first, expected), (p, gamma0)
+        rows["feasible"] += int(np.count_nonzero(first >= 0))
+        rows["none"] += int(np.count_nonzero(first < 0))
+    assert min(rows.values()) > 0, rows
 
 
 def test_utility_never_rises_along_gamma1_on_the_oracle_grid():
@@ -594,24 +524,24 @@ def test_utility_never_rises_along_gamma1_on_the_oracle_grid():
 
 
 def test_oracle_search_premises_hold_on_the_oracle_grid():
-    # the premises of the oracle's two searches, on each worker's verdicts
-    # computed as the oracle computes them: at fixed (alpha, beta) rating 0
-    # and participation never go from holding to failing as gamma1 rises,
-    # and at fixed (beta, gamma1) rating 1 never goes from failing to
-    # holding as alpha rises. The oracle's probes call the per-rating
-    # halves of compliance_margins, and each half gives its bytes.
+    # the premises of the oracle's row read, on each worker's verdicts and
+    # on both workers' together, computed from the primal margins: at fixed
+    # (alpha, beta) rating 0 and participation never go from holding to
+    # failing as gamma1 rises, and rating 1 holds on one run of prizes
     grid = np.arange(1, 101) / 100
     for p in _edge_weighted_environments(70, seed=1618):
-        for gamma0, worker in itertools.product((0.0, 0.3), (1, 2)):
-            args = (grid[:, None, None], grid[None, :, None], grid[grid > gamma0 + 1e-12], gamma0, p, worker)
-            m0, v0 = incentives.rating0_margins(*args)
-            m1 = incentives.rating1_margin(*args)
-            for x, y in zip((m0, m1, v0), compliance_margins(*args)):  # as integers, so each bit counts
-                assert x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64)), (p, gamma0, worker)
-            rating0 = (m0 >= incentives.deviation_floor(gamma0, p, worker)) & (v0 >= -incentives.TOLERANCE)
-            rating1 = m1 >= incentives.deviation_floor(args[2], p, worker)
-            assert (rating0[:, :, :-1] <= rating0[:, :, 1:]).all(), (p, gamma0, worker)
-            assert (rating1[:-1] >= rating1[1:]).all(), (p, gamma0, worker)
+        for gamma0 in (0.0, 0.3):
+            prizes = grid[grid > gamma0 + 1e-12]
+            both = []
+            for worker in (1, 2):
+                m0, m1, v0 = compliance_margins(grid[:, None, None], grid[None, :, None], prizes, gamma0, p, worker)
+                rating0 = (m0 >= deviation_floor(gamma0, p, worker)) & (v0 >= -incentives.TOLERANCE)
+                both.append((rating0, m1 >= deviation_floor(prizes, p, worker)))
+            both.append((both[0][0] & both[1][0], both[0][1] & both[1][1]))
+            for rating0, rating1 in both:
+                assert (rating0[:, :, :-1] <= rating0[:, :, 1:]).all(), (p, gamma0)
+                runs = rating1[:, :, 0] + np.count_nonzero(~rating1[:, :, :-1] & rating1[:, :, 1:], axis=-1)
+                assert (runs <= 1).all(), (p, gamma0)
 
 
 def test_oracle_refuses_a_domain_outside_its_premises(defaults):
@@ -631,12 +561,18 @@ def test_oracle_tie_across_slabs_keeps_the_first_cell(defaults, monkeypatch):
     def flat(alpha, beta, gamma1, gamma0, params):
         return 0.0 * alpha + 0.0 * beta + 0.0 * gamma1
 
+    first_prizes, chunks = designer._first_prizes, []
+
+    def recording(*args):
+        chunks.append(first_prizes(*args))
+        return chunks[-1]
+
     monkeypatch.setattr(designer, "social_utility_closed", flat)
-    monkeypatch.setattr(designer, "_SEARCH_CELLS", 1)
-    slabs = _recording_the_gather(monkeypatch)
+    monkeypatch.setattr(designer, "_first_prizes", recording)
+    monkeypatch.setattr(designer, "_CHUNK_CELLS", 1)
     config = DesignerConfig(oracle_grid_r=10)
     res = brute_force_oracle(defaults, config)
-    assert sum(bool(held.any()) for *_, held in slabs) > 1  # feasible rows in several one-row chunks
+    assert sum(bool((cells >= 0).any()) for cells in chunks) > 1  # feasible rows in several one-row chunks
     assert repr(res) == repr(whole_grid_oracle(defaults, config, utility_of=flat))
 
 

@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 
 from conftest import design_params, edge_designs, edge_environments, in_band, intrinsic_params, rating_gap
 from four_intent import DEVIATIONS, deviation_gain
-from scalar_reference import is_sustainable_arrays, lifetime_values_iterative
+from scalar_reference import compliance_margins, is_sustainable_arrays, lifetime_values_iterative
 from contest_rating import (
     DegenerateDenominator,
     DesignParams,
     Strategy,
     against_compliant,
     binding_lines,
-    compliance_margins,
     constraint_coefficients,
     default_params,
     deviation_value,
@@ -28,7 +27,7 @@ from contest_rating import (
     validate,
 )
 from contest_rating.cli import _check_lines
-from contest_rating.incentives import _CA, _gain, _gap_threshold, deviation_floor, rating0_margins, rating1_margin
+from contest_rating.incentives import _CA, _deviation_floor, _gain, _gap_threshold
 
 
 def _ca_gain(params, worker, gamma):
@@ -205,22 +204,18 @@ def _bits(values):
 @settings(max_examples=60, deadline=None)
 @given(edge_environments(), edge_designs())
 def test_margins_on_a_prize_array_equal_their_float_calls(p, design):
-    # the margin helpers run on floats in the certificate and on arrays in
-    # the grid oracle's probes: on an array of prizes each element has the
-    # bits of the call on that prize as a Python float
+    # the CA gain and the deviation floor run on floats in the certificate
+    # and on prize arrays in the grid oracle: on an array of prizes each
+    # element has the bits of the call on that prize as a Python float
     prizes = np.append(np.linspace(0.0, 1.0, 11), [design.gamma0, design.gamma1])
-    alpha, beta, gamma0 = design.alpha, design.beta, design.gamma0
+    table = payoff_table(p)
     for worker in (1, 2):
-        each = [
-            (*rating0_margins(alpha, beta, g, gamma0, p, worker), rating1_margin(alpha, beta, g, gamma0, p, worker),
-             *rating0_margins(alpha, beta, design.gamma1, g, p, worker), deviation_floor(g, p, worker))
-            for g in prizes.tolist()
-        ]
+        lines = table.lines(worker)
+        each = [(_gain(lines, _CA, g), _deviation_floor(lines, table.drop_ratio, g, _gain(lines, _CA, g)))
+                for g in prizes.tolist()]
         assert all(type(x) is float for row in each for x in row)
-        whole = (
-            *rating0_margins(alpha, beta, prizes, gamma0, p, worker), rating1_margin(alpha, beta, prizes, gamma0, p, worker),
-            *rating0_margins(alpha, beta, design.gamma1, prizes, p, worker), deviation_floor(prizes, p, worker),
-        )
+        gain = _gain(lines, _CA, prizes)
+        whole = (gain, _deviation_floor(lines, table.drop_ratio, prizes, gain))
         for column, array in zip(zip(*each), whole):
             assert np.array_equal(_bits(column), _bits(array)), (p, design, worker)
 

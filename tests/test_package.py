@@ -21,16 +21,17 @@ GONE_MODULES = {
     "tableio": ("fmt", "csv_line", "write_lines"),  # folded into cli, the one module that prints
 }
 
-# names that left the package: moved to tests/oracles.py, deleted because only tests read them,
-# or folded into the one function that computes the same quantity
+# names that left the package: moved to tests/oracles.py or tests/scalar_reference.py, deleted
+# because only tests read them, or folded into the one function that computes the same quantity
 GONE = {
     requester: ("social_utility", "SocialUtility", "pair_utility", "per_winner_utility"),
     ratings: ("evolve", "rating_update_rule"),
-    designer: ("boundary_case_optimum",),
+    designer: ("boundary_case_optimum", "_guess", "_count_leading", "_rating1_at_low", "_SEARCH_CELLS"),
     params: ("Rating", "ValidationReport"),
     payoffs: ("expected_payoff",),
     incentives: ("feasibility_band", "FeasibilityBand", "_linear_interval", "_rating_gap", "one_period_values",
-                 "rating_gap"),
+                 "rating_gap", "compliance_margins", "rating0_margins", "rating1_margin", "deviation_floor",
+                 "_participation"),
 }
 
 

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from contest_rating import designer
 from contest_rating.cli import _simulate_lines
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -34,28 +35,28 @@ def test_bench_writes_the_next_unused_report(monkeypatch, tmp_path):
 
 
 def test_bench_counts_the_oracle_margin_calls(monkeypatch):
-    # the r = 40 oracle row records the calls of every margin function one
-    # call makes, and the count's wrappers are gone afterwards
+    # the oracle reads each row's first feasible prize in closed form and
+    # calls no margin function, so there is nothing to count: the designer
+    # keeps none of the margin functions, and no oracle row records a count
     bench = _load("bench", monkeypatch)
     names = [name for name, *_ in bench.FUNCTION_ROWS]
-    margins = {name: getattr(bench.designer, name) for name in ("compliance_margins", "rating0_margins", "rating1_margin")}
-    row = bench.time_function_row(names.index("brute_force_oracle, r=40"))
-    assert all(getattr(bench.designer, name) is function for name, function in margins.items())
-    assert isinstance(row["margin_calls_per_call"], int)
-    # 10 at the defaults: two zero-weight calls, and two probes per worker in
-    # each search's one chunk, so leaving any margin function out reads fewer
-    assert 10 <= row["margin_calls_per_call"] <= 12
-    assert "margin_calls_per_call" not in bench.time_function_row(names.index("is_sustainable"))
+    assert not any(hasattr(designer, name) for name in ("compliance_margins", "rating0_margins", "rating1_margin"))
+    rows = [bench.time_function_row(i) for i, name in enumerate(names) if "oracle" in name or "base_price" in name]
+    assert len(rows) == 4
+    assert all("margin_calls_per_call" not in row for row in rows)
 
 
 def test_bench_records_the_oracle_tracemalloc_peak(monkeypatch):
-    # each oracle row records the tracemalloc peak of one untimed call,
-    # in MB; a row of another function records none
+    # each brute_force_oracle row records the tracemalloc peak of one
+    # untimed call, in MB; a row of another function records none
     bench = _load("bench", monkeypatch)
     names = [name for name, *_ in bench.FUNCTION_ROWS]
-    row = bench.time_function_row(names.index("brute_force_oracle, r=40"))
-    assert 0.0 < row["tracemalloc_peak_mb"] < 2.0
+    rows = {name: bench.time_function_row(i) for i, name in enumerate(names) if name.startswith("brute_force_oracle")}
+    assert len(rows) == 3
+    for name, row in rows.items():
+        assert 0.0 < row["tracemalloc_peak_mb"] < 2.0, name
     assert "tracemalloc_peak_mb" not in bench.time_function_row(names.index("is_sustainable"))
+    row = rows["brute_force_oracle, r=40"]
     summary = bench.across_processes([row, {**row, "tracemalloc_peak_mb": 1.0}, row])
     assert summary["tracemalloc_peak_mb"] == row["tracemalloc_peak_mb"]
 
