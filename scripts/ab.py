@@ -23,9 +23,13 @@ After one untimed block per side, each pair times one block per side,
 side A first in even pairs and side B first in odd ones. The report (JSON
 on stdout) gives each side's median seconds per call or op, the median of
 the pairs' ratios B / A with a percentile bootstrap 95% interval of that
-median, and the number of pairs in which B was faster. Every call's
-result (by repr) and every op's exit code and output are compared between
-the sides; the script exits with 1 if any differ, and with 0 otherwise.
+median, and the number of pairs in which B was faster. It also gives each
+side's minor page faults per call or op (the getrusage ru_minflt delta
+around one block): after the pairs, one block per side runs behind each
+of the PADS bytearray heap pads, and the median over the pads is
+reported, so no one heap layout decides the count. Every call's result
+(by repr) and every op's exit code and output are compared between the
+sides; the script exits with 1 if any differ, and with 0 otherwise.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ import importlib.util
 import io
 import json
 import random
+import resource
 import statistics
 import sys
 import tempfile
@@ -48,6 +53,9 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = "contest_rating"
 WORKLOADS = ("design_sweep", "oracle_check", "sim_long", "sim_wide")
 BOOTSTRAP = 2000  # resamples of the pairs' ratios
+# bytearray sizes below glibc's 128 KiB mmap threshold, so each pad moves the heap
+# top that a block's temporaries are carved from
+PADS = tuple(8192 + 16384 * i for i in range(8))
 
 
 def import_tree(tree: Path, name: str):
@@ -134,6 +142,13 @@ def run_ops(cli, ops):
     return seconds, outputs
 
 
+def minor_faults(block) -> int:
+    """Minor page faults of one run of `block`."""
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    block()
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+
 def bootstrap_interval(ratios: list[float], seed: int) -> tuple[float, float]:
     """Percentile bootstrap 95% interval of the median of `ratios`."""
     rng = random.Random(seed)
@@ -179,6 +194,14 @@ def main(argv=None) -> int:
                     seconds[side].append(elapsed)
             differ += sum(x != y for x, y in zip(results["a"], results["b"]))
 
+        faults = {side: [] for side in blocks}
+        for index, size in enumerate(PADS):
+            pad = bytearray(size)  # held while both sides run
+            for side in ("a", "b") if index % 2 == 0 else ("b", "a"):
+                gc.collect()
+                faults[side].append(minor_faults(blocks[side]) / per_block)
+            del pad
+
     ratios = [b / a for a, b in zip(seconds["a"], seconds["b"])]
     low, high = bootstrap_interval(ratios, args.seed)
     report = {
@@ -191,6 +214,9 @@ def main(argv=None) -> int:
         "ratio_interval": [low, high],
         "b_faster_pairs": sum(r < 1.0 for r in ratios),
         "differing_results": differ,
+        "a_minflt_per_call": statistics.median(faults["a"]),
+        "b_minflt_per_call": statistics.median(faults["b"]),
+        "minflt_pads": len(PADS),
     }
     print(json.dumps(report))
     if differ:

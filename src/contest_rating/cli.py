@@ -61,7 +61,7 @@ def _design_lines(outcome: DesignOutcome, oracle: OracleResult | None = None) ->
     ]
     for case in outcome.cases:
         grid = case.feasible_gamma1
-        span = f"{_fmt(min(grid))}..{_fmt(max(grid))}" if grid else "none"
+        span = f"{_fmt(grid[0])}..{_fmt(grid[-1])}" if grid else "none"  # an ascending grid
         lines.append(f"feasible_gamma1[{case.case_id}]={span} ({len(grid)} grid points)")
     if outcome.certificate is not None:
         lines.append(f"sustainable={_fmt(outcome.certificate.sustainable)}")

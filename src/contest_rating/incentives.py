@@ -14,9 +14,10 @@ lines may miss by up to it.
 
 The margin formulas are private helpers of plain operators that take one
 worker's payoff lines and an already computed gap or gain: is_sustainable
-runs them on the payoff table's floats (its one numpy call is the lifetime
-solve), the grid oracle runs the CA gain and the deviation floor on prize
-arrays. The rating gap has one formula, _compliant_gap.
+runs them on the payoff table's floats (its one numpy call is one stacked
+lifetime solve for both workers), the grid oracle runs the CA gain and the
+deviation floor on prize arrays. The rating gap has one formula,
+_compliant_gap.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 from .errors import DegenerateDenominator
 from .params import STRATEGIES, DesignParams, IntrinsicParams, Strategy, check_worker
 from .payoffs import against_compliant, payoff_table
-from .ratings import transition_kernel
+from .ratings import observed_compliant_prob
 
 TOLERANCE = 1e-9  # slack of every sustainability, participation and band check
 _CN, _CA, _SN, _SA = (s.index for s in STRATEGIES)  # the intents' places in a worker's lines
@@ -46,15 +47,35 @@ class LifetimeValues:
         return self.v1 if rating else self.v0
 
 
-def lifetime_values(design: DesignParams, params: IntrinsicParams, worker: int) -> LifetimeValues:
-    """Solve (I - delta*K) v = r for the compliant two-state value function.
+def compliant_values(design: DesignParams, params: IntrinsicParams) -> tuple[LifetimeValues, LifetimeValues]:
+    """Both workers' compliant values, from one stacked solve of (I - delta*K) v = r.
 
-    r holds the per-rating compliant payoffs [v_CN(gamma0), v_CN(gamma1)].
+    K is the CN rating kernel, the same for both workers; r holds a worker's
+    payoffs [v_CN(gamma0), v_CN(gamma1)], and at gamma0 = 0 the first is the
+    payoff table's CN intercept. The entries of I - delta*K are computed as
+    np.eye(2) - delta * K computes them (0.0 - x keeps the sign of a zero),
+    and the system is broadcast over the workers' (2, 1) right-hand sides,
+    so each worker gets LAPACK's one-column solve, bit for bit its own
+    solve; one (2, 2) right-hand side would round differently.
     """
-    kernel = transition_kernel(Strategy.CN, design, params)
-    reward = np.array([against_compliant(worker, Strategy.CN, g, params) for g in (design.gamma0, design.gamma1)])
-    v = np.linalg.solve(np.eye(2) - params.delta * kernel, reward)
-    return LifetimeValues(v0=float(v[0]), v1=float(v[1]))
+    delta, seen_cn = params.delta, params.error_free
+    promote, demote = design.alpha * seen_cn, design.beta * (1.0 - seen_cn)
+    system = [[1.0 - delta * (1.0 - promote), 0.0 - delta * promote],
+              [0.0 - delta * demote, 1.0 - delta * (1.0 - demote)]]
+    gamma0, gamma1 = design.gamma0, design.gamma1
+    rewards = [
+        [[lines[1][_CN] if gamma0 == 0.0 else against_compliant(worker, Strategy.CN, gamma0, params)],
+         [against_compliant(worker, Strategy.CN, gamma1, params)]]
+        for worker, lines in enumerate(payoff_table(params).worker_lines, start=1)
+    ]
+    v10, v11, v20, v21 = np.linalg.solve(np.array(system), np.array(rewards)).ravel().tolist()
+    return LifetimeValues(v0=v10, v1=v11), LifetimeValues(v0=v20, v1=v21)
+
+
+def lifetime_values(design: DesignParams, params: IntrinsicParams, worker: int) -> LifetimeValues:
+    """One worker's compliant two-state value function, from compliant_values."""
+    check_worker(worker)
+    return compliant_values(design, params)[worker - 1]
 
 
 def _turnover(alpha, beta, params: IntrinsicParams):
@@ -66,11 +87,17 @@ def _turnover(alpha, beta, params: IntrinsicParams):
 def deviation_value(
     rating: int, design: DesignParams, params: IntrinsicParams, worker: int
 ) -> float:
-    """Value of intending CA once at `rating`, then complying forever."""
+    """Value of intending CA once at `rating`, then complying forever.
+
+    The continuation weighs the compliant values by the CA kernel's row at
+    `rating`: [1 - promote, promote] at 0 and [demote, 1 - demote] at 1.
+    """
     values = lifetime_values(design, params, worker)
-    row = transition_kernel(Strategy.CA, design, params)[rating]
+    seen_cn = observed_compliant_prob(Strategy.CA, params)
+    promote, demote = design.alpha * seen_cn, design.beta * (1.0 - seen_cn)
+    to0, to1 = (demote, 1.0 - demote) if rating else (1.0 - promote, promote)
     stage = against_compliant(worker, Strategy.CA, design.price(rating), params)
-    return stage + params.delta * (row[0] * values.v0 + row[1] * values.v1)
+    return stage + params.delta * (to0 * values.v0 + to1 * values.v1)
 
 
 def _gain(lines, i: int, gamma):
@@ -149,7 +176,7 @@ def is_sustainable(design: DesignParams, params: IntrinsicParams) -> Sustainabil
     alpha, beta, gamma1, gamma0 = design.alpha, design.beta, design.gamma1, design.gamma0
     turnover = _turnover(alpha, beta, params)
     detect = params.delta * params.detection_margin
-    workers = []
+    workers, values = [], compliant_values(design, params)
     for worker, lines in enumerate(table.worker_lines, start=1):
         _, gap = _compliant_gap(lines, gamma1, gamma0, turnover)
         gain0, gain1 = float(_gain(lines, _CA, gamma0)), float(_gain(lines, _CA, gamma1))
@@ -159,7 +186,7 @@ def is_sustainable(design: DesignParams, params: IntrinsicParams) -> Sustainabil
         th0, th1 = _gap_threshold(gain0, detect * alpha), _gap_threshold(gain1, detect * beta)
         workers.append(WorkerIncentives(
             worker=worker, margin0=float(m0), margin1=float(m1), margin_combined=gap - max(th0, th1),
-            participation=lifetime_values(design, params, worker).v0, sustainable=bool(m0 >= floor0 and m1 >= floor1),
+            participation=values[worker - 1].v0, sustainable=bool(m0 >= floor0 and m1 >= floor1),
         ))
     return SustainabilityReport(workers=tuple(workers), sustainable=all(w.sustainable for w in workers))
 

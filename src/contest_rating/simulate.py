@@ -37,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .incentives import deviation_value, lifetime_values
+from .incentives import compliant_values, deviation_value
 from .params import DesignParams, IntrinsicParams
 from .ratings import stationary_distribution
 from .requester import social_utility_closed
@@ -320,12 +320,12 @@ def run_utility(
     ]
     means, promotions, demotions = _map_batches(simulate_batch, tasks, periods * pairs * 8)  # (worker, task)
     empirical, stderr = _mean_and_stderr(means.reshape(2, 2, config.replicates))  # (worker, start)
-    values = {worker: lifetime_values(design, params, worker) for worker in (1, 2)}
+    values = compliant_values(design, params)  # by worker - 1
     estimates = []
     for start in (0, 1):
         for worker in (1, 2):
             if start != deviated:
-                analytic, metric = values[worker][start], f"vinf_w{worker}_r{start}"
+                analytic, metric = values[worker - 1][start], f"vinf_w{worker}_r{start}"
             elif worker == deviator:
                 analytic, metric = deviation_value(start, design, params, worker), f"vinf_w{worker}_r{start}_dev"
             else:

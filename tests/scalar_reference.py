@@ -2,6 +2,13 @@
 
 - `lifetime_values_iterative`: value iteration for the compliant two-state
   values, against which the linear solve is checked.
+- `lifetime_values_solved` and `deviation_value_kernel`: one worker's
+  compliant values as one solve of `np.eye(2) - delta * K` with the
+  `transition_kernel` CN kernel and rewards from `against_compliant`, and
+  the CA deviation value from the `transition_kernel` CA row.
+  `incentives.compliant_values`, which solves both workers' systems in one
+  stacked call on entries it builds as floats, must return equal values for
+  both workers, and `deviation_value` an equal value, bit for bit.
 - `closed_form_case_utility`: a boundary case's utility at one gamma1, with
   the binding worker found from both workers' `constraint_coefficients`.
 - `scalar_case_optimum`: the per-point gamma1 scan of a boundary case, one
@@ -88,6 +95,22 @@ def lifetime_values_iterative(design, params, worker, steps=1000):
     for _ in range(steps):
         v = reward + params.delta * (kernel @ v)
     return LifetimeValues(v0=float(v[0]), v1=float(v[1]))
+
+
+def lifetime_values_solved(design, params, worker):
+    """One worker's compliant values from one solve on the transition_kernel CN kernel."""
+    kernel = transition_kernel(Strategy.CN, design, params)
+    reward = np.array([against_compliant(worker, Strategy.CN, g, params) for g in (design.gamma0, design.gamma1)])
+    v = np.linalg.solve(np.eye(2) - params.delta * kernel, reward)
+    return LifetimeValues(v0=float(v[0]), v1=float(v[1]))
+
+
+def deviation_value_kernel(rating, design, params, worker):
+    """Value of intending CA once at `rating`, weighted by the transition_kernel CA row."""
+    values = lifetime_values_solved(design, params, worker)
+    row = transition_kernel(Strategy.CA, design, params)[rating]
+    stage = against_compliant(worker, Strategy.CA, design.price(rating), params)
+    return float(stage + params.delta * (row[0] * values.v0 + row[1] * values.v1))
 
 
 def closed_form_case_utility(case_id, gamma1, params):

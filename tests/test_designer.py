@@ -422,19 +422,24 @@ def test_optimize_evaluates_the_grid_once(defaults, monkeypatch):
 
 
 def test_optimize_solves_no_deviation_values(defaults, monkeypatch):
-    # the certificate reads margins and floors; nothing in it needs the
-    # value of a CA deviation, so no CA rating kernel is built
-    kernel, intents = ratings.transition_kernel, []
+    # the certificate reads margins, floors and the compliant values; nothing
+    # in it needs the value of a CA deviation, so no rating kernel is built
+    # and its payoffs are CN payoffs alone
+    kernel, payoff, built, paid = ratings.transition_kernel, incentives.against_compliant, [], []
 
-    def counted(intended, *args):
-        intents.append(intended)
+    def counted_kernel(intended, *args):
+        built.append(intended)
         return kernel(intended, *args)
 
-    for module in (ratings, incentives):
-        monkeypatch.setattr(module, "transition_kernel", counted)
+    def counted_payoff(worker, intended, *args):
+        paid.append(intended)
+        return payoff(worker, intended, *args)
+
+    monkeypatch.setattr(ratings, "transition_kernel", counted_kernel)
+    monkeypatch.setattr(incentives, "against_compliant", counted_payoff)
     optimize(defaults)
-    assert Strategy.CN in intents  # the counter sees the lifetime solves
-    assert intents.count(Strategy.CA) == 0
+    assert built == []
+    assert paid and set(paid) == {Strategy.CN}  # the counter sees the rating-1 rewards
 
 
 def test_near_zero_attack_cost_is_feasible():
@@ -586,9 +591,9 @@ def test_oracle_memory_grows_with_one_slab(defaults):
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # 0.62 MB and 1.03 MB measured: a chunk of alpha rows' float
-        # temporaries (64 KB each), the guesses' among them, and its row
-        # masks; 57 MB and 456 MB for whole_grid_oracle
+        # 0.39 MB and 0.47 MB measured: a chunk of alpha rows' first-prize
+        # and utility temporaries (under 64 KB each); 57 MB and 456 MB for
+        # whole_grid_oracle
         assert peak < 2e6, (r, peak)
 
 

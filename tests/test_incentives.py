@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 
 from conftest import design_params, edge_designs, edge_environments, in_band, intrinsic_params, rating_gap
 from four_intent import DEVIATIONS, deviation_gain
-from scalar_reference import compliance_margins, is_sustainable_arrays, lifetime_values_iterative
+from scalar_reference import (
+    compliance_margins,
+    deviation_value_kernel,
+    is_sustainable_arrays,
+    lifetime_values_iterative,
+    lifetime_values_solved,
+)
 from contest_rating import (
     DegenerateDenominator,
     DesignParams,
@@ -27,7 +33,7 @@ from contest_rating import (
     validate,
 )
 from contest_rating.cli import _check_lines
-from contest_rating.incentives import _CA, _deviation_floor, _gain, _gap_threshold
+from contest_rating.incentives import _CA, _deviation_floor, _gain, _gap_threshold, compliant_values
 
 
 def _ca_gain(params, worker, gamma):
@@ -127,6 +133,54 @@ def test_deviation_value_error_free_weights():
         0.4 * values.v0 + 0.6 * values.v1
     )
     assert deviation_value(1, design, p, 1) == pytest.approx(expected, abs=1e-12)
+
+
+# (environment overrides, design): the edges of the stacked lifetime solve
+SOLVE_EDGES = {
+    "no future": ({"delta": 0.0}, DesignParams(1.0, 0.95, 0.52, 0.0)),
+    "frozen ratings": ({}, DesignParams(0.0, 0.0, 0.5, 0.0)),
+    "perfect monitoring": ({"eps1": 0.0, "eps2": 0.0}, DesignParams(0.6, 0.4, 0.5, 0.0)),
+    "base price from the payoffs": ({}, DesignParams(0.5, 0.5, 0.6, 0.3)),
+    "negative zero base price": ({}, DesignParams(1.0, 0.9, 0.5, -0.0)),
+    "one price": ({}, DesignParams(0.5, 0.5, 0.2, 0.2)),
+    "pivot swap": ({"delta": 0.999}, DesignParams(0.01, 0.99, 0.5, 0.0)),
+}
+
+
+def _assert_solves_match(design, p):
+    # both workers' values from the one stacked solve, and each worker's
+    # value from deviating once at either rating, equal the per-worker
+    # kernel formulas bit for bit
+    both = compliant_values(design, p)
+    for worker in (1, 2):
+        expected = repr(lifetime_values_solved(design, p, worker))
+        assert repr(both[worker - 1]) == repr(lifetime_values(design, p, worker)) == expected, worker
+        for rating in (0, 1):
+            got = deviation_value(rating, design, p, worker)
+            assert repr(got) == repr(deviation_value_kernel(rating, design, p, worker)), (worker, rating)
+
+
+@pytest.mark.parametrize("edge", SOLVE_EDGES)
+def test_stacked_solve_matches_the_per_worker_solve_at_the_edges(edge):
+    overrides, design = SOLVE_EDGES[edge]
+    p = default_params(**overrides)
+    assert not validate(p)
+    _assert_solves_match(design, p)
+
+
+def test_pivot_swap_edge_swaps_rows():
+    # LU pivots on the larger entry of the first column: the edge exercises the row swap
+    overrides, design = SOLVE_EDGES["pivot swap"]
+    p = default_params(**overrides)
+    a11 = 1.0 - p.delta * (1.0 - design.alpha * p.error_free)
+    a21 = p.delta * design.beta * (1.0 - p.error_free)
+    assert a21 > abs(a11)
+
+
+@settings(max_examples=150, deadline=None)
+@given(edge_environments(), st.one_of(design_params(gamma0_max=0.3), edge_designs()))
+def test_stacked_solve_matches_the_per_worker_solve(p, design):
+    _assert_solves_match(design, p)
 
 
 @settings(max_examples=60, deadline=None)

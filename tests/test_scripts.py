@@ -160,6 +160,7 @@ def test_ab_pairs_two_copies_of_one_tree_and_fails_when_they_differ(tmp_path):
     assert code == 0 and report["row"] == "is_sustainable" and report["pairs"] == 4
     low, high = report["ratio_interval"]
     assert low <= report["ratio_median"] <= high and report["differing_results"] == 0
+    assert report["minflt_pads"] >= 8 and min(report["a_minflt_per_call"], report["b_minflt_per_call"]) >= 0
     code, report = ab("design_sweep", 1)
     assert code == 0 and report["per_block"] == 96 and report["differing_results"] == 0
 
