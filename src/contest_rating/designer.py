@@ -30,7 +30,7 @@ from .incentives import (
     TOLERANCE,
     _VANISHES,
     SustainabilityReport,
-    _deviation_floor,
+    _deviations,
     _gain,
     _turnover,
     binding_lines,
@@ -188,29 +188,31 @@ _CHUNK_CELLS = 8000  # (alpha, beta) rows per chunk of whole alpha rows: each fl
 
 def _prize_bounds(params: IntrinsicParams, prizes: np.ndarray, gamma0: float):
     # (lead, reach): rating 0 and participation hold from gamma1 >= gamma0 + lead * turnover / alpha
-    # on, rating 1 at prizes[k] where turnover / beta <= reach[k]. Each margin is coef * weight *
-    # (gamma1 - gamma0) / turnover - const with coef >= 0; where coef is 0 the sign of const decides
-    # on every prize. A nan const or cost fails: searchsorted puts a nan threshold or running
+    # on, rating 1 at prizes[k] where turnover / beta <= reach[k]. Each deviation's margin is
+    # coef * weight * (gamma1 - gamma0) / turnover - (gain - TOLERANCE) with coef = delta * drop *
+    # slope >= 0, and participation's is alike; where coef is 0 the sign of the rest decides on
+    # every prize. A nan const or cost fails: searchsorted puts a nan threshold or running
     # maximum past every finite one.
     table, delta = payoff_table(params), params.delta
-    detect, at = delta * params.detection_margin, np.concatenate(([gamma0], prizes))
-    leads, reach = [], np.inf
+    at, coef, const, reach = np.concatenate(([gamma0], prizes)), [], [], np.inf
     with np.errstate(all="ignore"):
         for lines in table.worker_lines:
             slope, v_cn0 = lines[0][_CN], lines[0][_CN] * gamma0 + lines[1][_CN]
-            gain = _gain(lines, _CA, at)
-            floor = _deviation_floor(lines, table.drop_ratio, at, gain)
-            coef = np.array([detect * slope, delta * params.error_free * slope])  # rating 0, participation
-            const = np.array([floor[0] + gain[0], -(v_cn0 + TOLERANCE * (1.0 - delta))])
-            leads.append(np.where(coef > 0.0, const / coef, np.where(const <= 0.0, -np.inf, np.inf)))
-            cost = floor[1:] + gain[1:]  # rating 1 holds at every weight where it is <= 0; a nan fails
-            reach = np.minimum(reach, np.where(cost <= 0.0, np.inf, detect * slope * (prizes - gamma0) / cost))
-    return np.max(leads), reach
+            for i, drop in _deviations(table, params):  # one pass each: a (3, n) stack of the gains ran slower
+                k, cost = delta * drop * slope, _gain(lines, i, at) - TOLERANCE
+                coef.append(k)
+                const.append(cost[0])  # rating 0
+                reach = np.minimum(reach, np.where(cost[1:] <= 0.0, np.inf, k * (prizes - gamma0) / cost[1:]))
+            coef.append(delta * params.error_free * slope)  # participation
+            const.append(-(v_cn0 + TOLERANCE * (1.0 - delta)))
+        coef, const = np.array(coef), np.array(const)
+        lead = np.where(coef > 0.0, const / coef, np.where(const <= 0.0, -np.inf, np.inf))
+    return np.max(lead), reach
 
 
 def _first_prizes(alphas, betas, prizes, gamma0: float, lead, reach, params: IntrinsicParams) -> np.ndarray:
-    # Per (alpha, beta) row, the index of its first feasible prize, or -1. Rating 1's cost is a
-    # maximum of lines, so convex, and it holds on one run of prizes: the row's first feasible
+    # Per (alpha, beta) row, the index of its first feasible prize, or -1. Each rating-1 margin is
+    # affine in the prize, so rating 1 holds on one run of prizes: the row's first feasible
     # prize is the later of that run's start and rating 0's, where rating 1 must still hold.
     turnover = _turnover(alphas, betas, params)
     ask = turnover / betas
@@ -229,15 +231,17 @@ def brute_force_oracle(params: IntrinsicParams, config: DesignerConfig | None = 
     at rating 0. gamma0 can be pinned above 0 to probe the base price; only
     prizes above it count. Each (alpha, beta) row reads its first feasible
     prize in closed form (_prize_bounds, _first_prizes), which needs the CN
-    slopes, detection margin and error rates >= 0 and 0 <= delta < 1
-    (DomainError otherwise). Utility never rises along gamma1, so that
-    prize holds the row's maximum; the first maximum in C order wins
-    (smallest alpha, beta, gamma1).
+    slopes, every deviation's drop (the detection margin for CA) and the
+    error rates >= 0 and 0 <= delta < 1 (DomainError otherwise; an SN or SA
+    drop is negative where eps1 > 1/2 or eps1 + eps2 > 1). Utility never
+    rises along gamma1, so that prize holds the row's maximum; the first
+    maximum in C order wins (smallest alpha, beta, gamma1).
     """
     cn_slopes = [payoff_line(w, Strategy.CN, params)[0] for w in (1, 2)]
-    signs = (*cn_slopes, params.detection_margin, params.error_free, params.error_any, params.delta)
+    drops = tuple(drop for _, drop in _deviations(payoff_table(params), params))
+    signs = (*cn_slopes, *drops, params.error_free, params.error_any, params.delta)
     if not (all(x >= 0.0 for x in signs) and params.delta < 1.0):
-        raise DomainError(f"oracle premises need CN slopes, detection margin, error rates, delta {signs} >= 0, delta < 1")
+        raise DomainError(f"oracle premises need CN slopes, deviation drops, error rates, delta {signs} >= 0, delta < 1")
     r = (config or DesignerConfig()).oracle_grid_r
     grid = np.arange(1, r + 1) / r
     prizes = grid[int(np.searchsorted(grid, gamma0 + 1e-12, side="right")) :]  # the prizes above gamma0

@@ -3,21 +3,22 @@
 A compliant worker intends CN at every rating. Its lifetime discounted
 value solves a two-state fixed point in the own-rating chain; the protocol
 is sustainable when no one-shot switch to CA, SN or SA is profitable at
-either rating. The CA inequalities, rearranged at gamma0 = 0, become affine
-constraints on (alpha, beta) whose intersection, read by binding_lines
-alone, is the designer's feasible band; SN and SA enter as floors on the CA
-margins (_deviation_floor). The rating-0 CA line has a negative slope and
+either rating. Each deviation X is priced on its own margin,
+delta * weight * drop_X * gap - gain_X: the continuation value it loses
+against the one-period gain it wins (_deviations lists the drops). The CA
+inequalities, rearranged at gamma0 = 0, become affine constraints on
+(alpha, beta) whose intersection, read by binding_lines alone, is the
+designer's feasible band. The rating-0 CA line has a negative slope and
 intercept, so it never binds on the unit square and only its intercept
 (shared with participation) is kept. Every check allows the one slack
 TOLERANCE: a deviation may gain up to it, participation and the band's
 lines may miss by up to it.
 
-The margin formulas are private helpers of plain operators that take one
-worker's payoff lines and an already computed gap or gain: is_sustainable
-runs them on the payoff table's floats (its one numpy call is one stacked
-lifetime solve for both workers), the grid oracle runs the CA gain and the
-deviation floor on prize arrays. The rating gap has one formula,
-_compliant_gap.
+The margins are plain operators on one worker's payoff lines and an
+already computed gap or gain: is_sustainable runs them on the payoff
+table's floats (its one numpy call is one stacked lifetime solve for both
+workers), the grid oracle runs each deviation's gain on prize arrays. The
+rating gap has one formula, _compliant_gap.
 """
 
 from __future__ import annotations
@@ -114,28 +115,10 @@ def _compliant_gap(lines, gamma1, gamma0, turnover):
     return v_cn0, (cn_slope * gamma1 + cn_icept - v_cn0) / turnover
 
 
-def _margin(detect, weight, gap, gain):
-    # a CA margin: delta * D * weight * gap - gain, with detect = delta * D
-    return detect * weight * gap - gain
-
-
-def _deviation_floor(lines, drop_ratio, gamma, gain_ca):
-    """Least CA margin at prize gamma under which no one-shot deviation pays.
-
-    At one rating every deviation X loses delta * weight * gap * dq_X in
-    continuation value and wins gain_X over CN in the period, where dq_X
-    (the drop in the chance of being read as CN) is positive for CA, SN and
-    SA on the validated domain. So m_X = (dq_X / dq_CA) * (m_CA + gain_CA) -
-    gain_X, and m_X >= -TOLERANCE holds exactly when m_CA >= (dq_CA / dq_X)
-    * (gain_X - TOLERANCE) - gain_CA. From one worker's lines, the table's
-    drop ratios and the CA gain at gamma, returns the largest of the SN and
-    SA bounds and -TOLERANCE (CA's own check): one float for a float prize,
-    one value per prize for a prize array.
-    """
-    sn, sa = (drop_ratio[i] * (_gain(lines, i, gamma) - TOLERANCE) - gain_ca for i in (_SN, _SA))
-    if isinstance(gamma, np.ndarray):
-        return np.maximum(np.maximum(-TOLERANCE, sn), sa)
-    return max(sn, sa, -TOLERANCE) if sa == sa else sa  # a nan bound wins, as in np.maximum
+def _deviations(table, params: IntrinsicParams):
+    # (intent index, drop) for CA, SN and SA, where drop is how much less likely the intent is
+    # read as CN than CN itself; CA's is the detection margin, the drop its printed margins use
+    return (_CA, params.detection_margin), (_SN, table.drop[_SN]), (_SA, table.drop[_SA])
 
 
 def _gap_threshold(gain: float, weight: float) -> float:
@@ -165,28 +148,29 @@ class SustainabilityReport:
 def is_sustainable(design: DesignParams, params: IntrinsicParams) -> SustainabilityReport:
     """One-shot-deviation check of CA, SN and SA at both ratings, for both workers.
 
-    The verdict holds when each worker's cleared-denominator CA margins
-    clear their _deviation_floor, so no CA, SN or SA deviation gains more
-    than TOLERANCE; participation is reported but not part of it. The
-    report's margins are CA's; it also carries the combined margin in gap
-    units (-inf when the demotion channel is shut and attacking at rating
-    1 pays) and participation, each worker's lifetime compliant value v0.
+    The verdict holds when every deviation's own margin, delta * weight *
+    drop * gap - gain, is at least -TOLERANCE at both ratings, so no
+    deviation gains more than TOLERANCE; participation is reported but not
+    part of it. The report's margins are CA's; it also carries the combined
+    margin in gap units (-inf when the demotion channel is shut and
+    attacking at rating 1 pays) and participation, each worker's lifetime
+    compliant value v0.
     """
     table = payoff_table(params)
     alpha, beta, gamma1, gamma0 = design.alpha, design.beta, design.gamma1, design.gamma0
     turnover = _turnover(alpha, beta, params)
-    detect = params.delta * params.detection_margin
-    workers, values = [], compliant_values(design, params)
+    delta, deviations = params.delta, _deviations(table, params)
+    detect = delta * params.detection_margin
+    workers, values, ratings = [], compliant_values(design, params), ((alpha, gamma0), (beta, gamma1))
     for worker, lines in enumerate(table.worker_lines, start=1):
         _, gap = _compliant_gap(lines, gamma1, gamma0, turnover)
+        margins = [delta * drop * weight * gap - _gain(lines, i, gamma)  # CA's two first
+                   for i, drop in deviations for weight, gamma in ratings]
         gain0, gain1 = float(_gain(lines, _CA, gamma0)), float(_gain(lines, _CA, gamma1))
-        m0, m1 = _margin(detect, alpha, gap, gain0), _margin(detect, beta, gap, gain1)
-        floor0 = _deviation_floor(lines, table.drop_ratio, gamma0, gain0)
-        floor1 = _deviation_floor(lines, table.drop_ratio, gamma1, gain1)
         th0, th1 = _gap_threshold(gain0, detect * alpha), _gap_threshold(gain1, detect * beta)
         workers.append(WorkerIncentives(
-            worker=worker, margin0=float(m0), margin1=float(m1), margin_combined=gap - max(th0, th1),
-            participation=values[worker - 1].v0, sustainable=bool(m0 >= floor0 and m1 >= floor1),
+            worker=worker, margin0=float(margins[0]), margin1=float(margins[1]), margin_combined=gap - max(th0, th1),
+            participation=values[worker - 1].v0, sustainable=all(m >= -TOLERANCE for m in margins),
         ))
     return SustainabilityReport(workers=tuple(workers), sustainable=all(w.sustainable for w in workers))
 

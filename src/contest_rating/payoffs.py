@@ -86,16 +86,15 @@ class PayoffTable:
 
     slope[w - 1, i] and intercept[w - 1, i] give worker w's line for the
     intent STRATEGIES[i]. For scalar callers, worker_lines[w - 1] holds
-    worker w's (slopes, intercepts) as tuples of floats. drop_ratio[i] is
-    drop[CA] / drop[i] as numpy divides it (inf or nan where a drop
-    vanishes), where drop[i] is how much less likely intent i is read as CN
-    than CN itself (worker-independent).
+    worker w's (slopes, intercepts) as tuples of floats. drop[i] is how much
+    less likely intent i is read as CN than CN itself (worker-independent;
+    0 for CN, and negative for SN or SA where eps1 > 1/2 or eps1 + eps2 > 1).
     """
 
     slope: np.ndarray
     intercept: np.ndarray
     worker_lines: tuple[tuple[tuple[float, ...], tuple[float, ...]], ...]
-    drop_ratio: tuple[float, ...]
+    drop: tuple[float, ...]
 
     def lines(self, worker: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """(slopes, intercepts) of one worker's four lines, in STRATEGIES order, as floats."""
@@ -119,10 +118,8 @@ def payoff_table(params: IntrinsicParams) -> PayoffTable:
     drop = seen_cn[Strategy.CN.index] - seen_cn
     slope, intercept = at1 - at0, at0
     slope.flags.writeable = intercept.flags.writeable = False
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = drop[Strategy.CA.index] / drop
     worker_lines = tuple((tuple(s), tuple(i)) for s, i in zip(slope.tolist(), intercept.tolist()))
-    return PayoffTable(slope, intercept, worker_lines, tuple(ratio.tolist()))
+    return PayoffTable(slope, intercept, worker_lines, tuple(drop.tolist()))
 
 
 def payoff_line(worker: int, intended: Strategy, params: IntrinsicParams) -> tuple[float, float]:

@@ -5,7 +5,7 @@ SN, SA) as the one-period payoff against a compliant opponent plus the
 discounted compliant lifetime value of the rating it leads to. The chance
 of being read as CN comes straight from the flip channels and the next
 rating from the update rule, so no margin algebra is used: neither the
-certificate's CA margins and deviation floors in `incentives` nor
+certificate's per-deviation margins in `incentives` nor
 `compliance_margins` and `deviation_floor` in `scalar_reference.py`.
 Participation is the compliant lifetime value at rating 0.
 """

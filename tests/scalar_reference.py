@@ -30,17 +30,22 @@
   each run's metrics together, must return an equal `SimResult`, float for
   float.
 - `is_sustainable_arrays`: the certificate computed with numpy scalars
-  and arrays read from the payoff table's arrays, the detection drops
+  and arrays read from the payoff table's arrays, the SN and SA drops
   read from `realized_mix`, one gap for the margins
   and the combined margin, the CA gains computed once per margin and once
-  more for the gap-unit thresholds, and both floors from one prize array. `is_sustainable`,
-  which reads each worker's lines once as floats, must return an equal
-  report, field for field by `repr`.
-- `compliance_margins` and `deviation_floor`: each worker's CA margins,
-  participation value and deviation floor at any cells, numpy-broadcasting,
-  from the certificate's private helpers.
-- `whole_grid_feasible` and `whole_grid_oracle`: the grid oracle's margin
-  verdicts over all r**3 cells at once, and their argmax.
+  more for the gap-unit thresholds, and each deviation's margins at both
+  ratings from one prize array. `is_sustainable`, which reads each
+  worker's lines once as floats, must return an equal report, field for
+  field by `repr`.
+- `compliance_margins`: one deviation's margins (CA's by default) and the
+  participation value at any cells, numpy-broadcasting, from the
+  certificate's private helpers.
+- `deviation_floor`: the least CA margin under which no SN or SA
+  deviation pays, the fold of those margins into CA's that the
+  certificate once used; the oracle's premise test reads it.
+- `whole_grid_feasible` and `whole_grid_oracle`: the grid oracle's
+  verdicts over all r**3 cells at once, every deviation priced on its own
+  margin per cell, and their argmax.
   `brute_force_oracle`, which reads each (alpha, beta) row's first
   feasible prize in closed form, must return an equal `OracleResult`, and
   `designer._first_prizes` the first feasible prize of every row.
@@ -76,13 +81,13 @@ from contest_rating import (
 )
 from contest_rating.incentives import (
     _CA,
+    _SA,
+    _SN,
     TOLERANCE,
     WorkerIncentives,
     _compliant_gap,
-    _deviation_floor,
     _gain,
     _gap_threshold,
-    _margin,
     _turnover,
 )
 
@@ -398,30 +403,45 @@ def run_utility_channels(design, params, config, deviation=None):
     return SimResult(tuple(estimates), periods, promotions, demotions)
 
 
-def compliance_margins(alpha, beta, gamma1, gamma0, params, worker):
-    """Deviation margins and participation value, numpy-broadcasting.
+def compliance_margins(alpha, beta, gamma1, gamma0, params, worker, intended=Strategy.CA):
+    """One deviation's margins and the participation value, numpy-broadcasting.
 
-    Returns (m0, m1, v0): m_theta = delta * weight_theta * D * gap -
-    deviation gain at theta, with weight 0 = alpha and weight 1 = beta, and
-    v0 the lifetime compliant value at the low rating. The margins are the
-    one-shot-deviation inequalities cleared of their (possibly vanishing)
-    denominators, so they stay finite at delta = 0 or beta = 0 and share
-    the sign of the textbook thresholds wherever those are defined.
+    Returns (m0, m1, v0): m_theta = delta * weight_theta * drop * gap -
+    deviation gain at theta, with weight 0 = alpha and weight 1 = beta, drop
+    the detection margin for CA and the payoff table's drop for SN and SA,
+    and v0 the lifetime compliant value at the low rating. The margins are
+    the one-shot-deviation inequalities cleared of their (possibly
+    vanishing) denominators, so they stay finite at delta = 0 or beta = 0
+    and share the sign of the textbook thresholds wherever those are
+    defined.
     """
-    lines = payoff_table(params).lines(worker)
+    table = payoff_table(params)
+    lines = table.lines(worker)
     v_cn0, gap = _compliant_gap(lines, gamma1, gamma0, _turnover(alpha, beta, params))
-    detect = params.delta * params.detection_margin
-    m0 = _margin(detect, alpha, gap, _gain(lines, _CA, gamma0))
-    m1 = _margin(detect, beta, gap, _gain(lines, _CA, gamma1))
-    v0 = (v_cn0 + params.delta * alpha * params.error_free * gap) / (1.0 - params.delta)
+    i, delta = intended.index, params.delta
+    drop = params.detection_margin if intended is Strategy.CA else table.drop[i]
+    m0 = delta * drop * alpha * gap - _gain(lines, i, gamma0)
+    m1 = delta * drop * beta * gap - _gain(lines, i, gamma1)
+    v0 = (v_cn0 + delta * alpha * params.error_free * gap) / (1.0 - delta)
     return m0, m1, v0
 
 
 def deviation_floor(gamma, params, worker):
-    """Least CA margin at prize gamma (a float or an array) under which no one-shot deviation pays."""
+    """Least CA margin at prize gamma (a float or an array) under which no SN or SA deviation pays.
+
+    With every drop positive, m_X = (drop_X / drop_CA) * (m_CA + gain_CA) -
+    gain_X, so m_X >= -TOLERANCE holds exactly when m_CA >= (drop_CA /
+    drop_X) * (gain_X - TOLERANCE) - gain_CA. Returns the largest of the SN
+    and SA bounds and -TOLERANCE (CA's own check), from the payoff table's
+    drops.
+    """
     table = payoff_table(params)
-    lines = table.lines(worker)
-    return _deviation_floor(lines, table.drop_ratio, gamma, _gain(lines, _CA, gamma))
+    lines, drop = table.lines(worker), np.array(table.drop)
+    gain_ca = _gain(lines, _CA, gamma)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = drop[_CA] / drop
+        sn, sa = (ratio[i] * (_gain(lines, i, gamma) - TOLERANCE) - gain_ca for i in (_SN, _SA))
+    return np.maximum(np.maximum(-TOLERANCE, sn), sa)
 
 
 def whole_grid_feasible(params, config=None, gamma0=0.0):
@@ -433,10 +453,10 @@ def whole_grid_feasible(params, config=None, gamma0=0.0):
     gamma1 = grid[None, None, :]
     ok = np.broadcast_to(gamma1 > gamma0 + 1e-12, (r, r, r)).copy()
     for worker in (1, 2):
-        m0, m1, v0 = compliance_margins(alpha, beta, gamma1, gamma0, params, worker)
-        floor0 = deviation_floor(gamma0, params, worker)
-        floor1 = deviation_floor(gamma1, params, worker)
-        ok &= (m0 >= floor0) & (m1 >= floor1) & (v0 >= -TOLERANCE)
+        for intended in (Strategy.CA, Strategy.SN, Strategy.SA):
+            m0, m1, v0 = compliance_margins(alpha, beta, gamma1, gamma0, params, worker, intended)
+            ok &= (m0 >= -TOLERANCE) & (m1 >= -TOLERANCE)
+        ok &= v0 >= -TOLERANCE
     return ok
 
 
@@ -461,9 +481,9 @@ def whole_grid_oracle(params, config=None, gamma0=0.0, utility_of=social_utility
 
 
 def is_sustainable_arrays(design, params):
-    """incentives.is_sustainable with numpy scalars and a prize array for the floors."""
+    """incentives.is_sustainable with numpy scalars and a prize array for each deviation's margins."""
     table = payoff_table(params)
-    cn, ca = Strategy.CN.index, Strategy.CA.index
+    cn, sn, sa = Strategy.CN.index, Strategy.SN.index, Strategy.SA.index
     alpha, beta, gamma1, gamma0 = design.alpha, design.beta, design.gamma1, design.gamma0
     turnover = beta * params.error_any + alpha * params.error_free
     detect = params.delta * params.detection_margin
@@ -486,12 +506,9 @@ def is_sustainable_arrays(design, params):
         gain0, gain1 = (float(gain(Strategy.CA, g)) for g in (gamma0, gamma1))
         th0 = _gap_threshold(gain0, detect * alpha)
         th1 = _gap_threshold(gain1, detect * beta)
-        prizes = np.array([gamma0, gamma1])
-        floor = -TOLERANCE
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for intended in (Strategy.SN, Strategy.SA):
-                ratio = drop[ca] / drop[intended.index]
-                floor = np.maximum(floor, ratio * (gain(intended, prizes) - TOLERANCE) - gain(Strategy.CA, prizes))
+        prizes, weights = np.array([gamma0, gamma1]), np.array([alpha, beta])
+        drops = ((Strategy.CA, params.detection_margin), (Strategy.SN, drop[sn]), (Strategy.SA, drop[sa]))
+        margins = [params.delta * d * weights * gap - gain(intended, prizes) for intended, d in drops]
         workers.append(
             WorkerIncentives(
                 worker=worker,
@@ -499,7 +516,7 @@ def is_sustainable_arrays(design, params):
                 margin1=float(m1),
                 margin_combined=gap - max(th0, th1),
                 participation=lifetime_values(design, params, worker).v0,
-                sustainable=bool(m0 >= floor[0] and m1 >= floor[1]),
+                sustainable=bool((np.array(margins) >= -TOLERANCE).all()),
             )
         )
     return SustainabilityReport(tuple(workers), all(w.sustainable for w in workers))

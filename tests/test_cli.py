@@ -14,15 +14,18 @@ import sys
 from pathlib import Path
 
 import pytest
+from four_intent import deviation_gain, violations
 
 import contest_rating
 from contest_rating import (
     DesignParams,
     SimConfig,
+    Strategy,
     load_config,
     run_chain,
     run_utility,
     utility_horizon,
+    validate,
 )
 from contest_rating.cli import _OUTCOME_CSV_HEADER, main
 
@@ -254,6 +257,39 @@ def test_check_counts_in_house_deviation(tmp_path, capsys):
     assert len(body) == 8
     assert all(float(row[2]) >= -1e-9 for row in body)
     assert lines[-1] == "sustainable=false"
+
+
+def test_check_prices_in_house_deviations_where_the_detection_drop_is_tiny(tmp_path, capsys):
+    # validate() accepts eps2 a hair below 1/2. There CA's drop in the chance
+    # of being read as CN is about 1.2e-14, but SN's and SA's about 0.23, and
+    # worker 2 gains about 1.1e-4 by either at rating 0. Folding those
+    # margins into CA's scaled them by 5.2e-14 and certified the protocol.
+    env = {"c1": 0.0754911819328727, "c2": 0.07802980849004575, "s1": 0.0538390174411238,
+           "s2": 0.22551604416499396, "d": 0.16367611117546726, "delta": 0.5465453300484671,
+           "eps1": 0.2699886721139114, "eps2": 0.49999999999999173}
+    path = tmp_path / "tiny_drop.cfg"
+    path.write_text("".join(f"{key} = {value!r}\n" for key, value in env.items()))
+    params = load_config(path)
+    assert not validate(params)
+    protocol = {"alpha": 0.4794757037841635, "beta": 0.6138127670684463, "gamma1": 0.9049342635950107}
+    argv = ["check", str(path)] + [arg for key, value in protocol.items() for arg in (f"--{key}", repr(value))]
+    assert main(argv) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "worker,constraint,margin",
+        "1,deviation-rating0,2.74314559312e-15",
+        "1,deviation-rating1,-1.25041757415e-15",
+        "1,combined-gap-units,-0.308003914414",
+        "1,participation,-0.236142546334",
+        "2,deviation-rating0,5.60196988153e-15",
+        "2,deviation-rating1,1.5581727715e-15",
+        "2,combined-gap-units,0.383810434913",
+        "2,participation,-0.429528446441",
+        "sustainable=false",
+    ]
+    design = DesignParams(**protocol)
+    gains = [line for line in violations(design, params) if " gains " in line]
+    assert gains == [f"worker 2 gains {deviation_gain(2, 0, s, design, params):.6g} by {s.value} at rating 0"
+                     for s in (Strategy.SN, Strategy.SA)]
 
 
 def test_negative_zero_error_rates_print_what_zero_prints(tmp_path, capsys):

@@ -46,6 +46,7 @@ from contest_rating import (
     is_sustainable,
     optimize,
     payoff_line,
+    payoff_table,
     social_utility_closed,
     validate,
     with_params,
@@ -422,7 +423,7 @@ def test_optimize_evaluates_the_grid_once(defaults, monkeypatch):
 
 
 def test_optimize_solves_no_deviation_values(defaults, monkeypatch):
-    # the certificate reads margins, floors and the compliant values; nothing
+    # the certificate reads margins and the compliant values; nothing
     # in it needs the value of a CA deviation, so no rating kernel is built
     # and its payoffs are CN payoffs alone
     kernel, payoff, built, paid = ratings.transition_kernel, incentives.against_compliant, [], []
@@ -464,8 +465,8 @@ _SLAB_CASES = [(37, None), (100, None), (10, 300), (23, 1), (23, 1955)]
 
 def _whole_grid_cases(r):
     # the (environment, gamma0) pairs the slab and row tests check at grid r: 0.995 leaves a
-    # one-point prize suffix (gamma1 = 1), 1.0 none; at eps1 = eps2 = 0.5 every drop ratio is
-    # nan, so every floor is nan and no cell is feasible
+    # one-point prize suffix (gamma1 = 1), 1.0 none; at eps1 = eps2 = 0.5 every drop is 0 and
+    # every intent pays the same, so no deviation gains and participation decides
     envs = _edge_weighted_environments(14 if r == 100 else 70, seed=1618)
     cases = [(p, gamma0) for p in envs for gamma0 in (0.0, 0.3, 0.995, 1.0)]
     return cases + [(default_params(eps1=0.5, eps2=0.5), 0.3)]
@@ -488,6 +489,11 @@ def _oracle_equals_the_whole_grid(monkeypatch, r, cells):
         assert repr(res) == expected, (p, gamma0)
         seen[res.feasible, p.error_any == 0.0] += 1
     assert seen[True, False] and seen[False, False] and seen[True, True], seen
+    p = default_params(eps1=0.5, eps2=0.5)  # no deviation gains, so participation decides
+    uniform = brute_force_oracle(p, config, gamma0=0.3)
+    assert uniform.feasible == (r > 10)  # at r = 10 the least beta, 0.1, demotes too often to participate
+    if uniform.feasible:
+        assert violations(DesignParams(uniform.alpha, uniform.beta, uniform.gamma1, 0.3), p) == []
 
 
 @pytest.mark.parametrize("r, cells", _SLAB_CASES)
@@ -550,10 +556,15 @@ def test_oracle_search_premises_hold_on_the_oracle_grid():
 
 
 def test_oracle_refuses_a_domain_outside_its_premises(defaults):
-    # eps2 > 0.5 makes the detection margin negative, so m0 could fall as
-    # gamma1 rises and the bisection could miss a feasible cell
+    # eps2 > 0.5 makes the detection margin negative, and eps1 > 0.5 SN's
+    # drop with a positive detection margin: a deviation's margin could
+    # then fall as gamma1 rises, and the row read could miss a feasible cell
     p = with_params(defaults, eps2=0.6)
     assert p.detection_margin < 0.0 and validate(p)
+    with pytest.raises(DomainError, match="oracle premises"):
+        brute_force_oracle(p, DesignerConfig(oracle_grid_r=10))
+    p = with_params(defaults, eps1=0.8)
+    assert p.detection_margin > 0.0 > payoff_table(p).drop[Strategy.SN.index] and validate(p)
     with pytest.raises(DomainError, match="oracle premises"):
         brute_force_oracle(p, DesignerConfig(oracle_grid_r=10))
     with pytest.raises(DomainError, match="oracle premises"):

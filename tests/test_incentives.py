@@ -33,7 +33,7 @@ from contest_rating import (
     validate,
 )
 from contest_rating.cli import _check_lines
-from contest_rating.incentives import _CA, _deviation_floor, _gain, _gap_threshold, compliant_values
+from contest_rating.incentives import _CA, _gain, _gap_threshold, compliant_values
 
 
 def _ca_gain(params, worker, gamma):
@@ -177,6 +177,25 @@ def test_pivot_swap_edge_swaps_rows():
     assert a21 > abs(a11)
 
 
+def test_stacked_solve_builds_the_system_np_eye_minus_delta_k_builds(monkeypatch):
+    # with no future and frozen ratings every off-diagonal entry of
+    # I - delta * K is a zero product: its sign, as well as its value, is
+    # the one np.eye(2) - delta * K gives (0.0 - 0.0, not -(0.0))
+    p, design = default_params(delta=0.0), DesignParams(0.0, 0.0, 0.5)
+    solve, systems = np.linalg.solve, []
+
+    def spy(a, b):
+        systems.append(np.array(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    compliant_values(design, p)
+    expected = np.eye(2) - p.delta * transition_kernel(Strategy.CN, design, p)
+    assert len(systems) == 1
+    assert np.array_equal(systems[0], expected)
+    assert np.array_equal(np.signbit(systems[0]), np.signbit(expected))
+
+
 @settings(max_examples=150, deadline=None)
 @given(edge_environments(), st.one_of(design_params(gamma0_max=0.3), edge_designs()))
 def test_stacked_solve_matches_the_per_worker_solve(p, design):
@@ -199,9 +218,9 @@ def test_margins_are_one_shot_deviation_differences(p, design, worker):
 
 
 def test_verdict_matches_four_intent_certificate():
-    # the verdict counts SN and SA through deviation_floor; on random
-    # designs it must agree with pricing every deviation directly, also
-    # where CA alone is unprofitable but staying in-house pays
+    # the verdict prices SN and SA on their own margins; on random designs
+    # it must agree with pricing every deviation directly, also where CA
+    # alone is unprofitable but staying in-house pays
     rng = np.random.default_rng(7)
     compared = in_house_only = 0
     while compared < 300:
@@ -236,19 +255,23 @@ def test_verdict_matches_four_intent_certificate():
 def test_certificate_equals_the_array_reference(p, design):
     # the float certificate reads each worker's lines once and computes the
     # gap and both CA gains once; the numpy one computes the gains per
-    # margin and the floors over one prize array. Both combine the gap that
-    # the margins use. Field for field, the reports agree.
+    # margin and each deviation's margins over one prize array. Both combine
+    # the gap that the margins use. Field for field, the reports agree.
     assert repr(is_sustainable(design, p)) == repr(is_sustainable_arrays(design, p))
 
 
 @pytest.mark.parametrize("eps1, eps2", [(0.5, 0.5), (1.0, 0.0), (0.25, 0.75), (0.2, 0.5)])
 def test_certificate_equals_the_array_reference_where_a_detection_drop_vanishes(eps1, eps2):
-    # outside the validated domain a drop ratio divides by zero: the floats
-    # take numpy's inf or nan, and a nan SN or SA bound fails the verdict
-    # as numpy's maximum does
+    # outside the validated domain a deviation's drop vanishes or turns
+    # negative; each deviation is still priced on its own margin, so both
+    # certificates agree, and the verdict is the model's: no deviation
+    # priced directly gains more than 1e-9
     p = default_params(eps1=eps1, eps2=eps2)
     for design in (DesignParams(1.0, 1.0, 0.5), DesignParams(0.5, 0.2, 0.9, 0.3), DesignParams(0.0, 0.0, 0.0)):
-        assert repr(is_sustainable(design, p)) == repr(is_sustainable_arrays(design, p))
+        report = is_sustainable(design, p)
+        assert repr(report) == repr(is_sustainable_arrays(design, p))
+        worst = max(deviation_gain(w, r, s, design, p) for w in (1, 2) for r in (0, 1) for s in DEVIATIONS)
+        assert report.sustainable == (worst <= 1e-9), (design, worst)
 
 
 def _bits(values):
@@ -258,20 +281,17 @@ def _bits(values):
 @settings(max_examples=60, deadline=None)
 @given(edge_environments(), edge_designs())
 def test_margins_on_a_prize_array_equal_their_float_calls(p, design):
-    # the CA gain and the deviation floor run on floats in the certificate
-    # and on prize arrays in the grid oracle: on an array of prizes each
-    # element has the bits of the call on that prize as a Python float
+    # every deviation's gain runs on floats in the certificate and on prize
+    # arrays in the grid oracle: on an array of prizes each element has the
+    # bits of the call on that prize as a Python float
     prizes = np.append(np.linspace(0.0, 1.0, 11), [design.gamma0, design.gamma1])
-    table = payoff_table(p)
     for worker in (1, 2):
-        lines = table.lines(worker)
-        each = [(_gain(lines, _CA, g), _deviation_floor(lines, table.drop_ratio, g, _gain(lines, _CA, g)))
-                for g in prizes.tolist()]
-        assert all(type(x) is float for row in each for x in row)
-        gain = _gain(lines, _CA, prizes)
-        whole = (gain, _deviation_floor(lines, table.drop_ratio, prizes, gain))
-        for column, array in zip(zip(*each), whole):
-            assert np.array_equal(_bits(column), _bits(array)), (p, design, worker)
+        lines = payoff_table(p).lines(worker)
+        for intended in DEVIATIONS:
+            each = [_gain(lines, intended.index, g) for g in prizes.tolist()]
+            assert all(type(x) is float for x in each)
+            whole = _gain(lines, intended.index, prizes)
+            assert np.array_equal(_bits(each), _bits(whole)), (p, design, worker, intended)
 
 
 def test_margins_broadcast(defaults):

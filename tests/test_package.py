@@ -31,7 +31,7 @@ GONE = {
     payoffs: ("expected_payoff",),
     incentives: ("feasibility_band", "FeasibilityBand", "_linear_interval", "_rating_gap", "one_period_values",
                  "rating_gap", "compliance_margins", "rating0_margins", "rating1_margin", "deviation_floor",
-                 "_participation"),
+                 "_participation", "_deviation_floor", "_margin"),
 }
 
 
@@ -55,7 +55,7 @@ def test_test_only_modules_are_not_in_the_package():
 
 def test_record_fields_that_no_command_reads_are_gone():
     gone = {
-        payoffs.PayoffTable: ("detection_drop",),
+        payoffs.PayoffTable: ("detection_drop", "drop_ratio"),
         incentives.SustainabilityReport: ("design",),
         designer.OracleResult: ("gamma0",),
         incentives.WorkerIncentives: ("threshold0", "gap", "gain0", "gain1", "threshold1", "lifetime"),
